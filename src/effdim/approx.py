@@ -21,7 +21,7 @@ it never assumes them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,19 +35,23 @@ LOEWNER_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GaussianDistribution:
-    """Mean vector and PD covariance of a Gaussian; validated at construction."""
+    """Mean vector and PD covariance of a Gaussian; validated at construction.
+
+    The covariance's lower Cholesky factor is kept as ``lower``.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(-1)
+        mean = linalg.as_matrix(np.reshape(self.mean, (1, -1)), "mean")[0]
         cov = linalg.symmetrize(self.cov, "covariance")
         if mean.size != cov.shape[0]:
             raise DimensionMismatch(
                 f"mean has dimension {mean.size} but covariance is {cov.shape[0]}x{cov.shape[0]}"
             )
-        linalg.cholesky_lower(cov, "covariance")
+        object.__setattr__(self, "lower", linalg.cholesky_lower(cov, "covariance"))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -92,12 +96,11 @@ def gaussian_kl(q: GaussianDistribution, prior_cov) -> float:
             f"distribution is {q.dim}-dimensional"
         )
     l0 = linalg.cholesky_lower(prior_cov, "prior covariance")
-    lq = linalg.cholesky_lower(q.cov, "covariance")
     p = q.dim
     trace_term = float(np.sum(linalg.solve_lower(l0, linalg.solve_lower(l0, q.cov).T)
                               .diagonal()))
     quad_term = float(np.sum(linalg.solve_lower(l0, q.mean) ** 2))
-    logdet_ratio = linalg.logdet_from_cholesky(lq) - linalg.logdet_from_cholesky(l0)
+    logdet_ratio = linalg.logdet_from_cholesky(q.lower) - linalg.logdet_from_cholesky(l0)
     return max(0.5 * (trace_term + quad_term - logdet_ratio - p), 0.0)
 
 
@@ -151,12 +154,6 @@ def loewner_dominates(sigma_tilde, sigma, tol: float = LOEWNER_TOL) -> bool:
     return bool(eigs[0] >= -tol * (np.abs(eigs).max() + 1.0))
 
 
-def _prior_normalized_logdet(cov: np.ndarray, prior_lower: np.ndarray) -> float:
-    """log det(S0^{-1} S) from S and the prior's Cholesky factor."""
-    lc = linalg.cholesky_lower(cov, "covariance")
-    return linalg.logdet_from_cholesky(lc) - linalg.logdet_from_cholesky(prior_lower)
-
-
 def audit_approximation(
     exact: GaussianDistribution,
     approx: GaussianDistribution,
@@ -179,12 +176,14 @@ def audit_approximation(
         raise DimensionMismatch("prior covariance dimension mismatch")
     kl_exact = gaussian_kl(exact, prior_cov)
     kl_approx = gaussian_kl(approx, prior_cov)
-    prior_lower = linalg.cholesky_lower(prior_cov, "prior covariance")
+    # log det(S0^{-1} S) from the two Cholesky factors
+    prior_logdet = linalg.logdet_from_cholesky(
+        linalg.cholesky_lower(prior_cov, "prior covariance"))
     return ApproxAuditReport(
         kl_exact=kl_exact,
         kl_approx=kl_approx,
-        logdet_exact=_prior_normalized_logdet(exact.cov, prior_lower),
-        logdet_approx=_prior_normalized_logdet(approx.cov, prior_lower),
+        logdet_exact=linalg.logdet_from_cholesky(exact.lower) - prior_logdet,
+        logdet_approx=linalg.logdet_from_cholesky(approx.lower) - prior_logdet,
         loewner_dominates=loewner_dominates(approx.cov, exact.cov),
         deff_exact=deff(kl_exact, n),
         deff_approx=deff(kl_approx, n),

@@ -42,12 +42,15 @@ class GaussianChannel:
 
     Covariances are symmetrized at ingestion (rejected above 1e-12 relative
     asymmetry); the noise covariance must be PD (Cholesky succeeds), the prior
-    covariance PSD. Instances are immutable and safe to share.
+    covariance PSD. The noise covariance's lower Cholesky factor is kept as
+    ``noise_lower``, so no evaluation route factors it again. Instances are
+    immutable and safe to share.
     """
 
     a: np.ndarray
     prior_cov: np.ndarray
     noise_cov: np.ndarray
+    noise_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.a, "forward map")
@@ -64,7 +67,7 @@ class GaussianChannel:
                 f"{noise.shape[0]}-dimensional"
             )
         linalg.validate_psd(prior, "prior covariance")
-        linalg.cholesky_lower(noise, "noise covariance")
+        object.__setattr__(self, "noise_lower", linalg.cholesky_lower(noise, "noise covariance"))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "prior_cov", prior)
         object.__setattr__(self, "noise_cov", noise)
@@ -103,14 +106,13 @@ class ChannelSpectrum:
 def whitened_spectrum(ch: GaussianChannel) -> ChannelSpectrum:
     """Eigenvalues of the noise-whitened signal Gram L^{-1} A S A^T L^{-T}.
 
-    L is the lower Cholesky factor of the noise covariance. The whitened Gram
+    L is the channel's stored noise factor ``noise_lower``. The whitened Gram
     is symmetrized before the symmetric eigensolve; eigenvalues below
     1e-12 relative to the largest are truncated to exactly zero.
     """
-    lower = linalg.cholesky_lower(ch.noise_cov, "noise covariance")
     signal = ch.a @ ch.prior_cov @ ch.a.T
-    half = linalg.solve_lower(lower, signal)
-    whitened = linalg.solve_lower(lower, half.T)
+    half = linalg.solve_lower(ch.noise_lower, signal)
+    whitened = linalg.solve_lower(ch.noise_lower, half.T)
     whitened = 0.5 * (whitened + whitened.T)
     eigs = np.linalg.eigvalsh(whitened)
     return ChannelSpectrum(eigenvalues=eigs)
@@ -138,18 +140,21 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
             return 0.0
         return float(0.5 * np.sum(np.log1p(spectrum.nonzero)))
     if mode == "observation":
-        lower = linalg.cholesky_lower(ch.noise_cov, "noise covariance")
-        total = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
-        total_lower = linalg.cholesky_lower(0.5 * (total + total.T), "output covariance")
+        # built in place: with the stored noise factor, n x n temporaries
+        # set this route's peak memory
+        total = ch.a @ ch.prior_cov @ ch.a.T
+        total += ch.noise_cov
+        total = total + total.T
+        total *= 0.5
+        total_lower = linalg.cholesky_lower(total, "output covariance")
         value = 0.5 * (
-            linalg.logdet_from_cholesky(total_lower) - linalg.logdet_from_cholesky(lower)
+            linalg.logdet_from_cholesky(total_lower) - linalg.logdet_from_cholesky(ch.noise_lower)
         )
         return max(float(value), 0.0)
     # parameter form: I_p + S^{1/2} A^T N^{-1} A S^{1/2}, symmetric PSD even
     # when the prior covariance is singular.
     root = linalg.psd_sqrt(ch.prior_cov)
-    lower = linalg.cholesky_lower(ch.noise_cov, "noise covariance")
-    w = linalg.solve_lower(lower, ch.a @ root)
+    w = linalg.solve_lower(ch.noise_lower, ch.a @ root)
     gram = w.T @ w
     m = np.eye(ch.dim) + 0.5 * (gram + gram.T)
     sign, logdet = np.linalg.slogdet(m)

@@ -23,7 +23,6 @@ from .dimension import (
     LocationModel,
     RidgeModel,
     deff,
-    deff_rank_bound,
     location_mi,
     regression_mi,
     ridge_report,
@@ -65,6 +64,26 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_CONTRACT = 4
 
+# The --prior flags shared by the shrinkage and oracle parsers, as
+# dest: (type, default, help). A flag whose default is None is required by
+# every mixing law that reads it.
+PRIOR_FLAGS = {
+    "tau": (float, None, "fixed prior scale"),
+    "nu": (float, None, "student-t degrees of freedom"),
+    "s2": (float, 1.0, "student-t scale squared"),
+    "tau_g": (float, 1.0, "half-Cauchy global scale"),
+    "table": (str, None, "CSV vector of tabulated scales"),
+}
+
+# Mixing law: (flags it reads, in report-config order; its constructor).
+PRIORS = {
+    "fixed": (("tau",), lambda a: FixedScale(tau=a.tau)),
+    "student-t": (("nu", "s2"), lambda a: InverseGammaMixture(dof=a.nu, scale_sq=a.s2)),
+    "half-cauchy": (("tau_g",), lambda a: HalfCauchy(global_scale=a.tau_g)),
+    "tabulated": (("table",),
+                  lambda a: TabulatedPrior(table=_read_vector(a.table, "scale table"))),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -83,6 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Monte Carlo sample count")
             p.add_argument("--threads", type=int, default=1,
                            help="execution hint; never changes results")
+
+    def add_prior(p, required):
+        p.add_argument("--prior", choices=list(PRIORS), required=required,
+                       help="mixing law of the latent scale")
+        for dest, (kind, default, text) in PRIOR_FLAGS.items():
+            p.add_argument("--" + dest.replace("_", "-"), type=kind, default=default, help=text)
 
     p = sub.add_parser("location", help="Gaussian location model")
     p.add_argument("--d", type=int, default=1, help="parameter dimension")
@@ -123,13 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("shrinkage", help="global-local shrinkage summaries and bounds")
-    p.add_argument("--prior", choices=["fixed", "student-t", "half-cauchy", "tabulated"],
-                   required=True)
-    p.add_argument("--tau", type=float, help="fixed prior scale")
-    p.add_argument("--nu", type=float, help="student-t degrees of freedom")
-    p.add_argument("--s2", type=float, default=1.0, help="student-t scale squared")
-    p.add_argument("--tau-g", type=float, default=1.0, help="half-Cauchy global scale")
-    p.add_argument("--table", help="CSV vector of tabulated scales")
+    add_prior(p, required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--decompose", action="store_true",
@@ -145,13 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-cov", help="noise covariance CSV (channel-mi)")
     p.add_argument("--mean", help="mean vector CSV (gaussian-kl)")
     p.add_argument("--cov", help="covariance CSV (gaussian-kl)")
-    p.add_argument("--prior", choices=["fixed", "student-t", "half-cauchy", "tabulated"],
-                   help="mixing law (mixture-mi)")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--s2", type=float, default=1.0)
-    p.add_argument("--tau-g", type=float, default=1.0)
-    p.add_argument("--table", help="CSV vector of tabulated scales")
+    add_prior(p, required=False)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--inner-samples", type=int, default=10_000)
@@ -195,34 +208,27 @@ def _check_format(args, allowed=("json",), default="json") -> str:
     return fmt
 
 
+def _require(args, context: str, flags) -> None:
+    """Raise InputError naming the first of ``flags`` that was not given."""
+    for dest in flags:
+        if getattr(args, dest) is None:
+            raise InputError(f"{context} requires --{dest.replace('_', '-')}")
+
+
 def _build_prior(args):
-    if args.prior == "fixed":
-        if args.tau is None:
-            raise InputError("--prior fixed requires --tau")
-        return FixedScale(tau=args.tau)
-    if args.prior == "student-t":
-        if args.nu is None:
-            raise InputError("--prior student-t requires --nu")
-        return InverseGammaMixture(dof=args.nu, scale_sq=args.s2)
-    if args.prior == "half-cauchy":
-        return HalfCauchy(global_scale=args.tau_g)
-    if args.table is None:
-        raise InputError("--prior tabulated requires --table")
-    return TabulatedPrior(table=_read_vector(args.table, "scale table"))
+    flags, build = PRIORS[args.prior]
+    _require(args, f"--prior {args.prior}", flags)
+    return build(args)
 
 
 def _prior_config(args) -> dict:
-    cfg = {"prior": args.prior}
-    if args.prior == "fixed":
-        cfg["tau"] = args.tau
-    elif args.prior == "student-t":
-        cfg["nu"] = args.nu
-        cfg["s2"] = args.s2
-    elif args.prior == "half-cauchy":
-        cfg["tau_g"] = args.tau_g
-    else:
-        cfg["table"] = args.table
-    return cfg
+    return {"prior": args.prior, **{dest: getattr(args, dest) for dest in PRIORS[args.prior][0]}}
+
+
+def _report(args, config: dict, results: dict, code: int = EXIT_OK) -> tuple[str, int]:
+    """Rendered report of one subcommand run, with its exit code."""
+    report = {"schema": SCHEMA, "subcommand": args.command, "config": config, "results": results}
+    return render_report(report), code
 
 
 def _cmd_location(args) -> tuple[str, int]:
@@ -247,13 +253,7 @@ def _cmd_location(args) -> tuple[str, int]:
         results["oracle_mi"] = tagged_mc(est)
         config["samples"] = args.samples
         config["seed"] = seed
-    report = {
-        "schema": SCHEMA,
-        "subcommand": "location",
-        "config": config,
-        "results": results,
-    }
-    return render_report(report), EXIT_OK
+    return _report(args, config, results)
 
 
 def _cmd_regression(args) -> tuple[str, int]:
@@ -270,22 +270,12 @@ def _cmd_regression(args) -> tuple[str, int]:
         else tagged(report_data.r_info, "closed-form"),
         "sandwich_lower": tagged(report_data.sandwich_lower, "bound"),
         "sandwich_upper": tagged(report_data.sandwich_upper, "bound"),
-        "deff_rank_bound": tagged(deff_rank_bound(model, n), "bound"),
+        "deff_rank_bound": tagged(report_data.rank_bound, "bound"),
         "rank": tagged(report_data.rank, "closed-form"),
         "singular_values_sq": tagged(report_data.singular_values_sq, "closed-form"),
     }
-    report = {
-        "schema": SCHEMA,
-        "subcommand": "regression",
-        "config": {
-            "design": args.design,
-            "tau2": args.tau2,
-            "sigma2": args.sigma2,
-            "n": n,
-        },
-        "results": results,
-    }
-    return render_report(report), EXIT_OK
+    config = {"design": args.design, "tau2": args.tau2, "sigma2": args.sigma2, "n": n}
+    return _report(args, config, results)
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -329,23 +319,18 @@ def _cmd_curve(args) -> tuple[str, int]:
     if fmt == "csv":
         lines = ["n,d_eff"] + [f"{n},{format_float(v)}" for n, v in rows]
         return "\n".join(lines) + "\n", EXIT_OK
-    report = {
-        "schema": SCHEMA,
-        "subcommand": "curve",
-        "config": {
-            "n_grid": grid,
-            "d": args.d,
-            "tau2": args.tau2,
-            "sigma2": args.sigma2,
-            "tau2_schedule": args.tau2_schedule,
-            "design": args.design,
-        },
-        "results": {
-            "n": tagged([n for n, _ in rows], "closed-form"),
-            "d_eff": tagged(np.array([v for _, v in rows]), "closed-form"),
-        },
+    config = {
+        "n_grid": grid,
+        "d": args.d,
+        "tau2": args.tau2,
+        "sigma2": args.sigma2,
+        "tau2_schedule": args.tau2_schedule,
+        "design": args.design,
     }
-    return render_report(report), EXIT_OK
+    return _report(args, config, {
+        "n": tagged([n for n, _ in rows], "closed-form"),
+        "d_eff": tagged(np.array([v for _, v in rows]), "closed-form"),
+    })
 
 
 def _cmd_approx(args) -> tuple[str, int]:
@@ -366,35 +351,29 @@ def _cmd_approx(args) -> tuple[str, int]:
     except EffdimError as exc:
         raise InputError(str(exc)) from exc
     audit = audit_approximation(exact, approx, prior_cov, args.n)
-    report = {
-        "schema": SCHEMA,
-        "subcommand": "approx",
-        "config": {
-            "exact_cov": args.exact_cov,
-            "approx_cov": args.approx_cov,
-            "prior_cov": args.prior_cov,
-            "exact_mean": args.exact_mean,
-            "approx_mean": args.approx_mean,
-            "n": args.n,
-            "require_domination": bool(args.require_domination),
-        },
-        "results": {
-            "kl_exact": tagged(audit.kl_exact, "closed-form"),
-            "kl_approx": tagged(audit.kl_approx, "closed-form"),
-            "logdet_exact": tagged(audit.logdet_exact, "closed-form"),
-            "logdet_approx": tagged(audit.logdet_approx, "closed-form"),
-            "loewner_dominates": audit.loewner_dominates,
-            "means_equal": audit.means_equal,
-            "prior_dominates_approx": audit.prior_dominates_approx,
-            "truncation_certified": audit.truncation_certified,
-            "deff_exact": tagged(audit.deff_exact, "closed-form"),
-            "deff_approx": tagged(audit.deff_approx, "closed-form"),
-        },
+    config = {
+        "exact_cov": args.exact_cov,
+        "approx_cov": args.approx_cov,
+        "prior_cov": args.prior_cov,
+        "exact_mean": args.exact_mean,
+        "approx_mean": args.approx_mean,
+        "n": args.n,
+        "require_domination": bool(args.require_domination),
     }
-    code = EXIT_OK
-    if args.require_domination and not audit.loewner_dominates:
-        code = EXIT_CONTRACT
-    return render_report(report), code
+    results = {
+        "kl_exact": tagged(audit.kl_exact, "closed-form"),
+        "kl_approx": tagged(audit.kl_approx, "closed-form"),
+        "logdet_exact": tagged(audit.logdet_exact, "closed-form"),
+        "logdet_approx": tagged(audit.logdet_approx, "closed-form"),
+        "loewner_dominates": audit.loewner_dominates,
+        "means_equal": audit.means_equal,
+        "prior_dominates_approx": audit.prior_dominates_approx,
+        "truncation_certified": audit.truncation_certified,
+        "deff_exact": tagged(audit.deff_exact, "closed-form"),
+        "deff_approx": tagged(audit.deff_approx, "closed-form"),
+    }
+    failed = args.require_domination and not audit.loewner_dominates
+    return _report(args, config, results, EXIT_CONTRACT if failed else EXIT_OK)
 
 
 def _cmd_shrinkage(args) -> tuple[str, int]:
@@ -442,22 +421,14 @@ def _cmd_shrinkage(args) -> tuple[str, int]:
             "bound_satisfied": chain.bound_satisfied,
         }
         config["inner_samples"] = args.inner_samples
-    report = {
-        "schema": SCHEMA,
-        "subcommand": "shrinkage",
-        "config": config,
-        "results": results,
-    }
-    return render_report(report), EXIT_OK
+    return _report(args, config, results)
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
     _check_format(args)
     seed = _resolve_seed(args)
     if args.kind == "channel-mi":
-        for flag in ("a", "prior_cov", "noise_cov"):
-            if getattr(args, flag) is None:
-                raise InputError(f"--kind channel-mi requires --{flag.replace('_', '-')}")
+        _require(args, "--kind channel-mi", ("a", "prior_cov", "noise_cov"))
         try:
             channel = GaussianChannel(
                 a=_read_matrix(args.a, "forward map"),
@@ -470,9 +441,7 @@ def _cmd_oracle(args) -> tuple[str, int]:
         config = {"kind": args.kind, "a": args.a, "prior_cov": args.prior_cov,
                   "noise_cov": args.noise_cov, "samples": args.samples, "seed": seed}
     elif args.kind == "gaussian-kl":
-        for flag in ("mean", "cov", "prior_cov"):
-            if getattr(args, flag) is None:
-                raise InputError(f"--kind gaussian-kl requires --{flag.replace('_', '-')}")
+        _require(args, "--kind gaussian-kl", ("mean", "cov", "prior_cov"))
         try:
             q = GaussianDistribution(
                 mean=_read_vector(args.mean, "mean"),
@@ -487,8 +456,7 @@ def _cmd_oracle(args) -> tuple[str, int]:
         config = {"kind": args.kind, "mean": args.mean, "cov": args.cov,
                   "prior_cov": args.prior_cov, "samples": args.samples, "seed": seed}
     else:
-        if args.prior is None:
-            raise InputError("--kind mixture-mi requires --prior")
+        _require(args, "--kind mixture-mi", ("prior",))
         model = ScalarShrinkageModel(
             prior=_build_prior(args), noise_var=args.sigma2, n=args.n
         )
@@ -498,13 +466,7 @@ def _cmd_oracle(args) -> tuple[str, int]:
         config = {"kind": args.kind, **_prior_config(args), "sigma2": args.sigma2,
                   "n": args.n, "samples": args.samples,
                   "inner_samples": args.inner_samples, "seed": seed}
-    report = {
-        "schema": SCHEMA,
-        "subcommand": "oracle",
-        "config": config,
-        "results": {"estimate": tagged_mc(est)},
-    }
-    return render_report(report), EXIT_OK
+    return _report(args, config, {"estimate": tagged_mc(est)})
 
 
 COMMANDS = {
@@ -526,16 +488,14 @@ def main(argv=None) -> int:
         return code
     try:
         text, code = COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"effdim: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+        print(f"effdim: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except (InputError, ValueError) as exc:
         print(f"effdim: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EffdimError as exc:
-        print(f"effdim: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"effdim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:

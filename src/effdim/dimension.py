@@ -29,6 +29,7 @@ from .errors import (
     DivergentSpectrum,
     EmptySpectrum,
     SampleSizeTooSmall,
+    require_finite,
 )
 
 
@@ -42,6 +43,7 @@ class LocationModel:
     n: int
 
     def __post_init__(self):
+        require_finite(prior_var=self.prior_var, noise_var=self.noise_var)
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
         if self.noise_var <= 0:
@@ -50,6 +52,7 @@ class LocationModel:
             raise ValueError("prior variance must be nonnegative")
         if self.n < 1:
             raise ValueError("sample size must be >= 1")
+        require_finite(snr=self.n * self.prior_var / self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,12 @@ class RidgeModel:
 
     def __post_init__(self):
         design = linalg.as_matrix(self.design, "design")
+        require_finite(prior_var=self.prior_var, noise_var=self.noise_var)
         if self.noise_var <= 0:
             raise ValueError("noise variance must be positive")
         if self.prior_var < 0:
             raise ValueError("prior variance must be nonnegative")
+        require_finite(snr=self.snr_ratio)
         object.__setattr__(self, "design", design)
 
     @property
@@ -98,6 +103,8 @@ class SpectrumSequence:
     truncation_error_budget: float
 
     def __post_init__(self):
+        require_finite(decay_exponent=self.decay_exponent, snr=self.snr,
+                       truncation_error_budget=self.truncation_error_budget)
         if self.decay_exponent <= 0.5:
             raise DivergentSpectrum(
                 f"decay exponent {self.decay_exponent} <= 1/2: information sum diverges"
@@ -112,8 +119,9 @@ class SpectrumSequence:
 class InfoReport:
     """All spectral functionals of one experiment at one sample size.
 
-    Singular values are computed once per design and cached here; every
-    derived number (MI, d_eff, df, r_info, bounds) is a transform of them.
+    ``ridge_report`` takes one SVD of the design and stores its squared
+    singular values here; every derived number (MI, d_eff, df, r_info, the
+    sandwich and the rank bound on d_eff) is a transform of them.
     """
 
     mi_nats: float
@@ -125,6 +133,7 @@ class InfoReport:
     sandwich_upper: float
     rank: int
     singular_values_sq: np.ndarray
+    rank_bound: float
 
     def __post_init__(self):
         object.__setattr__(
@@ -162,6 +171,13 @@ def design_spectrum(design: np.ndarray) -> tuple[np.ndarray, int]:
     return linalg.truncate_small(linalg.descending_clipped(s * s))
 
 
+def _spectral_mi(s_sq: np.ndarray, rank: int, snr: float) -> float:
+    """1/2 sum_j log1p(snr * s_j^2) over the first ``rank`` modes."""
+    if rank == 0 or snr == 0.0:
+        return 0.0
+    return 0.5 * float(np.sum(np.log1p(snr * s_sq[:rank])))
+
+
 def regression_mi(m: RidgeModel) -> tuple[float, ChannelSpectrum]:
     """MI of the ridge experiment plus its per-mode SNR spectrum.
 
@@ -170,12 +186,8 @@ def regression_mi(m: RidgeModel) -> tuple[float, ChannelSpectrum]:
     log-determinant route it must agree with.
     """
     s_sq, rank = design_spectrum(m.design)
-    snr = m.snr_ratio
-    spectrum = ChannelSpectrum(eigenvalues=snr * s_sq)
-    if rank == 0 or snr == 0.0:
-        return 0.0, spectrum
-    mi = 0.5 * float(np.sum(np.log1p(snr * s_sq[:rank])))
-    return mi, spectrum
+    spectrum = ChannelSpectrum(eigenvalues=m.snr_ratio * s_sq)
+    return _spectral_mi(s_sq, rank, m.snr_ratio), spectrum
 
 
 def regression_channel(m: RidgeModel) -> GaussianChannel:
@@ -236,13 +248,8 @@ def mi_df_sandwich(m: RidgeModel) -> tuple[float, float, float]:
     """
     if m.prior_var <= 0:
         raise ValueError("the sandwich requires prior_var > 0")
-    s_sq, rank = design_spectrum(m.design)
-    if rank == 0:
-        return 0.0, 0.0, 0.0
-    mi, _ = regression_mi(m)
-    lower = ridge_df(s_sq[:rank], m.penalty)
-    upper = m.snr_ratio * float(np.sum(m.design * m.design))
-    return lower, 2.0 * mi, upper
+    report = ridge_report(m, 3)  # n enters d_eff only
+    return report.sandwich_lower, 2.0 * report.mi_nats, report.sandwich_upper
 
 
 def spectrum_sequence_mi(s: SpectrumSequence) -> tuple[float, float, int]:
@@ -279,12 +286,7 @@ def spectrum_sequence_mi(s: SpectrumSequence) -> tuple[float, float, int]:
 
 def deff_rank_bound(m: RidgeModel, n: int) -> float:
     """Rank-based ceiling r * log1p(snr * s_1^2) / log(n) on d_eff(n)."""
-    if n < 3:
-        raise SampleSizeTooSmall(f"sample size {n} < 3")
-    s_sq, rank = design_spectrum(m.design)
-    if rank == 0:
-        return 0.0
-    return rank * math.log1p(m.snr_ratio * float(s_sq[0])) / math.log(n)
+    return ridge_report(m, n).rank_bound
 
 
 def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
@@ -293,23 +295,25 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     ``n`` is the effective sample size entering the d_eff normalization; it
     defaults to the number of design rows but may be supplied independently
     to study d_eff(n) curves. With a zero prior variance the report is
-    all-zeros apart from the design rank.
+    all-zeros apart from the design rank. The design is decomposed once;
+    ``mi_df_sandwich`` and ``deff_rank_bound`` read their values from here.
     """
     if n is None:
         n = m.n_obs
     s_sq, rank = design_spectrum(m.design)
-    mi, _ = regression_mi(m)
-    if m.prior_var > 0 and rank > 0:
-        df = ridge_df(s_sq[:rank], m.penalty)
-        r_info = info_effective_rank(s_sq[:rank], m.snr_ratio)
-        lower, mid, upper = mi_df_sandwich(m)
-    else:
-        df = None
-        r_info = None
-        lower, mid, upper = 0.0, 0.0, 0.0
+    mi = _spectral_mi(s_sq, rank, m.snr_ratio)
+    d_eff = deff(mi, n)  # rejects n < 3 before log(n) divides below
+    df = r_info = None
+    lower = upper = rank_bound = 0.0
+    if rank > 0:
+        rank_bound = rank * math.log1p(m.snr_ratio * float(s_sq[0])) / math.log(n)
+        if m.prior_var > 0:
+            df = lower = ridge_df(s_sq[:rank], m.penalty)
+            r_info = info_effective_rank(s_sq[:rank], m.snr_ratio)
+            upper = m.snr_ratio * float(np.sum(m.design * m.design))
     return InfoReport(
         mi_nats=mi,
-        d_eff=deff(mi, n),
+        d_eff=d_eff,
         n=n,
         df=df,
         r_info=r_info,
@@ -317,4 +321,5 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
         sandwich_upper=upper,
         rank=rank,
         singular_values_sq=s_sq,
+        rank_bound=rank_bound,
     )

@@ -5,6 +5,8 @@ problems (bad shapes, bad parameters, malformed CSV) and numerical failures
 discovered mid-computation (factorizations that cannot proceed).
 """
 
+import math
+
 
 class EffdimError(Exception):
     """Base class for all library errors."""
@@ -56,3 +58,10 @@ class InsufficientSamples(InputError):
 
 class CsvFormatError(InputError):
     """A matrix CSV file could not be parsed."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise InputError naming the first of ``values`` that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InputError(f"{name} must be finite, got {value!r}")

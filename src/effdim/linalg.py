@@ -3,13 +3,19 @@
 All covariance handling goes through this module: symmetry is enforced (or
 rejected) once at ingestion, factorizations use Cholesky, and log-determinants
 are read off triangular factors. No densities or determinants are ever formed
-in non-log space.
+in non-log space. Everything runs on ``numpy.linalg``; non-finite entries are
+rejected before they reach LAPACK, which would otherwise pass them through.
 """
 
 import numpy as np
-import scipy.linalg as sla
 
-from .errors import AsymmetricMatrix, DimensionMismatch, NotPositiveDefinite
+from .errors import (
+    AsymmetricMatrix,
+    DimensionMismatch,
+    InputError,
+    NotPositiveDefinite,
+    NumericalError,
+)
 
 # Relative asymmetry accepted before a matrix is rejected outright.
 SYMMETRY_RTOL = 1e-12
@@ -19,10 +25,12 @@ RANK_RTOL = 1e-12
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Copy input to a float 2-D array, raising DimensionMismatch otherwise."""
+    """Copy input to a finite float 2-D array; reject anything else."""
     arr = np.array(m, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={arr.ndim}")
+    if not np.isfinite(arr).all():
+        raise InputError(f"{name} has non-finite entries")
     return arr
 
 
@@ -45,10 +53,15 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
 
 
 def cholesky_lower(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor; raises NotPositiveDefinite on failure."""
+    """Lower Cholesky factor; raises NotPositiveDefinite on failure.
+
+    Non-finite input (an intermediate that overflowed) raises NumericalError.
+    """
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{name} has non-finite entries")
     try:
-        return sla.cholesky(m, lower=True)
-    except sla.LinAlgError as exc:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from exc
 
 
@@ -86,8 +99,8 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L."""
-    return sla.solve_triangular(lower, b, lower=True)
+    """Solve L x = b for lower-triangular L; ``solve_lower(L, I)`` inverts L."""
+    return np.linalg.solve(lower, b)
 
 
 def descending_clipped(eigs: np.ndarray) -> np.ndarray:

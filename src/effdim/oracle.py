@@ -15,8 +15,10 @@ documented bias allowance.
 All routines follow the seed-partitioning contract in ``sampling``: fixed
 block sizes, one sub-seed per block, ordered merges. Identical seeds and
 sample counts reproduce estimates bit for bit, regardless of thread count.
-Log densities are evaluated via Cholesky solves; nothing is ever computed in
-non-log space.
+Log densities are evaluated from Cholesky factors: each estimator inverts its
+two lower factors once per call and whitens every block with a matrix
+product, so no block runs a linear solve. Nothing is ever computed in non-log
+space.
 """
 
 import math
@@ -93,24 +95,26 @@ def estimate_channel_mi(
         raise InsufficientSamples(
             f"channel MI oracle needs >= {MIN_ORACLE_SAMPLES} samples, got {n_samples}"
         )
-    noise_lower = linalg.cholesky_lower(ch.noise_cov, "noise covariance")
     prior_root = linalg.psd_sqrt(ch.prior_cov)
     marginal = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
     marginal_lower = linalg.cholesky_lower(0.5 * (marginal + marginal.T), "output covariance")
     half_logdet_gap = 0.5 * (
-        linalg.logdet_from_cholesky(marginal_lower) - linalg.logdet_from_cholesky(noise_lower)
+        linalg.logdet_from_cholesky(marginal_lower) - linalg.logdet_from_cholesky(ch.noise_lower)
     )
+    eye = np.eye(ch.n_obs)
+    noise_inv = linalg.solve_lower(ch.noise_lower, eye)
+    marginal_inv = linalg.solve_lower(marginal_lower, eye)
     sizes = block_sizes(n_samples, FLAT_BLOCK)
 
     def worker(b: int) -> MomentAccumulator:
         rng = block_rng(seed, STREAM_CHANNEL_MI, b)
         nb = sizes[b]
         theta = rng.standard_normal((nb, ch.dim)) @ prior_root
-        noise = rng.standard_normal((nb, ch.n_obs)) @ noise_lower.T
+        noise = rng.standard_normal((nb, ch.n_obs)) @ ch.noise_lower.T
         signal = theta @ ch.a.T
         y = signal + noise
-        resid_white = linalg.solve_lower(noise_lower, (y - signal).T)
-        y_white = linalg.solve_lower(marginal_lower, y.T)
+        resid_white = noise_inv @ (y - signal).T
+        y_white = marginal_inv @ y.T
         contrib = half_logdet_gap + 0.5 * (
             np.sum(y_white * y_white, axis=0) - np.sum(resid_white * resid_white, axis=0)
         )
@@ -133,17 +137,19 @@ def estimate_gaussian_kl(
         )
     prior_cov = linalg.symmetrize(prior_cov, "prior covariance")
     prior_lower = linalg.cholesky_lower(prior_cov, "prior covariance")
-    q_lower = linalg.cholesky_lower(q.cov, "covariance")
     half_logdet_gap = 0.5 * (
-        linalg.logdet_from_cholesky(prior_lower) - linalg.logdet_from_cholesky(q_lower)
+        linalg.logdet_from_cholesky(prior_lower) - linalg.logdet_from_cholesky(q.lower)
     )
+    eye = np.eye(q.dim)
+    q_inv = linalg.solve_lower(q.lower, eye)
+    prior_inv = linalg.solve_lower(prior_lower, eye)
     sizes = block_sizes(n_samples, FLAT_BLOCK)
 
     def worker(b: int) -> MomentAccumulator:
         rng = block_rng(seed, STREAM_GAUSSIAN_KL, b)
-        x = q.mean + rng.standard_normal((sizes[b], q.dim)) @ q_lower.T
-        centered_white = linalg.solve_lower(q_lower, (x - q.mean).T)
-        prior_white = linalg.solve_lower(prior_lower, x.T)
+        x = q.mean + rng.standard_normal((sizes[b], q.dim)) @ q.lower.T
+        centered_white = q_inv @ (x - q.mean).T
+        prior_white = prior_inv @ x.T
         contrib = half_logdet_gap + 0.5 * (
             np.sum(prior_white * prior_white, axis=0)
             - np.sum(centered_white * centered_white, axis=0)

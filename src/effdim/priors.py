@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, require_finite
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,7 @@ class TailCertificate:
     t0: float = 1.0
 
     def __post_init__(self):
+        require_finite(c_const=self.c_const, alpha_exp=self.alpha_exp, t0=self.t0)
         if self.c_const <= 0 or self.alpha_exp <= 0:
             raise InputError("tail certificate requires positive constant and exponent")
         if self.t0 < 1.0:
@@ -52,6 +53,7 @@ class FixedScale(ShrinkagePrior):
     tau: float
 
     def __post_init__(self):
+        require_finite(tau=self.tau)
         if self.tau <= 0:
             raise InputError("fixed scale tau must be positive")
 
@@ -74,6 +76,7 @@ class InverseGammaMixture(ShrinkagePrior):
     scale_sq: float = 1.0
 
     def __post_init__(self):
+        require_finite(dof=self.dof, scale_sq=self.scale_sq)
         if self.dof <= 0 or self.scale_sq <= 0:
             raise InputError("Student-t mixture requires dof > 0 and scale_sq > 0")
 
@@ -101,6 +104,7 @@ class HalfCauchy(ShrinkagePrior):
     tail_certificate: TailCertificate | None = field(default=None)
 
     def __post_init__(self):
+        require_finite(global_scale=self.global_scale)
         if self.global_scale <= 0:
             raise InputError("half-Cauchy global scale must be positive")
         object.__setattr__(
@@ -159,6 +163,7 @@ class ScalarShrinkageModel:
             raise InputError("noise variance must be positive")
         if self.n < 1:
             raise InputError("sample size must be >= 1")
+        require_finite(noise_var=self.noise_var, c_snr=self.c_snr)
 
     @property
     def c_snr(self) -> float:
@@ -181,6 +186,7 @@ class GlobalLocalRegression:
         design = np.array(self.design, dtype=float)
         if design.ndim != 2:
             raise DimensionMismatch("design must be a 2-D matrix")
+        require_finite(noise_var=self.noise_var)
         if self.noise_var <= 0:
             raise InputError("noise variance must be positive")
         priors = self.local_priors

@@ -81,22 +81,14 @@ def _tree_sum(x: np.ndarray, work: np.ndarray) -> float:
 
 @dataclass
 class MomentAccumulator:
-    """Streaming (count, mean, M2) in Welford form."""
+    """Count, mean and centered sum of squares (M2) of a sample.
+
+    Built per block by ``from_block`` and combined by ``merge``.
+    """
 
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "MomentAccumulator":
-        values = np.asarray(values, dtype=float)
-        n = int(values.size)
-        if n == 0:
-            return cls()
-        acc = cls(count=1, mean=float(values[0]), m2=0.0)
-        for x in values[1:]:
-            acc.update(float(x))
-        return acc
 
     @classmethod
     def from_block(cls, values: np.ndarray) -> "MomentAccumulator":
@@ -114,12 +106,6 @@ class MomentAccumulator:
         squares *= squares
         m2 = _tree_sum(squares, squares)
         return cls(count=n, mean=mean, m2=m2)
-
-    def update(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
         """Chan et al. pairwise merge; self then other, in that order."""

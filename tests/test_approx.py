@@ -15,7 +15,7 @@ from effdim import (
     loewner_dominates,
     regression_mi,
 )
-from effdim.errors import DimensionMismatch, NotPositiveDefinite
+from effdim.errors import DimensionMismatch, InputError, NotPositiveDefinite
 
 from conftest import random_covariance
 
@@ -61,6 +61,17 @@ class TestGaussianKl:
         q = GaussianDistribution(mean=[0.0], cov=[[1.0]])
         with pytest.raises(NotPositiveDefinite):
             gaussian_kl(q, [[0.0]])
+
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(InputError, match="mean has non-finite"):
+            GaussianDistribution(mean=[0.0, bad], cov=np.eye(2))
+
+    def test_factor_kept(self):
+        cov = random_covariance(np.random.default_rng(6), 3)
+        q = GaussianDistribution(mean=np.zeros(3), cov=cov)
+        np.testing.assert_array_equal(q.lower, np.linalg.cholesky(q.cov))
 
 
 class TestConjugateRegressionInfo:

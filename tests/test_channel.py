@@ -8,17 +8,23 @@ import pytest
 from effdim import (
     GaussianChannel,
     coarsen,
+    estimate_channel_mi,
     mutual_information,
     reparameterize,
     whitened_spectrum,
 )
+from effdim import linalg
 from effdim.errors import (
     AsymmetricMatrix,
     DimensionMismatch,
+    InputError,
     NotPositiveDefinite,
+    NumericalError,
     RankDeficientCoarsening,
     SingularReparameterization,
 )
+
+from effdim.channel import EVALUATION_MODES
 
 from conftest import random_channel, random_covariance, random_invertible
 
@@ -58,6 +64,35 @@ class TestConstruction:
         cov[0, 1] = 1e-14
         ch = GaussianChannel(a=np.eye(2), prior_cov=cov, noise_cov=np.eye(2))
         np.testing.assert_array_equal(ch.prior_cov, ch.prior_cov.T)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["a", "prior_cov", "noise_cov"])
+    def test_non_finite_entry_rejected(self, field, bad):
+        matrices = {"a": np.eye(2), "prior_cov": np.eye(2), "noise_cov": np.eye(2)}
+        matrices[field][0, 0] = bad
+        with pytest.raises(InputError, match="non-finite"):
+            GaussianChannel(**matrices)
+
+    def test_cholesky_rejects_non_finite_intermediate(self):
+        with pytest.raises(NumericalError, match="non-finite"):
+            linalg.cholesky_lower(np.array([[np.inf, 0.0], [0.0, 1.0]]), "product")
+
+    def test_noise_factor_stored_once(self, monkeypatch):
+        ch = random_channel(np.random.default_rng(3))
+        np.testing.assert_array_equal(ch.noise_lower, np.linalg.cholesky(ch.noise_cov))
+        factored = []
+        original = linalg.cholesky_lower
+
+        def recording(m, name="matrix"):
+            factored.append(name)
+            return original(m, name)
+
+        monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        whitened_spectrum(ch)
+        for mode in EVALUATION_MODES:
+            mutual_information(ch, mode)
+        estimate_channel_mi(ch, 10_000, seed=1)
+        assert "noise covariance" not in factored
 
 
 class TestWhitenedSpectrum:

@@ -3,11 +3,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from effdim.cli import main
+import effdim
+from effdim import cli
+from effdim.cli import build_parser, main
 from effdim.reportio import write_matrix_csv
 
 
@@ -400,6 +405,63 @@ class TestDeterminism:
         from effdim.reportio import read_matrix_csv
 
         np.testing.assert_array_equal(read_matrix_csv(path), m)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["location", "--tau2", "nan", "--sigma2", "1", "--n", "10"],
+        ["location", "--tau2", "1", "--sigma2", "inf", "--n", "10"],
+        ["location", "--tau2", "1e308", "--sigma2", "1e-308", "--n", "10"],
+        ["regression", "--design", "{nan_design}", "--tau2", "1", "--sigma2", "1"],
+    ], ids=["tau2-nan", "sigma2-inf", "snr-overflow", "design-nan"])
+    def test_non_finite_input_exits_two(self, args, tmp_path, capsys):
+        design = tmp_path / "nan.csv"
+        design.write_text("1,2\n3,nan\n")
+        code, _, err = run_cli([a.format(nan_design=design) for a in args], capsys)
+        assert code == 2
+        assert "finite" in err
+
+    def test_linalg_error_exits_three(self, tmp_path, capsys, monkeypatch):
+        def failing(model, n=None):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "ridge_report", failing)
+        design = tmp_path / "eye2.csv"
+        write_matrix_csv(design, np.eye(2))
+        code, _, err = run_cli(
+            ["regression", "--design", str(design), "--tau2", "1", "--sigma2", "1"], capsys
+        )
+        assert code == 3
+        assert "numerical failure: SVD did not converge" in err
+
+
+class TestPriorFlags:
+    @pytest.mark.parametrize("flags, keys", [
+        (["--prior", "fixed", "--tau", "2"], ["prior", "tau"]),
+        (["--prior", "student-t", "--nu", "4"], ["prior", "nu", "s2"]),
+        (["--prior", "half-cauchy"], ["prior", "tau_g"]),
+        (["--prior", "tabulated", "--table", "t.csv"], ["prior", "table"]),
+    ])
+    def test_both_parsers_share_flags_and_config_order(self, flags, keys):
+        for command in (["shrinkage", "--n", "10"], ["oracle", "--kind", "mixture-mi"]):
+            args = build_parser().parse_args([*command, *flags])
+            assert list(cli._prior_config(args)) == keys
+
+    def test_required_flag_named(self, capsys):
+        code, _, err = run_cli(
+            ["oracle", "--kind", "mixture-mi", "--prior", "student-t", "--seed", "1"], capsys
+        )
+        assert code == 2
+        assert "--prior student-t requires --nu" in err
+
+
+def test_cli_imports_without_scipy():
+    src = Path(effdim.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import effdim.cli, sys; assert 'scipy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestArgparseContract:

@@ -23,7 +23,8 @@ from effdim import (
     smoothing_matrix,
     spectrum_sequence_mi,
 )
-from effdim.errors import DivergentSpectrum, EmptySpectrum, SampleSizeTooSmall
+from effdim import dimension
+from effdim.errors import DivergentSpectrum, EmptySpectrum, InputError, SampleSizeTooSmall
 
 
 class TestDeff:
@@ -68,6 +69,21 @@ class TestLocationModel:
             LocationModel(dim=0, prior_var=1.0, noise_var=1.0, n=1)
         with pytest.raises(ValueError):
             LocationModel(dim=1, prior_var=1.0, noise_var=0.0, n=1)
+
+
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize("prior_var, noise_var", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (1e308, 1e-308),
+    ])
+    def test_non_finite_parameters_rejected(self, prior_var, noise_var):
+        with pytest.raises(InputError, match="must be finite"):
+            LocationModel(dim=1, prior_var=prior_var, noise_var=noise_var, n=10)
+        with pytest.raises(InputError, match="must be finite"):
+            RidgeModel(design=np.eye(2), noise_var=noise_var, prior_var=prior_var)
+
+    def test_non_finite_design_rejected(self):
+        with pytest.raises(InputError, match="non-finite"):
+            RidgeModel(design=[[1.0, math.nan]], noise_var=1.0, prior_var=1.0)
 
 
 class TestRegressionMi:
@@ -256,6 +272,14 @@ class TestSpectrumSequence:
         omitted = 0.5 * float(np.sum(np.log1p(s.snr * j ** (-2 * s.decay_exponent))))
         assert omitted <= bound
 
+    @pytest.mark.parametrize("field", ["decay_exponent", "snr", "truncation_error_budget"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        params = {"decay_exponent": 1.0, "snr": 1.0, "truncation_error_budget": 1e-6}
+        params[field] = bad
+        with pytest.raises(InputError, match="must be finite"):
+            SpectrumSequence(**params)
+
 
 class TestDeffRankBound:
     def test_zero_design(self):
@@ -314,6 +338,29 @@ class TestRidgeReport:
         assert report.mi_nats == 0.0 and report.d_eff == 0.0
         assert report.df is None and report.r_info is None
         assert report.rank == 2
+
+    def test_one_design_spectrum_per_report(self, monkeypatch):
+        calls = []
+        original = dimension.design_spectrum
+
+        def counting(design):
+            calls.append(design.shape)
+            return original(design)
+
+        monkeypatch.setattr(dimension, "design_spectrum", counting)
+        x = np.random.default_rng(4).standard_normal((9, 4))
+        report = ridge_report(RidgeModel(design=x, noise_var=1.0, prior_var=0.7), 50)
+        assert calls == [(9, 4)]
+        assert report.sandwich_lower == report.df
+
+    def test_rank_bound_matches_public_function(self):
+        rng = np.random.default_rng(5)
+        for prior_var in (0.0, 0.3, 2.0):
+            for x in (rng.standard_normal((6, 3)), np.zeros((3, 2))):
+                model = RidgeModel(design=x, noise_var=1.0, prior_var=prior_var)
+                report = ridge_report(model, 40)
+                assert report.rank_bound == deff_rank_bound(model, 40)
+                assert report.rank_bound >= report.d_eff - 1e-12
 
     def test_default_n_is_design_rows(self):
         rng = np.random.default_rng(1)

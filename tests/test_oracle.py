@@ -17,7 +17,9 @@ from effdim import (
     gaussian_kl,
     mutual_information,
 )
+from effdim import linalg
 from effdim.errors import InsufficientSamples
+from effdim.sampling import FLAT_BLOCK
 
 from conftest import random_channel, random_covariance
 
@@ -91,6 +93,33 @@ class TestGaussianKlOracle:
         q = GaussianDistribution(mean=[0.0], cov=[[1.0]])
         with pytest.raises(InsufficientSamples):
             estimate_gaussian_kl(q, [[1.0]], 100, seed=0)
+
+
+class TestWhitening:
+    """Each flat oracle inverts its two factors once per call, not per block."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        calls = []
+        original = linalg.solve_lower
+
+        def counting(lower, b):
+            calls.append(np.shape(b))
+            return original(lower, b)
+
+        monkeypatch.setattr(linalg, "solve_lower", counting)
+        return calls
+
+    def test_channel_mi_solves_once_per_call(self, solves):
+        ch = random_channel(np.random.default_rng(8))
+        estimate_channel_mi(ch, 3 * FLAT_BLOCK, seed=8, n_threads=2)
+        assert solves == [(ch.n_obs, ch.n_obs)] * 2
+
+    def test_gaussian_kl_solves_once_per_call(self, solves):
+        rng = np.random.default_rng(9)
+        q = GaussianDistribution(mean=rng.standard_normal(3), cov=random_covariance(rng, 3))
+        estimate_gaussian_kl(q, random_covariance(rng, 3), 3 * FLAT_BLOCK, seed=9)
+        assert solves == [(3, 3)] * 2
 
 
 class TestMixtureMarginalOracle:

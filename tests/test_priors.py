@@ -122,6 +122,23 @@ class TestModels:
         with pytest.raises(InputError):
             ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=0)
 
+    @pytest.mark.parametrize("build", [
+        lambda bad: FixedScale(bad),
+        lambda bad: InverseGammaMixture(dof=bad, scale_sq=1.0),
+        lambda bad: InverseGammaMixture(dof=3.0, scale_sq=bad),
+        lambda bad: HalfCauchy(bad),
+        lambda bad: TailCertificate(c_const=bad, alpha_exp=1.0),
+        lambda bad: ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=bad, n=10),
+    ], ids=["fixed", "t-dof", "t-scale", "half-cauchy", "certificate", "model"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_parameters_rejected(self, build, bad):
+        with pytest.raises(InputError, match="must be finite"):
+            build(bad)
+
+    def test_overflowing_snr_rejected(self):
+        with pytest.raises(InputError, match="c_snr must be finite"):
+            ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1e-320, n=10)
+
     def test_global_local_replicates_single_prior(self):
         x = np.ones((3, 4))
         m = GlobalLocalRegression(design=x, noise_var=1.0, local_priors=HalfCauchy(1.0))

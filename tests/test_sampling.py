@@ -97,14 +97,6 @@ class TestMomentAccumulator:
         two_pass_se = values.std(ddof=1) / np.sqrt(values.size)
         np.testing.assert_allclose(acc.std_error, two_pass_se, rtol=1e-12)
 
-    def test_scalar_update_path(self):
-        values = np.array([1.0, 2.0, 4.0, 8.0])
-        acc = MomentAccumulator.from_values(values)
-        np.testing.assert_allclose(acc.mean, values.mean(), rtol=1e-15)
-        np.testing.assert_allclose(
-            acc.std_error, values.std(ddof=1) / 2.0, rtol=1e-14
-        )
-
     @pytest.mark.parametrize(
         "values",
         [
