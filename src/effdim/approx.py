@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .dimension import RidgeModel, deff
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InputError
 
 #: Default signed tolerance for the Loewner-order eigenvalue test.
 LOEWNER_TOL = 1e-10
@@ -37,7 +37,8 @@ LOEWNER_TOL = 1e-10
 class GaussianDistribution:
     """Mean vector and PD covariance of a Gaussian; validated at construction.
 
-    The covariance's lower Cholesky factor is kept as ``lower``.
+    The covariance's lower Cholesky factor is kept as ``lower``. A covariance
+    that is not PD raises ``NotPositiveDefinite``.
     """
 
     mean: np.ndarray
@@ -46,12 +47,12 @@ class GaussianDistribution:
 
     def __post_init__(self):
         mean = linalg.as_matrix(np.reshape(self.mean, (1, -1)), "mean")[0]
-        cov = linalg.symmetrize(self.cov, "covariance")
+        cov, lower = linalg.factor_covariance(self.cov)
         if mean.size != cov.shape[0]:
             raise DimensionMismatch(
                 f"mean has dimension {mean.size} but covariance is {cov.shape[0]}x{cov.shape[0]}"
             )
-        object.__setattr__(self, "lower", linalg.cholesky_lower(cov, "covariance"))
+        object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -89,13 +90,20 @@ class ApproxAuditReport:
 
 def gaussian_kl(q: GaussianDistribution, prior_cov) -> float:
     """KL(N(m, S) || N(0, S0)) in nats, via Cholesky solves; always >= 0."""
-    prior_cov = linalg.symmetrize(prior_cov, "prior covariance")
-    if prior_cov.shape[0] != q.dim:
+    return _kl_to_prior(q, _factor_prior(prior_cov, q.dim)[1])
+
+
+def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Validated prior covariance of a ``dim``-dimensional posterior, and its factor."""
+    if np.shape(prior_cov) != (dim, dim):
         raise DimensionMismatch(
-            f"prior covariance is {prior_cov.shape[0]}-dimensional, "
-            f"distribution is {q.dim}-dimensional"
+            f"prior covariance has shape {np.shape(prior_cov)}, expected ({dim}, {dim})"
         )
-    l0 = linalg.cholesky_lower(prior_cov, "prior covariance")
+    return linalg.factor_covariance(prior_cov, "prior covariance")
+
+
+def _kl_to_prior(q: GaussianDistribution, l0: np.ndarray) -> float:
+    """``gaussian_kl`` given the prior covariance's lower Cholesky factor."""
     p = q.dim
     trace_term = float(np.sum(linalg.solve_lower(l0, linalg.solve_lower(l0, q.cov).T)
                               .diagonal()))
@@ -119,7 +127,7 @@ def conjugate_regression_info(model: RidgeModel) -> float:
     derivation route that must agree with the spectral regression formula.
     """
     if model.prior_var <= 0:
-        raise ValueError("conjugate_regression_info requires prior_var > 0")
+        raise InputError("conjugate_regression_info requires prior_var > 0")
     x = model.design
     p = x.shape[1]
     precision = np.eye(p) / model.prior_var + (x.T @ x) / model.noise_var
@@ -171,14 +179,11 @@ def audit_approximation(
     """
     if exact.dim != approx.dim:
         raise DimensionMismatch("exact and approximate posteriors differ in dimension")
-    prior_cov = linalg.symmetrize(prior_cov, "prior covariance")
-    if prior_cov.shape[0] != exact.dim:
-        raise DimensionMismatch("prior covariance dimension mismatch")
-    kl_exact = gaussian_kl(exact, prior_cov)
-    kl_approx = gaussian_kl(approx, prior_cov)
+    prior_cov, prior_lower = _factor_prior(prior_cov, exact.dim)
+    kl_exact = _kl_to_prior(exact, prior_lower)
+    kl_approx = _kl_to_prior(approx, prior_lower)
     # log det(S0^{-1} S) from the two Cholesky factors
-    prior_logdet = linalg.logdet_from_cholesky(
-        linalg.cholesky_lower(prior_cov, "prior covariance"))
+    prior_logdet = linalg.logdet_from_cholesky(prior_lower)
     return ApproxAuditReport(
         kl_exact=kl_exact,
         kl_approx=kl_approx,
@@ -200,8 +205,7 @@ def dominating_diagonal(sigma) -> np.ndarray:
     with ``loewner_dominates``. A finite c always exists: any c at least the
     largest eigenvalue of the correlation-normalized matrix works.
     """
-    sigma = linalg.symmetrize(sigma, "covariance")
-    linalg.cholesky_lower(sigma, "covariance")
+    sigma, _ = linalg.factor_covariance(sigma)
     diag = np.diag(np.diag(sigma))
     c = 1.0
     while not loewner_dominates(c * diag, sigma):

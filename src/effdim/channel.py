@@ -28,7 +28,9 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatch,
+    InputError,
     NotPositiveDefinite,
+    NumericalError,
     RankDeficientCoarsening,
     SingularReparameterization,
 )
@@ -55,7 +57,7 @@ class GaussianChannel:
     def __post_init__(self):
         a = linalg.as_matrix(self.a, "forward map")
         prior = linalg.symmetrize(self.prior_cov, "prior covariance")
-        noise = linalg.symmetrize(self.noise_cov, "noise covariance")
+        noise, noise_lower = linalg.factor_covariance(self.noise_cov, "noise covariance")
         if a.shape[1] != prior.shape[0]:
             raise DimensionMismatch(
                 f"forward map has {a.shape[1]} columns but prior covariance is "
@@ -67,7 +69,7 @@ class GaussianChannel:
                 f"{noise.shape[0]}-dimensional"
             )
         linalg.validate_psd(prior, "prior covariance")
-        object.__setattr__(self, "noise_lower", linalg.cholesky_lower(noise, "noise covariance"))
+        object.__setattr__(self, "noise_lower", noise_lower)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "prior_cov", prior)
         object.__setattr__(self, "noise_cov", noise)
@@ -133,7 +135,7 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
     exist to cross-check the Sylvester identity.
     """
     if mode not in EVALUATION_MODES:
-        raise ValueError(f"unknown evaluation mode {mode!r}; use one of {EVALUATION_MODES}")
+        raise InputError(f"unknown evaluation mode {mode!r}; use one of {EVALUATION_MODES}")
     if mode == "spectral":
         spectrum = whitened_spectrum(ch)
         if spectrum.rank == 0:
@@ -159,7 +161,7 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
     m = np.eye(ch.dim) + 0.5 * (gram + gram.T)
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0:
-        raise NotPositiveDefinite("parameter-form determinant is not positive")
+        raise NumericalError("parameter-form determinant is not positive")
     return max(float(0.5 * logdet), 0.0)
 
 

@@ -7,8 +7,9 @@ computation-path tag: closed-form, mc, or bound. Identical configs and seeds
 produce byte-identical output files; ``--threads`` is an execution hint that
 never changes results.
 
-Exit codes: 0 success, 2 invalid configuration or input, 3 numerical
-failure, 4 contract violation under a strict flag (--require-domination).
+Exit codes: 0 success, 2 invalid configuration or input (an InputError), 3
+numerical failure, 4 contract violation under a strict flag
+(--require-domination). See ``errors`` for how faults are classified.
 """
 
 import argparse
@@ -80,8 +81,7 @@ PRIORS = {
     "fixed": (("tau",), lambda a: FixedScale(tau=a.tau)),
     "student-t": (("nu", "s2"), lambda a: InverseGammaMixture(dof=a.nu, scale_sq=a.s2)),
     "half-cauchy": (("tau_g",), lambda a: HalfCauchy(global_scale=a.tau_g)),
-    "tabulated": (("table",),
-                  lambda a: TabulatedPrior(table=_read_vector(a.table, "scale table"))),
+    "tabulated": (("table",), lambda a: TabulatedPrior(table=read_vector_csv(a.table))),
 }
 
 
@@ -174,29 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("EFFDIM_SEED")
-    if env is None:
-        raise InputError("a master seed is required: pass --seed or set EFFDIM_SEED")
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"EFFDIM_SEED={env!r} is not an integer") from None
-
-
-def _read_matrix(path, name: str) -> np.ndarray:
-    try:
-        return read_matrix_csv(path)
-    except OSError as exc:
-        raise InputError(f"cannot read {name} from {path}: {exc}") from exc
-
-
-def _read_vector(path, name: str) -> np.ndarray:
-    try:
-        return read_vector_csv(path)
-    except OSError as exc:
-        raise InputError(f"cannot read {name} from {path}: {exc}") from exc
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get("EFFDIM_SEED")
+        if env is None:
+            raise InputError("a master seed is required: pass --seed or set EFFDIM_SEED")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise InputError(f"EFFDIM_SEED={env!r} is not an integer") from None
+    if seed < 0:
+        raise InputError(f"the master seed must be nonnegative, got {seed}")
+    return seed
 
 
 def _check_format(args, allowed=("json",), default="json") -> str:
@@ -258,7 +247,7 @@ def _cmd_location(args) -> tuple[str, int]:
 
 def _cmd_regression(args) -> tuple[str, int]:
     _check_format(args)
-    design = _read_matrix(args.design, "design")
+    design = read_matrix_csv(args.design)
     model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
     n = args.n if args.n is not None else design.shape[0]
     report_data = ridge_report(model, n)
@@ -298,7 +287,7 @@ def _cmd_curve(args) -> tuple[str, int]:
     if args.design is not None:
         if args.tau2 is None:
             raise InputError("regression curves require --tau2")
-        design = _read_matrix(args.design, "design")
+        design = read_matrix_csv(args.design)
         model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
         mi_fixed, _ = regression_mi(model)
         rows = [(n, deff(mi_fixed, n)) for n in grid]
@@ -335,21 +324,14 @@ def _cmd_curve(args) -> tuple[str, int]:
 
 def _cmd_approx(args) -> tuple[str, int]:
     _check_format(args)
-    exact_cov = _read_matrix(args.exact_cov, "exact covariance")
-    approx_cov = _read_matrix(args.approx_cov, "approximate covariance")
-    prior_cov = _read_matrix(args.prior_cov, "prior covariance")
+    exact_cov = read_matrix_csv(args.exact_cov)
+    approx_cov = read_matrix_csv(args.approx_cov)
+    prior_cov = read_matrix_csv(args.prior_cov)
     dim = exact_cov.shape[0]
-    exact_mean = (_read_vector(args.exact_mean, "exact mean")
-                  if args.exact_mean else np.zeros(dim))
-    approx_mean = (_read_vector(args.approx_mean, "approximate mean")
-                   if args.approx_mean else np.zeros(dim))
-    # failures while validating user matrices are input errors, not
-    # mid-computation numerical failures
-    try:
-        exact = GaussianDistribution(mean=exact_mean, cov=exact_cov)
-        approx = GaussianDistribution(mean=approx_mean, cov=approx_cov)
-    except EffdimError as exc:
-        raise InputError(str(exc)) from exc
+    exact_mean = read_vector_csv(args.exact_mean) if args.exact_mean else np.zeros(dim)
+    approx_mean = read_vector_csv(args.approx_mean) if args.approx_mean else np.zeros(dim)
+    exact = GaussianDistribution(mean=exact_mean, cov=exact_cov)
+    approx = GaussianDistribution(mean=approx_mean, cov=approx_cov)
     audit = audit_approximation(exact, approx, prior_cov, args.n)
     config = {
         "exact_cov": args.exact_cov,
@@ -429,29 +411,19 @@ def _cmd_oracle(args) -> tuple[str, int]:
     seed = _resolve_seed(args)
     if args.kind == "channel-mi":
         _require(args, "--kind channel-mi", ("a", "prior_cov", "noise_cov"))
-        try:
-            channel = GaussianChannel(
-                a=_read_matrix(args.a, "forward map"),
-                prior_cov=_read_matrix(args.prior_cov, "prior covariance"),
-                noise_cov=_read_matrix(args.noise_cov, "noise covariance"),
-            )
-        except EffdimError as exc:
-            raise InputError(str(exc)) from exc
+        channel = GaussianChannel(
+            a=read_matrix_csv(args.a),
+            prior_cov=read_matrix_csv(args.prior_cov),
+            noise_cov=read_matrix_csv(args.noise_cov),
+        )
         est = estimate_channel_mi(channel, args.samples, seed, n_threads=args.threads)
         config = {"kind": args.kind, "a": args.a, "prior_cov": args.prior_cov,
                   "noise_cov": args.noise_cov, "samples": args.samples, "seed": seed}
     elif args.kind == "gaussian-kl":
         _require(args, "--kind gaussian-kl", ("mean", "cov", "prior_cov"))
-        try:
-            q = GaussianDistribution(
-                mean=_read_vector(args.mean, "mean"),
-                cov=_read_matrix(args.cov, "covariance"),
-            )
-        except EffdimError as exc:
-            raise InputError(str(exc)) from exc
+        q = GaussianDistribution(mean=read_vector_csv(args.mean), cov=read_matrix_csv(args.cov))
         est = estimate_gaussian_kl(
-            q, _read_matrix(args.prior_cov, "prior covariance"),
-            args.samples, seed, n_threads=args.threads,
+            q, read_matrix_csv(args.prior_cov), args.samples, seed, n_threads=args.threads
         )
         config = {"kind": args.kind, "mean": args.mean, "cov": args.cov,
                   "prior_cov": args.prior_cov, "samples": args.samples, "seed": seed}
@@ -486,16 +458,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else EXIT_CONFIG
         return code
+    # any other exception is a bug and surfaces as a traceback
     try:
         text, code = COMMANDS[args.command](args)
-    # LinAlgError subclasses ValueError, so it must be caught first
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-        print(f"effdim: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (InputError, ValueError) as exc:
+    except InputError as exc:
         print(f"effdim: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except EffdimError as exc:
+    except (EffdimError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"effdim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if args.out:

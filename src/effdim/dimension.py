@@ -28,6 +28,8 @@ from .channel import ChannelSpectrum, GaussianChannel
 from .errors import (
     DivergentSpectrum,
     EmptySpectrum,
+    InputError,
+    NumericalError,
     SampleSizeTooSmall,
     require_finite,
 )
@@ -45,13 +47,13 @@ class LocationModel:
     def __post_init__(self):
         require_finite(prior_var=self.prior_var, noise_var=self.noise_var)
         if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InputError("dimension must be >= 1")
         if self.noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+            raise InputError("noise variance must be positive")
         if self.prior_var < 0:
-            raise ValueError("prior variance must be nonnegative")
+            raise InputError("prior variance must be nonnegative")
         if self.n < 1:
-            raise ValueError("sample size must be >= 1")
+            raise InputError("sample size must be >= 1")
         require_finite(snr=self.n * self.prior_var / self.noise_var)
 
 
@@ -67,23 +69,17 @@ class RidgeModel:
         design = linalg.as_matrix(self.design, "design")
         require_finite(prior_var=self.prior_var, noise_var=self.noise_var)
         if self.noise_var <= 0:
-            raise ValueError("noise variance must be positive")
+            raise InputError("noise variance must be positive")
         if self.prior_var < 0:
-            raise ValueError("prior variance must be nonnegative")
-        require_finite(snr=self.snr_ratio)
+            raise InputError("prior variance must be nonnegative")
+        # bounds every per-mode SNR and the sandwich's upper end, sum_j snr * s_j^2
+        require_finite(snr_trace=self.snr_ratio * float(np.vdot(design, design)))
         object.__setattr__(self, "design", design)
 
     @property
     def snr_ratio(self) -> float:
         """Per-mode signal-to-noise multiplier tau^2 / sigma^2."""
         return self.prior_var / self.noise_var
-
-    @property
-    def penalty(self) -> float:
-        """Ridge penalty alpha = sigma^2 / tau^2 (defined only for prior_var > 0)."""
-        if self.prior_var <= 0:
-            raise ValueError("penalty is undefined for a zero prior variance")
-        return self.noise_var / self.prior_var
 
     @property
     def n_obs(self) -> int:
@@ -110,9 +106,9 @@ class SpectrumSequence:
                 f"decay exponent {self.decay_exponent} <= 1/2: information sum diverges"
             )
         if self.snr < 0:
-            raise ValueError("signal-to-noise ratio must be nonnegative")
+            raise InputError("signal-to-noise ratio must be nonnegative")
         if self.truncation_error_budget <= 0:
-            raise ValueError("truncation error budget must be positive")
+            raise InputError("truncation error budget must be positive")
 
 
 @dataclass(frozen=True)
@@ -140,9 +136,9 @@ class InfoReport:
             self, "singular_values_sq", np.asarray(self.singular_values_sq, dtype=float)
         )
         if self.d_eff != deff(self.mi_nats, self.n):
-            raise ValueError("d_eff must equal 2*mi/log(n) from the shared arithmetic path")
+            raise NumericalError("d_eff must equal 2*mi/log(n) from the shared arithmetic path")
         if not (self.sandwich_lower <= 2.0 * self.mi_nats <= self.sandwich_upper):
-            raise ValueError("sandwich bounds must bracket 2*mi")
+            raise NumericalError("sandwich bounds must bracket 2*mi")
 
 
 def deff(mi_nats: float, n: int) -> float:
@@ -150,7 +146,7 @@ def deff(mi_nats: float, n: int) -> float:
     if n < 3:
         raise SampleSizeTooSmall(f"sample size {n} < 3")
     if mi_nats < 0:
-        raise ValueError("mutual information must be nonnegative")
+        raise InputError("mutual information must be nonnegative")
     return 2.0 * mi_nats / math.log(n)
 
 
@@ -211,7 +207,7 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
     if snr <= 0:
-        raise ValueError("signal-to-noise ratio must be positive")
+        raise InputError("signal-to-noise ratio must be positive")
     weights = np.log1p(snr * s_sq)
     return float(np.sum(weights) / weights[0])
 
@@ -219,7 +215,7 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
 def ridge_df(singular_values_sq, penalty: float) -> float:
     """Ridge degrees of freedom sum_j s_j^2 / (s_j^2 + alpha)."""
     if penalty <= 0:
-        raise ValueError("ridge penalty must be positive")
+        raise InputError("ridge penalty must be positive")
     s_sq = np.asarray(singular_values_sq, dtype=float)
     if s_sq.size == 0:
         return 0.0
@@ -232,7 +228,7 @@ def smoothing_matrix(design: np.ndarray, penalty: float) -> np.ndarray:
     Cross-check surface only: its trace equals ridge_df of the same design.
     """
     if penalty <= 0:
-        raise ValueError("ridge penalty must be positive")
+        raise InputError("ridge penalty must be positive")
     design = linalg.as_matrix(design, "design")
     p = design.shape[1]
     gram = design.T @ design + penalty * np.eye(p)
@@ -247,7 +243,7 @@ def mi_df_sandwich(m: RidgeModel) -> tuple[float, float, float]:
     Mode by mode this is u/(1+u) <= log(1+u) <= u at u = snr * s_j^2.
     """
     if m.prior_var <= 0:
-        raise ValueError("the sandwich requires prior_var > 0")
+        raise InputError("the sandwich requires prior_var > 0")
     report = ridge_report(m, 3)  # n enters d_eff only
     return report.sandwich_lower, 2.0 * report.mi_nats, report.sandwich_upper
 
@@ -294,8 +290,9 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
 
     ``n`` is the effective sample size entering the d_eff normalization; it
     defaults to the number of design rows but may be supplied independently
-    to study d_eff(n) curves. With a zero prior variance the report is
-    all-zeros apart from the design rank. The design is decomposed once;
+    to study d_eff(n) curves. When no mode carries signal (a zero prior
+    variance, or an SNR that underflows) the report is all-zeros apart from
+    the design rank. The design is decomposed once;
     ``mi_df_sandwich`` and ``deff_rank_bound`` read their values from here.
     """
     if n is None:
@@ -306,11 +303,14 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     df = r_info = None
     lower = upper = rank_bound = 0.0
     if rank > 0:
-        rank_bound = rank * math.log1p(m.snr_ratio * float(s_sq[0])) / math.log(n)
-        if m.prior_var > 0:
-            df = lower = ridge_df(s_sq[:rank], m.penalty)
+        # the per-mode SNRs the MI sums log1p over; with both sandwich bounds
+        # summed from them too, u/(1+u) <= log1p(u) <= u survives rounding
+        u = m.snr_ratio * s_sq[:rank]
+        rank_bound = rank * math.log1p(float(u[0])) / math.log(n)
+        if u[0] > 0:
+            df = lower = ridge_df(u, 1.0)
             r_info = info_effective_rank(s_sq[:rank], m.snr_ratio)
-            upper = m.snr_ratio * float(np.sum(m.design * m.design))
+            upper = float(np.sum(u))
     return InfoReport(
         mi_nats=mi,
         d_eff=d_eff,

@@ -1,8 +1,11 @@
 """Exception types shared across the library.
 
-Two broad families matter for the CLI exit-code contract: input/validation
-problems (bad shapes, bad parameters, malformed CSV) and numerical failures
-discovered mid-computation (factorizations that cannot proceed).
+Each fault is classified where it is detected, into one of two families that
+the CLI maps to exit codes. ``InputError`` (exit 2; also a ``ValueError``):
+the caller's input is invalid, including a covariance the caller supplied
+that fails its PD or PSD check (``NotPositiveDefinite``). ``NumericalError``
+(exit 3): a computation on valid input could not complete, such as the
+factorization of an intermediate matrix. Any other exception is a bug.
 """
 
 import math
@@ -12,7 +15,7 @@ class EffdimError(Exception):
     """Base class for all library errors."""
 
 
-class InputError(EffdimError):
+class InputError(EffdimError, ValueError):
     """Invalid user input: bad shapes, parameters, or file contents."""
 
 
@@ -28,8 +31,8 @@ class AsymmetricMatrix(InputError):
     """A matrix required to be symmetric exceeds the asymmetry tolerance."""
 
 
-class NotPositiveDefinite(NumericalError):
-    """A covariance failed its positive-(semi)definiteness requirement."""
+class NotPositiveDefinite(InputError):
+    """A covariance the caller supplied failed its PD or PSD check."""
 
 
 class RankDeficientCoarsening(NumericalError):

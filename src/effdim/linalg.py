@@ -49,20 +49,34 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
         raise AsymmetricMatrix(
             f"{name} asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:g} * {scale:.3e}"
         )
-    return 0.5 * (arr + arr.T)
+    # halved before the add, so finite entries near the float maximum stay finite
+    return 0.5 * arr + 0.5 * arr.T
 
 
 def cholesky_lower(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Lower Cholesky factor; raises NotPositiveDefinite on failure.
+    """Lower Cholesky factor of a matrix the library formed.
 
-    Non-finite input (an intermediate that overflowed) raises NumericalError.
+    Non-finite input (an overflowed intermediate) or a matrix that is not
+    positive definite raises NumericalError.
     """
     if not np.isfinite(m).all():
         raise NumericalError(f"{name} has non-finite entries")
     try:
         return np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive definite: {exc}") from exc
+        raise NumericalError(f"{name} is not positive definite: {exc}") from exc
+
+
+def factor_covariance(m, name: str = "covariance") -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrize a caller-supplied covariance; return it and its lower factor.
+
+    A covariance that is not positive definite raises NotPositiveDefinite.
+    """
+    cov = symmetrize(m, name)
+    try:
+        return cov, cholesky_lower(cov, name)
+    except NumericalError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
 
 
 def logdet_from_cholesky(lower: np.ndarray) -> float:

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .approx import GaussianDistribution
+from .approx import GaussianDistribution, _factor_prior
 from .channel import GaussianChannel
-from .errors import InsufficientSamples
+from .errors import InsufficientSamples, NumericalError
 from .priors import ScalarShrinkageModel
 from .sampling import (
     FLAT_BLOCK,
@@ -68,7 +68,7 @@ class McEstimate:
         if self.n_samples < 2:
             raise InsufficientSamples("an estimate needs at least 2 samples")
         if self.std_error < 0:
-            raise ValueError("standard error must be nonnegative")
+            raise NumericalError("standard error must be nonnegative")
 
 
 def _estimate_from_moments(acc: MomentAccumulator, seed: int,
@@ -135,8 +135,7 @@ def estimate_gaussian_kl(
         raise InsufficientSamples(
             f"Gaussian KL oracle needs >= {MIN_ORACLE_SAMPLES} samples, got {n_samples}"
         )
-    prior_cov = linalg.symmetrize(prior_cov, "prior covariance")
-    prior_lower = linalg.cholesky_lower(prior_cov, "prior covariance")
+    _, prior_lower = _factor_prior(prior_cov, q.dim)
     half_logdet_gap = 0.5 * (
         linalg.logdet_from_cholesky(prior_lower) - linalg.logdet_from_cholesky(q.lower)
     )

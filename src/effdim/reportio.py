@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import CsvFormatError, NumericalError
+from .errors import CsvFormatError, InputError, NumericalError
 
 
 def format_float(x: float) -> str:
@@ -62,8 +62,13 @@ def parse_matrix_csv(text: str) -> np.ndarray:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_csv(fh.read())
+    """Read a matrix CSV file; a file that cannot be read raises InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    return parse_matrix_csv(text)
 
 
 def read_vector_csv(path) -> np.ndarray:

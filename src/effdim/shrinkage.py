@@ -24,7 +24,7 @@ import numpy as np
 
 from .dimension import regression_mi, RidgeModel
 from .channel import GaussianChannel, mutual_information
-from .errors import DimensionMismatch, InsufficientSamples, SampleSizeTooSmall
+from .errors import DimensionMismatch, InputError, InsufficientSamples, SampleSizeTooSmall
 from .oracle import McEstimate, _estimate_from_moments, _nested_mixture_pass
 from .priors import (
     FixedScale,
@@ -85,7 +85,7 @@ def conditional_mi(m: ScalarShrinkageModel, lam: float) -> float:
     lam = 0 is accepted and returns 0 (the continuous limit).
     """
     if lam < 0:
-        raise ValueError("latent scale must be nonnegative")
+        raise InputError("latent scale must be nonnegative")
     return 0.5 * math.log1p(m.c_snr * lam * lam)
 
 
@@ -94,7 +94,7 @@ def random_deff(m: ScalarShrinkageModel, lam: float) -> float:
     if m.n < 3:
         raise SampleSizeTooSmall(f"sample size {m.n} < 3")
     if lam < 0:
-        raise ValueError("latent scale must be nonnegative")
+        raise InputError("latent scale must be nonnegative")
     return math.log1p(m.c_snr * lam * lam) / math.log(m.n)
 
 
@@ -143,7 +143,7 @@ def heavy_tail_bound(cert: TailCertificate, c_snr: float) -> float:
     certificate; finite even when the second moment is not.
     """
     if c_snr < 0:
-        raise ValueError("signal-to-noise factor must be nonnegative")
+        raise InputError("signal-to-noise factor must be nonnegative")
     return (
         math.log1p(c_snr)
         + math.log1p(cert.t0 * cert.t0)
@@ -198,7 +198,7 @@ def regression_conditional_mi(m: GlobalLocalRegression, lambdas) -> float:
             f"{lam.size} scales for a design with {m.dim} columns"
         )
     if np.any(lam < 0):
-        raise ValueError("latent scales must be nonnegative")
+        raise InputError("latent scales must be nonnegative")
     if lam.size and np.all(lam == lam[0]):
         mi, _ = regression_mi(
             RidgeModel(design=m.design, noise_var=m.noise_var,

@@ -18,6 +18,7 @@ from scipy.integrate import quad
 
 import effdim as ed
 from effdim.cli import main
+from effdim.reportio import read_matrix_csv
 from effdim.sampling import (
     FLAT_BLOCK,
     STREAM_COND_MI,
@@ -360,3 +361,14 @@ def test_15_shrinkage_golden_is_correctly_rounded():
         assert lo * lo <= exact_var_of_mean <= hi * hi, (
             "expected_conditional_mi.std_error is not correctly rounded"
         )
+
+
+def test_15_regression_golden_sandwich_upper_sums_the_snr_modes():
+    with criterion(15, "regression golden sandwich_upper is the sum of the retained "
+                       "per-mode SNRs snr * s_j^2"):
+        report = json.loads((GOLDEN / "regression.report.json").read_text())
+        config, results = report["config"], report["results"]
+        s_sq, rank = ed.design_spectrum(read_matrix_csv(ROOT / config["design"]))
+        u = config["tau2"] / config["sigma2"] * s_sq[:rank]
+        assert results["sandwich_upper"]["value"] == float(np.sum(u)) == 35.572605776368796
+        assert results["sandwich_lower"]["value"] == float(np.sum(u / (u + 1.0)))

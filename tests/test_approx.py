@@ -15,6 +15,7 @@ from effdim import (
     loewner_dominates,
     regression_mi,
 )
+from effdim import linalg
 from effdim.errors import DimensionMismatch, InputError, NotPositiveDefinite
 
 from conftest import random_covariance
@@ -132,6 +133,31 @@ class TestLoewnerDominates:
 
 
 class TestAuditApproximation:
+    def test_prior_validated_and_factored_once(self, monkeypatch):
+        exact = GaussianDistribution(mean=[0.0, 0.0], cov=0.5 * np.eye(2))
+        approx = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))
+        factored = []
+        original = linalg.cholesky_lower
+
+        def recording(m, name="matrix"):
+            factored.append(name)
+            return original(m, name)
+
+        monkeypatch.setattr(linalg, "cholesky_lower", recording)
+        audit_approximation(exact, approx, np.eye(2), 100)
+        assert len(factored) == 1
+
+    @pytest.mark.parametrize("prior", [np.zeros((2, 2)), np.diag([1.0, -1.0])])
+    def test_non_pd_prior_is_input_error(self, prior):
+        post = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))
+        with pytest.raises(InputError, match="prior covariance is not positive definite"):
+            audit_approximation(post, post, prior, 100)
+
+    def test_prior_dimension_checked(self):
+        post = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))
+        with pytest.raises(DimensionMismatch, match="prior covariance has shape"):
+            audit_approximation(post, post, [[1.0]], 100)
+
     def test_identical_posteriors(self):
         rng = np.random.default_rng(3)
         cov = random_covariance(rng, 3, eig_low=0.2, eig_high=0.8)

@@ -73,6 +73,24 @@ class TestConstruction:
         with pytest.raises(InputError, match="non-finite"):
             GaussianChannel(**matrices)
 
+    def test_symmetrize_keeps_entries_near_the_float_maximum(self):
+        m = np.diag([1e308, 1.0])
+        np.testing.assert_array_equal(linalg.symmetrize(m), m)
+        ch = GaussianChannel(a=np.eye(2), prior_cov=m, noise_cov=m)
+        np.testing.assert_array_equal(ch.noise_lower, np.diag([1e154, 1.0]))
+
+    @pytest.mark.parametrize("cov", [np.zeros((2, 2)), np.diag([1.0, -1.0])])
+    def test_supplied_covariance_fault_is_input_error(self, cov):
+        with pytest.raises(NotPositiveDefinite) as info:
+            linalg.factor_covariance(cov, "noise covariance")
+        assert isinstance(info.value, InputError)
+        assert "noise covariance is not positive definite" in str(info.value)
+
+    def test_intermediate_factorization_fault_is_numerical_error(self):
+        with pytest.raises(NumericalError, match="not positive definite") as info:
+            linalg.cholesky_lower(np.diag([1.0, -1.0]), "output covariance")
+        assert not isinstance(info.value, (InputError, NotPositiveDefinite))
+
     def test_cholesky_rejects_non_finite_intermediate(self):
         with pytest.raises(NumericalError, match="non-finite"):
             linalg.cholesky_lower(np.array([[np.inf, 0.0], [0.0, 1.0]]), "product")

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import effdim
 from effdim import cli
 from effdim.cli import build_parser, main
+from effdim.errors import InputError, NotPositiveDefinite, NumericalError
 from effdim.reportio import write_matrix_csv
 
 
@@ -433,6 +435,152 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical failure: SVD did not converge" in err
+
+    def test_error_families(self):
+        assert issubclass(InputError, ValueError)
+        assert issubclass(NotPositiveDefinite, InputError)
+        assert not issubclass(NumericalError, InputError)
+
+    def test_unexpected_exception_is_a_bug(self, tmp_path, monkeypatch):
+        def failing(model, n=None):
+            raise ValueError("a defect, not bad input")
+
+        monkeypatch.setattr(cli, "ridge_report", failing)
+        design = tmp_path / "eye2.csv"
+        write_matrix_csv(design, np.eye(2))
+        with pytest.raises(ValueError, match="a defect"):
+            main(["regression", "--design", str(design), "--tau2", "1", "--sigma2", "1"])
+
+    @pytest.mark.parametrize("args, message", [
+        (["approx", "--exact-cov", "{eye2}", "--approx-cov", "{eye2}",
+          "--prior-cov", "{zero2}", "--n", "10"], "prior covariance is not positive definite"),
+        (["approx", "--exact-cov", "{eye2}", "--approx-cov", "{eye2}",
+          "--prior-cov", "{indefinite2}", "--n", "10"],
+         "prior covariance is not positive definite"),
+        (["oracle", "--kind", "gaussian-kl", "--mean", "{mean2}", "--cov", "{eye2}",
+          "--prior-cov", "{indefinite2}", "--samples", "10000", "--seed", "1"],
+         "prior covariance is not positive definite"),
+        (["oracle", "--kind", "gaussian-kl", "--mean", "{mean2}", "--cov", "{eye2}",
+          "--prior-cov", "{eye1}", "--samples", "10000", "--seed", "1"],
+         "prior covariance has shape (1, 1), expected (2, 2)"),
+        (["location", "--tau2", "1", "--sigma2", "1", "--n", "10", "--oracle",
+          "--samples", "10000", "--seed", "-1"], "master seed must be nonnegative"),
+        (["regression", "--design", "{eye2}", "--tau2", "1", "--sigma2", "1e-308"],
+         "must be finite"),
+        (["regression", "--design", "{binary}", "--tau2", "1", "--sigma2", "1"],
+         "cannot read"),
+    ], ids=["approx-zero-prior", "approx-indefinite-prior", "kl-indefinite-prior",
+            "kl-prior-size", "negative-seed", "snr-trace-overflow", "non-utf8-csv"])
+    def test_input_faults_exit_two(self, args, message, tmp_path, capsys):
+        files = {"eye1": np.eye(1), "eye2": np.eye(2), "zero2": np.zeros((2, 2)),
+                 "indefinite2": np.diag([1.0, -1.0]), "mean2": np.zeros((1, 2))}
+        for name, m in files.items():
+            write_matrix_csv(tmp_path / f"{name}.csv", m)
+        (tmp_path / "binary.csv").write_bytes(b"\xff\xfe\x00")
+        paths = {name: str(tmp_path / f"{name}.csv") for name in [*files, "binary"]}
+        code, _, err = run_cli([a.format(**paths) for a in args], capsys)
+        assert code == 2
+        assert message in err
+
+    def test_negative_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("EFFDIM_SEED", "-5")
+        code, _, err = run_cli(
+            ["location", "--tau2", "1", "--sigma2", "1", "--n", "10", "--oracle",
+             "--samples", "10000"], capsys)
+        assert code == 2
+        assert "master seed must be nonnegative" in err
+
+    @pytest.mark.parametrize("tau2, sigma2", [("1e-30", "1"), ("1e-308", "1e308")])
+    def test_tiny_snr_regression_succeeds(self, tau2, sigma2, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((rng.integers(2, 40), rng.integers(1, 12)))
+        design = tmp_path / "x.csv"
+        write_matrix_csv(design, x)
+        code, out, _ = run_cli(
+            ["regression", "--design", str(design), "--tau2", tau2, "--sigma2", sigma2],
+            capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["sandwich_lower"]["value"] <= 2.0 * results["mi_nats"]["value"]
+        assert 2.0 * results["mi_nats"]["value"] <= results["sandwich_upper"]["value"]
+
+
+EDGE_VALUES = ["-1", "0", "3", "nan", "inf", "1e308", "1e-308", "1e-30"]
+EDGE_COUNTS = ["-1", "0", "3", "100"]
+EDGE_THREADS = ["-1", "0", "2"]
+EDGE_SEEDS = ["-1", "0", "7", str(-2**70), str(2**64), str(10**30)]
+# the least sample count each Monte Carlo routine accepts, plus rejected ones
+EDGE_SAMPLES = ["-1", "0", "3", "10000"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_csvs(tmp_path_factory):
+    """Paths of the CSV inputs the argument fuzzer draws from, written once."""
+    root = tmp_path_factory.mktemp("fuzz")
+    matrices = {
+        "eye": np.eye(2),
+        "vector": np.array([[0.5, 2.0]]),
+        "zero": np.zeros((2, 2)),
+        "indefinite": np.diag([1.0, -1.0]),
+        "wrong-size": np.eye(3),
+        "huge": np.diag([1e308, 1e308]),
+    }
+    for name, m in matrices.items():
+        write_matrix_csv(root / f"{name}.csv", m)
+    return [str(root / f"{name}.csv") for name in [*matrices, "missing"]]
+
+
+def _argv(draw, csvs):
+    """Draw one argv for a random subcommand (and oracle kind).
+
+    Each maps to (flags always given, flags given or left out), so that most
+    draws get past argparse and into the library.
+    """
+    value, count, csv = (st.sampled_from(EDGE_VALUES), st.sampled_from(EDGE_COUNTS),
+                         st.sampled_from(csvs))
+    seed = st.sampled_from(EDGE_SEEDS)
+    # Monte Carlo counts are always given, at their minimum or below it
+    mc = {"--seed": seed, "--samples": st.sampled_from(EDGE_SAMPLES)}
+    threads = {"--threads": st.sampled_from(EDGE_THREADS)}
+    prior = {"--tau": value, "--nu": value, "--s2": value, "--tau-g": value, "--table": csv}
+    commands = {
+        "location": ({"--tau2": value, "--sigma2": value, "--n": count, **mc},
+                     {"--d": count, "--oracle": None, **threads}),
+        "regression": ({"--design": csv, "--tau2": value, "--sigma2": value}, {"--n": count}),
+        "curve": ({"--n-grid": st.sampled_from(["3,10,100", "10,1000", "2,10", "10,10", "x"])},
+                  {"--d": count, "--tau2": value, "--sigma2": value,
+                   "--tau2-schedule": st.sampled_from(["fixed", "inverse-n"]),
+                   "--design": csv, "--format": st.sampled_from(["csv", "json"])}),
+        "approx": ({"--exact-cov": csv, "--approx-cov": csv, "--prior-cov": csv,
+                    "--n": count},
+                   {"--exact-mean": csv, "--approx-mean": csv, "--require-domination": None}),
+        "shrinkage": ({"--prior": st.sampled_from(list(cli.PRIORS)), "--n": count, **mc},
+                      {**prior, "--sigma2": value, **threads}),
+        "oracle --kind channel-mi": (
+            {"--a": csv, "--prior-cov": csv, "--noise-cov": csv, **mc}, threads),
+        "oracle --kind gaussian-kl": (
+            {"--mean": csv, "--cov": csv, "--prior-cov": csv, **mc}, threads),
+        # inner samples stay below their minimum: one accepted nested run
+        # costs 1e8 kernel evaluations
+        "oracle --kind mixture-mi": (
+            {"--prior": st.sampled_from(list(cli.PRIORS)),
+             "--inner-samples": st.sampled_from(["-1", "0", "3"]), **mc},
+            {**prior, "--sigma2": value, "--n": count, **threads}),
+    }
+    command = draw(st.sampled_from(list(commands)))
+    always, maybe = commands[command]
+    argv = command.split()
+    for flag, values in [*always.items(), *maybe.items()]:
+        if flag in always or draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_with_a_contract_code(fuzz_csvs, data):
+    argv = _argv(data.draw, fuzz_csvs)
+    assert main(argv) in (0, 2, 3, 4), argv
 
 
 class TestPriorFlags:

@@ -23,8 +23,17 @@ from effdim import (
     smoothing_matrix,
     spectrum_sequence_mi,
 )
-from effdim import dimension
-from effdim.errors import DivergentSpectrum, EmptySpectrum, InputError, SampleSizeTooSmall
+from effdim import conjugate_regression_info, dimension, shrinkage
+from effdim.channel import GaussianChannel
+from effdim.errors import (
+    DivergentSpectrum,
+    EmptySpectrum,
+    InputError,
+    NumericalError,
+    SampleSizeTooSmall,
+)
+from effdim.oracle import McEstimate
+from effdim.priors import FixedScale, GlobalLocalRegression, ScalarShrinkageModel, TailCertificate
 
 
 class TestDeff:
@@ -232,6 +241,44 @@ class TestSandwich:
         for u in (1e-8, 1.0, 1e8):
             assert u / (1.0 + u) <= math.log1p(u) <= u
 
+    def test_tiny_snr_19x6_design_brackets(self):
+        # the design that rng seed 1 draws: df from s^2/(s^2 + alpha) and the
+        # upper end from snr * sum(X**2) rounded past 2*MI at tau2 = 1e-30
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((rng.integers(2, 40), rng.integers(1, 12)))
+        assert x.shape == (19, 6)
+        report = ridge_report(RidgeModel(design=x, noise_var=1.0, prior_var=1e-30))
+        assert report.sandwich_lower <= 2.0 * report.mi_nats <= report.sandwich_upper
+
+    @pytest.mark.parametrize("tau2", [1e-30, 1e-12, 1.0, 1e6])
+    def test_scaled_random_designs_never_raise(self, tau2):
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            x = rng.standard_normal((rng.integers(2, 40), rng.integers(1, 12)))
+            x *= 10.0 ** rng.uniform(-3, 3)
+            report = ridge_report(RidgeModel(design=x, noise_var=1.0, prior_var=tau2), 100)
+            assert report.sandwich_lower <= 2.0 * report.mi_nats <= report.sandwich_upper
+
+    def test_bounds_sum_the_retained_snr_modes(self):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((7, 5))
+        model = RidgeModel(design=x, noise_var=2.0, prior_var=3.0)
+        report = ridge_report(model)
+        u = model.snr_ratio * report.singular_values_sq[: report.rank]
+        assert report.sandwich_upper == float(np.sum(u))
+        assert report.sandwich_lower == report.df == float(np.sum(u / (u + 1.0)))
+
+    def test_underflowing_snr_reports_zero_information(self):
+        report = ridge_report(
+            RidgeModel(design=np.eye(2), noise_var=1e308, prior_var=1e-308), 10)
+        assert report.mi_nats == report.sandwich_upper == 0.0
+        assert report.df is None and report.r_info is None
+        assert report.rank == 2
+
+    def test_overflowing_snr_trace_rejected(self):
+        with pytest.raises(InputError, match="must be finite"):
+            RidgeModel(design=np.eye(2), noise_var=1e-308, prior_var=1.0)
+
 
 class TestSpectrumSequence:
     def test_divergent_rejected(self):
@@ -376,3 +423,47 @@ class TestRidgeReport:
                                   int(rng.integers(3, 500)))
             assert report.d_eff == deff(report.mi_nats, report.n)
             assert report.sandwich_lower <= 2.0 * report.mi_nats <= report.sandwich_upper
+
+
+class TestFaultClasses:
+    @pytest.mark.parametrize("call", [
+        lambda: LocationModel(dim=0, prior_var=1.0, noise_var=1.0, n=1),
+        lambda: LocationModel(dim=1, prior_var=-1.0, noise_var=1.0, n=1),
+        lambda: LocationModel(dim=1, prior_var=1.0, noise_var=1.0, n=0),
+        lambda: RidgeModel(design=np.eye(2), noise_var=0.0, prior_var=1.0),
+        lambda: RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=-1.0),
+        lambda: SpectrumSequence(decay_exponent=1.0, snr=-1.0, truncation_error_budget=1e-6),
+        lambda: SpectrumSequence(decay_exponent=1.0, snr=1.0, truncation_error_budget=0.0),
+        lambda: deff(-1.0, 10),
+        lambda: info_effective_rank([1.0], 0.0),
+        lambda: ridge_df([1.0], 0.0),
+        lambda: smoothing_matrix(np.eye(2), 0.0),
+        lambda: mi_df_sandwich(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)),
+        lambda: conjugate_regression_info(
+            RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)),
+        lambda: mutual_information(
+            GaussianChannel(a=[[1.0]], prior_cov=[[1.0]], noise_cov=[[1.0]]), "exact"),
+        lambda: shrinkage.conditional_mi(
+            ScalarShrinkageModel(prior=FixedScale(tau=1.0), noise_var=1.0, n=10), -1.0),
+        lambda: shrinkage.random_deff(
+            ScalarShrinkageModel(prior=FixedScale(tau=1.0), noise_var=1.0, n=10), -1.0),
+        lambda: shrinkage.heavy_tail_bound(
+            TailCertificate(c_const=1.0, alpha_exp=1.0, t0=1.0), -1.0),
+        lambda: shrinkage.regression_conditional_mi(
+            GlobalLocalRegression(design=np.eye(2), noise_var=1.0, local_priors=FixedScale(1.0)),
+            [1.0, -1.0]),
+    ])
+    def test_input_checks_raise_input_error(self, call):
+        with pytest.raises(InputError):
+            call()
+
+    def test_broken_sandwich_is_a_numerical_error(self):
+        report = ridge_report(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=1.0), 10)
+        with pytest.raises(NumericalError, match="sandwich") as info:
+            dimension.InfoReport(**{**vars(report), "sandwich_upper": 0.0})
+        assert not isinstance(info.value, InputError)
+
+    def test_negative_std_error_is_a_numerical_error(self):
+        with pytest.raises(NumericalError) as info:
+            McEstimate(estimate=0.0, std_error=-1.0, n_samples=10, seed=0)
+        assert not isinstance(info.value, InputError)

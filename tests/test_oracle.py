@@ -18,7 +18,7 @@ from effdim import (
     mutual_information,
 )
 from effdim import linalg
-from effdim.errors import InsufficientSamples
+from effdim.errors import DimensionMismatch, InputError, InsufficientSamples
 from effdim.sampling import FLAT_BLOCK
 
 from conftest import random_channel, random_covariance
@@ -93,6 +93,16 @@ class TestGaussianKlOracle:
         q = GaussianDistribution(mean=[0.0], cov=[[1.0]])
         with pytest.raises(InsufficientSamples):
             estimate_gaussian_kl(q, [[1.0]], 100, seed=0)
+
+    def test_prior_dimension_checked(self):
+        q = GaussianDistribution(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(DimensionMismatch, match="prior covariance has shape"):
+            estimate_gaussian_kl(q, [[1.0]], 10_000, seed=0)
+
+    def test_non_pd_prior_is_input_error(self):
+        q = GaussianDistribution(mean=np.zeros(2), cov=np.eye(2))
+        with pytest.raises(InputError, match="prior covariance is not positive definite"):
+            estimate_gaussian_kl(q, np.diag([1.0, -1.0]), 10_000, seed=0)
 
 
 class TestWhitening:
