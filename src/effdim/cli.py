@@ -451,6 +451,18 @@ COMMANDS = {
 }
 
 
+def _write_output(text: str, path: str | None) -> None:
+    """Write the report to ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+    except OSError as exc:
+        raise InputError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -461,17 +473,13 @@ def main(argv=None) -> int:
     # any other exception is a bug and surfaces as a traceback
     try:
         text, code = COMMANDS[args.command](args)
+        _write_output(text, args.out)
     except InputError as exc:
         print(f"effdim: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EffdimError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"effdim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(text.encode("utf-8"))
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -32,6 +32,7 @@ from .errors import (
     NumericalError,
     SampleSizeTooSmall,
     require_finite,
+    require_float_count,
 )
 
 
@@ -46,6 +47,7 @@ class LocationModel:
 
     def __post_init__(self):
         require_finite(prior_var=self.prior_var, noise_var=self.noise_var)
+        require_float_count(dim=self.dim, n=self.n)
         if self.dim < 1:
             raise InputError("dimension must be >= 1")
         if self.noise_var <= 0:
@@ -209,6 +211,9 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
     if snr <= 0:
         raise InputError("signal-to-noise ratio must be positive")
     weights = np.log1p(snr * s_sq)
+    if weights[0] == 0.0:
+        # snr * s_1^2 underflows to 0: the ratio's small-SNR limit
+        return float(np.sum(s_sq) / s_sq[0])
     return float(np.sum(weights) / weights[0])
 
 

@@ -9,6 +9,7 @@ factorization of an intermediate matrix. Any other exception is a bug.
 """
 
 import math
+import sys
 
 
 class EffdimError(Exception):
@@ -68,3 +69,24 @@ def require_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise InputError(f"{name} must be finite, got {value!r}")
+
+
+def require_float_count(**counts: int) -> None:
+    """Raise InputError naming the first of ``counts`` too large for a float."""
+    for name, value in counts.items():
+        try:
+            float(value)
+        except OverflowError:
+            raise InputError(
+                f"{name} is too large for a float ({len(str(value))} digits)"
+            ) from None
+
+
+def require_index_count(**counts: int) -> None:
+    """Raise InputError naming the first of ``counts`` too large for an index."""
+    for name, value in counts.items():
+        if value > sys.maxsize:
+            raise InputError(
+                f"{name} is too large for an array index ({len(str(value))} digits, "
+                f"limit {sys.maxsize})"
+            )

@@ -29,12 +29,13 @@ import numpy as np
 from . import linalg
 from .approx import GaussianDistribution, _factor_prior
 from .channel import GaussianChannel
-from .errors import InsufficientSamples, NumericalError
+from .errors import InsufficientSamples, NumericalError, require_index_count
 from .priors import ScalarShrinkageModel
 from .sampling import (
     FLAT_BLOCK,
     NESTED_INNER_CHUNK,
     NESTED_OUTER_BLOCK,
+    NESTED_TILE_ROWS,
     STREAM_CHANNEL_MI,
     STREAM_GAUSSIAN_KL,
     STREAM_MIXTURE_INNER,
@@ -95,6 +96,7 @@ def estimate_channel_mi(
         raise InsufficientSamples(
             f"channel MI oracle needs >= {MIN_ORACLE_SAMPLES} samples, got {n_samples}"
         )
+    require_index_count(samples=n_samples)
     prior_root = linalg.psd_sqrt(ch.prior_cov)
     marginal = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
     marginal_lower = linalg.cholesky_lower(0.5 * (marginal + marginal.T), "output covariance")
@@ -135,6 +137,7 @@ def estimate_gaussian_kl(
         raise InsufficientSamples(
             f"Gaussian KL oracle needs >= {MIN_ORACLE_SAMPLES} samples, got {n_samples}"
         )
+    require_index_count(samples=n_samples)
     _, prior_lower = _factor_prior(prior_cov, q.dim)
     half_logdet_gap = 0.5 * (
         linalg.logdet_from_cholesky(prior_lower) - linalg.logdet_from_cholesky(q.lower)
@@ -163,29 +166,47 @@ def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray,
                           log_norm: np.ndarray) -> np.ndarray:
     """log of the inner mixture average of scalar normal densities at y.
 
-    Components are parameterized by -1/(2 v_k) and -1/2 log(2 pi v_k);
-    columns are processed in fixed chunks with a running max-shifted
-    exponent sum, so the result is deterministic and overflow-free even for
-    heavy-tailed scale draws.
+    Component k has log density f_k(y) = y^2 * neg_half_prec[k] + log_norm[k]
+    with neg_half_prec = -1/(2 v_k) and log_norm = -1/2 log(2 pi v_k). Each row
+    is shifted by a bound on its maximum found in closed form: as a function
+    of v, f is unimodal with its peak -1/2 - 1/2 log(2 pi y^2) at v = y^2. If
+    y^2 lies strictly inside [v_min, v_max] that peak is the shift; otherwise
+    the shift is the nearest endpoint component's own log density. The shift
+    is never below the row maximum, so no exp overflows, and at most about
+    1/2 log(v_max / y^2) above it, so the leading term cannot underflow.
+
+    With the shift known, one pass over NESTED_TILE_ROWS x NESTED_INNER_CHUNK
+    tiles (multiply, add, subtract, exp, row sum) sums the exponentials; the
+    chunk sums of a row add up in column order. For a given numpy build the
+    result is fixed by the inputs and the tile constants, whatever thread
+    runs it.
     """
     y_sq = y * y
-    run_max = np.full(y.size, -np.inf)
-    run_sum = np.zeros(y.size)
+    lo, hi = int(np.argmin(neg_half_prec)), int(np.argmax(neg_half_prec))
+    v_min, v_max = -0.5 / neg_half_prec[lo], -0.5 / neg_half_prec[hi]
+    peak = -0.5 - 0.5 * np.log(2.0 * math.pi * np.clip(y_sq, v_min, v_max))
+    # a degenerate mixture (v_min == v_max) always takes an endpoint, so its
+    # shift equals every component's log density bit for bit
+    shift = np.where(y_sq <= v_min, y_sq * neg_half_prec[lo] + log_norm[lo],
+                     np.where(y_sq >= v_max, y_sq * neg_half_prec[hi] + log_norm[hi], peak))
     k_total = neg_half_prec.size
-    for start in range(0, k_total, NESTED_INNER_CHUNK):
-        cols = slice(start, min(start + NESTED_INNER_CHUNK, k_total))
-        block = np.multiply.outer(y_sq, neg_half_prec[cols])
-        block += log_norm[cols][None, :]
-        block_max = block.max(axis=1)
-        block -= block_max[:, None]
-        np.exp(block, out=block)
-        block_sum = block.sum(axis=1)
-        new_max = np.maximum(run_max, block_max)
-        run_sum = run_sum * np.exp(run_max - new_max) + block_sum * np.exp(block_max - new_max)
-        run_max = new_max
-    # divide before the log: a degenerate (all-equal) mixture then hits
-    # log(1.0) == 0 and cancels against the conditional density bit for bit
-    return run_max + np.log(run_sum / float(k_total))
+    total = np.zeros(y.size)
+    scratch = np.empty(min(NESTED_TILE_ROWS, y.size) * min(NESTED_INNER_CHUNK, k_total))
+    for r0 in range(0, y.size, NESTED_TILE_ROWS):
+        rows = slice(r0, r0 + NESTED_TILE_ROWS)
+        strip_y_sq, strip_shift = y_sq[rows, None], shift[rows, None]
+        for c0 in range(0, k_total, NESTED_INNER_CHUNK):
+            cols = slice(c0, c0 + NESTED_INNER_CHUNK)
+            prec = neg_half_prec[cols]
+            tile = scratch[:strip_y_sq.size * prec.size].reshape(strip_y_sq.size, prec.size)
+            np.multiply(strip_y_sq, prec, out=tile)
+            tile += log_norm[cols]
+            tile -= strip_shift
+            np.exp(tile, out=tile)
+            total[rows] += tile.sum(axis=1)
+    # divide before the log: a degenerate mixture then hits log(1.0) == 0 and
+    # cancels against the conditional density bit for bit
+    return shift + np.log(total / float(k_total))
 
 
 def _nested_mixture_pass(
@@ -211,6 +232,7 @@ def _nested_mixture_pass(
         raise InsufficientSamples(
             f"nested estimator needs >= {MIN_ORACLE_SAMPLES} outer and inner samples"
         )
+    require_index_count(samples=outer_samples, inner_samples=inner_samples)
     obs_var = m.obs_var
     c_snr = m.c_snr
     inner_blocks = block_sizes(inner_samples, FLAT_BLOCK)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, require_finite
+from .errors import DimensionMismatch, InputError, require_finite, require_float_count
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,7 @@ class ScalarShrinkageModel:
             raise InputError("noise variance must be positive")
         if self.n < 1:
             raise InputError("sample size must be >= 1")
+        require_float_count(n=self.n)
         require_finite(noise_var=self.noise_var, c_snr=self.c_snr)
 
     @property

@@ -24,7 +24,13 @@ import numpy as np
 
 from .dimension import regression_mi, RidgeModel
 from .channel import GaussianChannel, mutual_information
-from .errors import DimensionMismatch, InputError, InsufficientSamples, SampleSizeTooSmall
+from .errors import (
+    DimensionMismatch,
+    InputError,
+    InsufficientSamples,
+    SampleSizeTooSmall,
+    require_index_count,
+)
 from .oracle import McEstimate, _estimate_from_moments, _nested_mixture_pass
 from .priors import (
     FixedScale,
@@ -110,6 +116,7 @@ def expected_conditional_mi(
         raise InsufficientSamples(
             f"expected conditional MI needs >= {MIN_EXPECTED_MI_SAMPLES} samples"
         )
+    require_index_count(samples=samples)
     if isinstance(m.prior, FixedScale):
         exact = conditional_mi(m, m.prior.tau)
         return McEstimate(estimate=exact, std_error=0.0, n_samples=samples, seed=seed)
@@ -226,6 +233,7 @@ def random_deff_distribution(
         raise InsufficientSamples(
             f"distribution summary needs >= {MIN_DISTRIBUTION_SAMPLES} samples"
         )
+    require_index_count(samples=samples)
     if m.n < 3:
         raise SampleSizeTooSmall(f"sample size {m.n} < 3")
     if isinstance(m.prior, FixedScale):

@@ -482,6 +482,31 @@ class TestExitCodes:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["location", "--tau2", "1", "--sigma2", "1", "--n", str(10**400)],
+         "n is too large for a float"),
+        (["location", "--tau2", "1", "--sigma2", "1", "--n", "10", "--d", str(10**400)],
+         "dim is too large for a float"),
+        (["shrinkage", "--prior", "student-t", "--nu", "3", "--n", str(10**400),
+          "--seed", "1"], "n is too large for a float"),
+        (["shrinkage", "--prior", "student-t", "--nu", "3", "--n", "100",
+          "--samples", str(10**30), "--seed", "1"], "samples is too large for an array index"),
+    ], ids=["location-n", "location-d", "shrinkage-n", "shrinkage-samples"])
+    def test_oversized_counts_exit_two(self, args, message, capsys):
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert message in err
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            ["location", "--tau2", "1", "--sigma2", "1", "--n", "10", "--out", str(path)],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("effdim: error: ")
+        assert str(path) in err
+
     def test_negative_env_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFDIM_SEED", "-5")
         code, _, err = run_cli(

@@ -1,6 +1,7 @@
 """Effective dimension, spectral functionals, and their cross-checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,12 @@ class TestInfoEffectiveRank:
     def test_two_mode_example(self):
         expected = (math.log(5.0) + math.log(2.0)) / math.log(5.0)
         assert info_effective_rank([4.0, 1.0], snr=1.0) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("s_sq, expected", [([1e-5], 1.0), ([4.0, 1.0], 1.25)])
+    def test_underflowing_snr_takes_small_snr_limit(self, s_sq, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert info_effective_rank(s_sq, snr=1e-320) == expected
 
     def test_range_and_decomposition(self):
         rng = np.random.default_rng(7)

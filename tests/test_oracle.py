@@ -1,6 +1,7 @@
 """Monte Carlo oracles: exactness cases, coverage, and determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from effdim import (
     FixedScale,
     GaussianChannel,
     GaussianDistribution,
+    HalfCauchy,
     InverseGammaMixture,
     ScalarShrinkageModel,
     estimate_channel_mi,
@@ -19,7 +21,8 @@ from effdim import (
 )
 from effdim import linalg
 from effdim.errors import DimensionMismatch, InputError, InsufficientSamples
-from effdim.sampling import FLAT_BLOCK
+from effdim.oracle import _log_mixture_marginal
+from effdim.sampling import FLAT_BLOCK, NESTED_OUTER_BLOCK
 
 from conftest import random_channel, random_covariance
 
@@ -173,6 +176,70 @@ class TestMixtureMarginalOracle:
             estimate_mixture_marginal_mi(m, 100, 10_000, seed=0)
         with pytest.raises(InsufficientSamples):
             estimate_mixture_marginal_mi(m, 10_000, 100, seed=0)
+
+
+def _mixture_args(variances):
+    """Kernel arguments (neg_half_prec, log_norm) for component variances."""
+    v = np.asarray(variances, dtype=float)
+    return -0.5 / v, -0.5 * np.log(2.0 * math.pi * v)
+
+
+def _reference_marginal(y, neg_half_prec, log_norm):
+    """Row-by-row log-mean-exp through numpy's logaddexp over the whole row."""
+    return np.array([
+        np.logaddexp.reduce(yi * yi * neg_half_prec + log_norm) for yi in y
+    ]) - math.log(neg_half_prec.size)
+
+
+def _scale_mixture_inputs(prior, n_outer, n_inner, seed):
+    """Outer observations and inner components of a unit-noise scale mixture."""
+    rng = np.random.default_rng(seed)
+    lam = prior.sample(rng, n_inner)
+    outer = prior.sample(rng, n_outer)
+    y = outer * rng.standard_normal(n_outer) + rng.standard_normal(n_outer)
+    return (y, *_mixture_args(lam * lam + 1.0))
+
+
+class TestMixtureKernel:
+    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
+                             ids=["student-t", "half-cauchy"])
+    @pytest.mark.parametrize("shape", [(NESTED_OUTER_BLOCK, 20_000), (37, 10_001)],
+                             ids=["block", "ragged"])
+    def test_matches_logaddexp_over_whole_row(self, prior, shape):
+        y, prec, log_norm = _scale_mixture_inputs(prior, *shape, seed=21)
+        y[:3] = [0.0, 1e-160, 1e154]
+        out = _log_mixture_marginal(y, prec, log_norm)
+        ref = _reference_marginal(y, prec, log_norm)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+
+    def test_two_point_mixture_at_extreme_scales(self):
+        prec, log_norm = _mixture_args([1e-150, 1e150])
+        y = np.array([0.0, 1e-160, 1.0, 1e75, 1e150, 1e154])
+        # y^2 / (2 v) overflows to inf for the narrow component at large y,
+        # and its density to exactly 0, which is the correct limit
+        with np.errstate(over="ignore", under="ignore"):
+            out = _log_mixture_marginal(y, prec, log_norm)
+            ref = _reference_marginal(y, prec, log_norm)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+
+    def test_degenerate_mixture_is_its_component_bit_for_bit(self):
+        v = 1.0 + 0.25**2
+        prec, log_norm = _mixture_args(np.full(10_001, v))
+        y = np.array([0.0, 0.3, math.sqrt(v), 2.0, 1e3, -7.5])
+        out = _log_mixture_marginal(y, prec, log_norm)
+        assert np.array_equal(out, y * y * prec[0] + log_norm[0])
+
+    def test_scratch_stays_cache_sized(self):
+        y, prec, log_norm = _scale_mixture_inputs(
+            InverseGammaMixture(dof=3.0), NESTED_OUTER_BLOCK, 20_000, seed=22)
+        tracemalloc.start()
+        try:
+            _log_mixture_marginal(y, prec, log_norm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestDeterminism:
