@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .dimension import RidgeModel, deff
-from .errors import DimensionMismatch, InputError
+from .errors import DimensionMismatch, InputError, NumericalError, require_sample_size
 
 #: Default signed tolerance for the Loewner-order eigenvalue test.
 LOEWNER_TOL = 1e-10
@@ -103,11 +103,20 @@ def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _kl_to_prior(q: GaussianDistribution, l0: np.ndarray) -> float:
-    """``gaussian_kl`` given the prior covariance's lower Cholesky factor."""
+    """``gaussian_kl`` given the prior covariance's lower Cholesky factor.
+
+    A trace or quadratic term beyond the float range (a posterior near 1e308
+    times the prior) is a ``NumericalError`` here, not an inf in a report.
+    """
     p = q.dim
-    trace_term = float(np.sum(linalg.solve_lower(l0, linalg.solve_lower(l0, q.cov).T)
-                              .diagonal()))
-    quad_term = float(np.sum(linalg.solve_lower(l0, q.mean) ** 2))
+    with np.errstate(over="ignore"):
+        trace_term = float(np.sum(linalg.solve_lower(l0, linalg.solve_lower(l0, q.cov).T)
+                                  .diagonal()))
+        quad_term = float(np.sum(linalg.solve_lower(l0, q.mean) ** 2))
+    if not (math.isfinite(trace_term) and math.isfinite(quad_term)):
+        raise NumericalError(
+            f"KL to the prior overflows: trace term {trace_term!r}, quadratic term {quad_term!r}"
+        )
     logdet_ratio = linalg.logdet_from_cholesky(q.lower) - linalg.logdet_from_cholesky(l0)
     return max(0.5 * (trace_term + quad_term - logdet_ratio - p), 0.0)
 
@@ -177,6 +186,7 @@ def audit_approximation(
     the conjugate case the posterior covariance is nonrandom and the two
     notions coincide.
     """
+    require_sample_size(n)
     if exact.dim != approx.dim:
         raise DimensionMismatch("exact and approximate posteriors differ in dimension")
     prior_cov, prior_lower = _factor_prior(prior_cov, exact.dim)

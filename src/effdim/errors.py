@@ -82,6 +82,12 @@ def require_float_count(**counts: int) -> None:
             ) from None
 
 
+def require_sample_size(n: int) -> None:
+    """Raise SampleSizeTooSmall unless n >= 3, as d_eff = 2 * I / log(n) requires."""
+    if n < 3:
+        raise SampleSizeTooSmall(f"sample size {n} < 3")
+
+
 def require_index_count(**counts: int) -> None:
     """Raise InputError naming the first of ``counts`` too large for an index."""
     for name, value in counts.items():

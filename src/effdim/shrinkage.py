@@ -28,8 +28,8 @@ from .errors import (
     DimensionMismatch,
     InputError,
     InsufficientSamples,
-    SampleSizeTooSmall,
     require_index_count,
+    require_sample_size,
 )
 from .oracle import McEstimate, _estimate_from_moments, _nested_mixture_pass
 from .priors import (
@@ -97,8 +97,7 @@ def conditional_mi(m: ScalarShrinkageModel, lam: float) -> float:
 
 def random_deff(m: ScalarShrinkageModel, lam: float) -> float:
     """Per-realization effective dimension log(1 + c lam^2) / log(n)."""
-    if m.n < 3:
-        raise SampleSizeTooSmall(f"sample size {m.n} < 3")
+    require_sample_size(m.n)
     if lam < 0:
         raise InputError("latent scale must be nonnegative")
     return math.log1p(m.c_snr * lam * lam) / math.log(m.n)
@@ -234,8 +233,7 @@ def random_deff_distribution(
             f"distribution summary needs >= {MIN_DISTRIBUTION_SAMPLES} samples"
         )
     require_index_count(samples=samples)
-    if m.n < 3:
-        raise SampleSizeTooSmall(f"sample size {m.n} < 3")
+    require_sample_size(m.n)
     if isinstance(m.prior, FixedScale):
         point = random_deff(m, m.prior.tau)
         return DeffDistributionSummary(

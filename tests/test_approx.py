@@ -1,6 +1,7 @@
 """Gaussian KL, the conjugate dual-path identity, and the inflation audit."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,8 +16,14 @@ from effdim import (
     loewner_dominates,
     regression_mi,
 )
-from effdim import linalg
-from effdim.errors import DimensionMismatch, InputError, NotPositiveDefinite
+from effdim import approx as approx_module, linalg
+from effdim.errors import (
+    DimensionMismatch,
+    InputError,
+    NotPositiveDefinite,
+    NumericalError,
+    SampleSizeTooSmall,
+)
 
 from conftest import random_covariance
 
@@ -230,6 +237,25 @@ class TestAuditApproximation:
 
         with pytest.raises(SampleSizeTooSmall):
             audit_approximation(post, post, [[1.0]], 2)
+
+    def test_small_n_rejected_before_any_kl(self, monkeypatch):
+        def no_kl(*args):
+            raise AssertionError("a KL was formed before n was checked")
+
+        monkeypatch.setattr(approx_module, "_kl_to_prior", no_kl)
+        post = GaussianDistribution(mean=[0.0], cov=[[1.0]])
+        with pytest.raises(SampleSizeTooSmall):
+            audit_approximation(post, post, [[1.0]], -1)
+
+    def test_overflowing_kl_is_numerical_error(self):
+        exact = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))
+        huge = GaussianDistribution(mean=[0.0, 0.0], cov=np.diag([1e308, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="KL to the prior overflows"):
+                audit_approximation(exact, huge, np.eye(2), 10)
+            with pytest.raises(NumericalError, match="KL to the prior overflows"):
+                gaussian_kl(GaussianDistribution(mean=[1e200, 1e200], cov=np.eye(2)), np.eye(2))
 
 
 class TestDominatingDiagonal:

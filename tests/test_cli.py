@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,22 @@ class TestExitCodes:
     def test_oversized_counts_exit_two(self, args, message, capsys):
         code, _, err = run_cli(args, capsys)
         assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("n, code, message", [
+        ("10", 3, "numerical failure: KL to the prior overflows"),
+        ("-1", 2, "sample size -1 < 3"),
+    ], ids=["kl-overflow", "negative-n"])
+    def test_float_limit_approx_cov(self, n, code, message, tmp_path, capsys):
+        # classified where it is detected: no overflow warning, no inf at render time
+        write_matrix_csv(tmp_path / "eye2.csv", np.eye(2))
+        write_matrix_csv(tmp_path / "huge.csv", np.diag([1e308, 1e308]))
+        eye2, huge = str(tmp_path / "eye2.csv"), str(tmp_path / "huge.csv")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run_cli(["approx", "--exact-cov", eye2, "--approx-cov", huge,
+                                     "--prior-cov", eye2, "--n", n], capsys)
+        assert (got, out) == (code, "")
         assert message in err
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Effective dimension, spectral functionals, and their cross-checks."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -333,6 +334,63 @@ class TestSpectrumSequence:
         params[field] = bad
         with pytest.raises(InputError, match="must be finite"):
             SpectrumSequence(**params)
+
+    def test_budget_beyond_float_range_terms_rejected(self):
+        # (0.5 / (0.02 * 1e-10))^50 terms overflows a float
+        s = SpectrumSequence(decay_exponent=0.51, snr=1.0, truncation_error_budget=1e-10)
+        with pytest.raises(InputError, match="more than float-range terms"):
+            spectrum_sequence_mi(s)
+
+    def test_astronomical_term_count_is_fast(self):
+        s = SpectrumSequence(decay_exponent=0.6, snr=0.5, truncation_error_budget=1e-8)
+        start = time.perf_counter()
+        mi, bound, terms = spectrum_sequence_mi(s)
+        assert time.perf_counter() - start <= 1.0
+        assert terms >= 3e40
+        assert 0.0 < bound <= s.truncation_error_budget
+        assert math.isfinite(mi)
+
+
+class TestSpectrumSequenceSecondRoutes:
+    """The head-plus-tail partial sum against routes that share none of its code."""
+
+    @pytest.mark.parametrize("a", [0.6, 0.75, 1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("snr", [1e-3, 1.0, 10.0, 1e4])
+    def test_matches_brute_force(self, a, snr):
+        # the budget whose truncation point is about 1e6 terms; every case has
+        # modes past the directly summed head
+        margin = 2.0 * a - 1.0
+        s = SpectrumSequence(decay_exponent=a, snr=snr,
+                             truncation_error_budget=0.5 * snr / (margin * 1e6**margin))
+        mi, _, terms = spectrum_sequence_mi(s)
+        assert terms <= 2_000_000
+        j = np.arange(1, terms + 1, dtype=float)
+        brute = 0.5 * float(np.sum(np.log1p(snr * j ** (-2.0 * a))))
+        assert mi == pytest.approx(brute, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("snr", [0.25, 1.0, 4.0, 100.0])
+    def test_below_sinh_product_by_at_most_the_bound(self, snr):
+        # prod_j (1 + x^2 / (pi j)^2) = sinh(x) / x at x = pi sqrt(snr), and
+        # log(sinh(x) / x) = x + log1p(-e^(-2x)) - log(2x) for large x too
+        x = math.pi * math.sqrt(snr)
+        infinite_sum = 0.5 * (x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0 * x))
+        mi, bound, _ = spectrum_sequence_mi(
+            SpectrumSequence(decay_exponent=1.0, snr=snr, truncation_error_budget=1e-5))
+        assert 0.0 <= infinite_sum - mi <= bound
+
+    @pytest.mark.parametrize("a, snr, budget, reference", [
+        (1.0, 1.0, 1e-8, 0.65092318930185643889),
+        (0.75, 2.0, 1e-3, 2.0087969077266450597),
+        (0.6, 0.5, 1e-8, 1.3287947998362039088),
+        (2.0, 100.0, 1e-12, 4.035645048956512104),
+    ])
+    def test_matches_forty_digit_reference(self, a, snr, budget, reference):
+        # 1/2 sum_{j<=J} log1p(snr j^(-2a)) over the same J terms, computed with
+        # mpmath at 40 digits (direct head, Hurwitz-zeta power sums for the
+        # tail) and rounded to 20
+        mi, _, _ = spectrum_sequence_mi(
+            SpectrumSequence(decay_exponent=a, snr=snr, truncation_error_budget=budget))
+        assert mi == pytest.approx(reference, rel=1e-15, abs=0.0)
 
 
 class TestDeffRankBound:

@@ -99,6 +99,15 @@ class TestExpectedConditionalMi:
         est = expected_conditional_mi(m, 1_000_000, seed=31)
         assert abs(2.0 * est.estimate - oracle) <= 3.0 * (2.0 * est.std_error)
 
+    @pytest.mark.parametrize("tau, c", [(1.0, 100), (0.5, 10)])
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_half_cauchy_closed_form(self, tau, c, seed):
+        # E[1/2 log(1 + c lam^2)] = log(1 + tau sqrt(c)) for lam ~ half-Cauchy(tau),
+        # from int_0^(pi/2) log(1 + b^2 tan^2 phi) dphi = pi log(1 + b)
+        m = ScalarShrinkageModel(prior=HalfCauchy(tau), noise_var=1.0, n=c)
+        est = expected_conditional_mi(m, 200_000, seed=seed)
+        assert abs(est.estimate - math.log1p(tau * math.sqrt(c))) <= 5.0 * est.std_error
+
     def test_student_t_respects_jensen(self):
         m = ScalarShrinkageModel(
             prior=InverseGammaMixture(dof=4.0, scale_sq=1.0), noise_var=1.0, n=1
@@ -291,6 +300,22 @@ class TestRandomDeffDistribution:
             2.0 * cond.std_error / math.log(1000.0),
         )
         assert abs(summary.mean - translated) <= 3.0 * pooled
+
+    @pytest.mark.parametrize("tau, n, seed", [(1.0, 100, 21), (0.5, 10, 22), (2.0, 1000, 23)])
+    def test_half_cauchy_quantiles_within_rank_band(self, tau, n, seed):
+        # lam = tau tan(pi U / 2), so the q-quantile of d_eff is
+        # log1p(c tau^2 tan^2(pi q / 2)) / log n; the nearest-rank sample
+        # quantile sits between the exact quantiles at q -/+ 5 binomial SEs
+        m = ScalarShrinkageModel(prior=HalfCauchy(tau), noise_var=1.0, n=n)
+        samples = 20_000
+        summary = random_deff_distribution(m, samples, seed=seed)
+
+        def exact(q):
+            return math.log1p(m.c_snr * (tau * math.tan(0.5 * math.pi * q)) ** 2) / math.log(n)
+
+        for q, value in summary.quantiles.items():
+            half_width = 5.0 * math.sqrt(q * (1.0 - q) / samples)
+            assert exact(q - half_width) <= value <= exact(q + half_width), q
 
     def test_quantiles_sorted(self):
         m = ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=50)
