@@ -92,7 +92,7 @@ class ChannelSpectrum:
     """
 
     eigenvalues: np.ndarray
-    rank: int = field(default=-1)
+    rank: int = field(init=False)
 
     def __post_init__(self):
         vals = linalg.descending_clipped(np.asarray(self.eigenvalues, dtype=float))

@@ -18,6 +18,7 @@ mode's, and the df <= 2I <= snr * tr(X^T X) sandwich follows from
 u/(1+u) <= log(1+u) <= u applied mode by mode.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,6 +84,13 @@ class RidgeModel:
         """Per-mode signal-to-noise multiplier tau^2 / sigma^2."""
         return self.prior_var / self.noise_var
 
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, int]:
+        """``design_spectrum`` of the design, taken on first use and kept read-only."""
+        s_sq, rank = design_spectrum(self.design)
+        s_sq.flags.writeable = False
+        return s_sq, rank
+
     @property
     def n_obs(self) -> int:
         return self.design.shape[0]
@@ -117,9 +125,9 @@ class SpectrumSequence:
 class InfoReport:
     """All spectral functionals of one experiment at one sample size.
 
-    ``ridge_report`` takes one SVD of the design and stores its squared
-    singular values here; every derived number (MI, d_eff, df, r_info, the
-    sandwich and the rank bound on d_eff) is a transform of them.
+    ``ridge_report`` stores the model's read-only ``spectrum`` here; every
+    derived number (MI, d_eff, df, r_info, the sandwich and the rank bound
+    on d_eff) is a transform of it.
     """
 
     mi_nats: float
@@ -182,7 +190,7 @@ def regression_mi(m: RidgeModel) -> tuple[float, ChannelSpectrum]:
     This is the spectral route, independent of the Gaussian-channel
     log-determinant route it must agree with.
     """
-    s_sq, rank = design_spectrum(m.design)
+    s_sq, rank = m.spectrum
     spectrum = ChannelSpectrum(eigenvalues=m.snr_ratio * s_sq)
     return _spectral_mi(s_sq, rank, m.snr_ratio), spectrum
 
@@ -373,12 +381,13 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     defaults to the number of design rows but may be supplied independently
     to study d_eff(n) curves. When no mode carries signal (a zero prior
     variance, or an SNR that underflows) the report is all-zeros apart from
-    the design rank. The design is decomposed once;
+    the design rank. The spectrum is the model's ``spectrum``, so a model's
+    design is decomposed once however many reports are built from it;
     ``mi_df_sandwich`` and ``deff_rank_bound`` read their values from here.
     """
     if n is None:
         n = m.n_obs
-    s_sq, rank = design_spectrum(m.design)
+    s_sq, rank = m.spectrum
     mi = _spectral_mi(s_sq, rank, m.snr_ratio)
     d_eff = deff(mi, n)  # rejects n < 3 before log(n) divides below
     df = r_info = None

@@ -88,8 +88,15 @@ def require_sample_size(n: int) -> None:
         raise SampleSizeTooSmall(f"sample size {n} < 3")
 
 
-def require_index_count(**counts: int) -> None:
-    """Raise InputError naming the first of ``counts`` too large for an index."""
+def require_samples(what: str, minimum: int, **counts: int) -> None:
+    """Check the sample ``counts`` of the Monte Carlo routine ``what``.
+
+    Raises InsufficientSamples naming the first count below ``minimum``, then
+    InputError naming the first count too large for an array index.
+    """
+    for name, value in counts.items():
+        if value < minimum:
+            raise InsufficientSamples(f"{what} needs >= {minimum} {name}, got {value}")
     for name, value in counts.items():
         if value > sys.maxsize:
             raise InputError(

@@ -12,13 +12,16 @@ over fresh scale draws. That estimator is consistent but biased (the log of
 an unbiased average), which downstream acceptance checks absorb with a
 documented bias allowance.
 
-All routines follow the seed-partitioning contract in ``sampling``: fixed
-block sizes, one sub-seed per block, ordered merges. Identical seeds and
-sample counts reproduce estimates bit for bit, regardless of thread count.
-Log densities are evaluated from Cholesky factors: each estimator inverts its
-two lower factors once per call and whitens every block with a matrix
-product, so no block runs a linear solve. Nothing is ever computed in non-log
-space.
+Every Monte Carlo routine here and in ``shrinkage`` draws its blocks through
+``seeded_blocks``, the one place the seed-partitioning contract of
+``sampling`` is applied: fixed block sizes, one sub-seed per block, results
+merged in block order (``block_mean`` reduces them to an estimate).
+Identical seeds and sample counts reproduce estimates bit for bit,
+regardless of thread count. The channel-MI and Gaussian-KL oracles are one
+estimator, E_p[log p(x) - log q(x)] for two Gaussians (``_gaussian_log_ratio``):
+it inverts the two lower Cholesky factors once per call and whitens every
+block with a matrix product, so no block runs a linear solve. Nothing is
+ever computed in non-log space.
 """
 
 import math
@@ -29,7 +32,7 @@ import numpy as np
 from . import linalg
 from .approx import GaussianDistribution, _factor_prior
 from .channel import GaussianChannel
-from .errors import InsufficientSamples, NumericalError, require_index_count
+from .errors import NumericalError, require_samples
 from .priors import ScalarShrinkageModel
 from .sampling import (
     FLAT_BLOCK,
@@ -66,21 +69,60 @@ class McEstimate:
     inner_samples: int | None = None
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise InsufficientSamples("an estimate needs at least 2 samples")
+        require_samples("an estimate", 2, n_samples=self.n_samples)
         if self.std_error < 0:
             raise NumericalError("standard error must be nonnegative")
 
 
-def _estimate_from_moments(acc: MomentAccumulator, seed: int,
-                           inner_samples: int | None = None) -> McEstimate:
-    return McEstimate(
-        estimate=acc.mean,
-        std_error=acc.std_error,
-        n_samples=acc.count,
-        seed=seed,
-        inner_samples=inner_samples,
+def seeded_blocks(work, n_samples: int, block: int, seed: int, stream: int,
+                  n_threads: int = 1) -> list:
+    """``work(rng, size)`` for each seeded block of ``n_samples``, in block order.
+
+    The one place the seed-partitioning contract of ``sampling`` is applied:
+    fixed-size blocks, one generator per (stream, block) cell, and results
+    collected in block order whatever the thread count.
+    """
+    sizes = block_sizes(n_samples, block)
+    return map_blocks(lambda b: work(block_rng(seed, stream, b), sizes[b]),
+                      len(sizes), n_threads)
+
+
+def block_mean(values, n_samples: int, seed: int, stream: int, n_threads: int) -> McEstimate:
+    """Mean and standard error of ``values(rng, size)`` over FLAT_BLOCK blocks.
+
+    Each block reduces to its moments, which merge in block order.
+    """
+    acc = reduce_moments(seeded_blocks(
+        lambda rng, size: MomentAccumulator.from_block(values(rng, size)),
+        n_samples, FLAT_BLOCK, seed, stream, n_threads))
+    return McEstimate(estimate=acc.mean, std_error=acc.std_error, n_samples=acc.count, seed=seed)
+
+
+def _gaussian_log_ratio(draw, p_lower: np.ndarray, q_lower: np.ndarray, n_samples: int,
+                        seed: int, stream: int, n_threads: int) -> McEstimate:
+    """MC estimate of E_p[log p(x) - log q(x)] for Gaussians p and q.
+
+    ``p_lower`` and ``q_lower`` are the lower Cholesky factors of the two
+    covariances; ``draw(rng, size)`` samples x ~ p and returns the centred
+    draws (x - m_p, x - m_q), one row per sample. Both factors are inverted
+    once per call, so each block whitens with a matrix product.
+    """
+    half_logdet_gap = 0.5 * (
+        linalg.logdet_from_cholesky(q_lower) - linalg.logdet_from_cholesky(p_lower)
     )
+    eye = np.eye(p_lower.shape[0])
+    p_inv = linalg.solve_lower(p_lower, eye)
+    q_inv = linalg.solve_lower(q_lower, eye)
+
+    def values(rng, size):
+        from_p, from_q = draw(rng, size)
+        p_white = p_inv @ from_p.T
+        q_white = q_inv @ from_q.T
+        return half_logdet_gap + 0.5 * (
+            np.sum(q_white * q_white, axis=0) - np.sum(p_white * p_white, axis=0)
+        )
+
+    return block_mean(values, n_samples, seed, stream, n_threads)
 
 
 def estimate_channel_mi(
@@ -92,38 +134,20 @@ def estimate_channel_mi(
     log p(y | theta) - log p(y), with p(y | theta) = N(A theta, noise_cov)
     and p(y) = N(0, A S A^T + noise_cov), both evaluated analytically.
     """
-    if n_samples < MIN_ORACLE_SAMPLES:
-        raise InsufficientSamples(
-            f"channel MI oracle needs >= {MIN_ORACLE_SAMPLES} samples, got {n_samples}"
-        )
-    require_index_count(samples=n_samples)
+    require_samples("channel MI oracle", MIN_ORACLE_SAMPLES, samples=n_samples)
     prior_root = linalg.psd_sqrt(ch.prior_cov)
     marginal = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
     marginal_lower = linalg.cholesky_lower(0.5 * (marginal + marginal.T), "output covariance")
-    half_logdet_gap = 0.5 * (
-        linalg.logdet_from_cholesky(marginal_lower) - linalg.logdet_from_cholesky(ch.noise_lower)
-    )
-    eye = np.eye(ch.n_obs)
-    noise_inv = linalg.solve_lower(ch.noise_lower, eye)
-    marginal_inv = linalg.solve_lower(marginal_lower, eye)
-    sizes = block_sizes(n_samples, FLAT_BLOCK)
 
-    def worker(b: int) -> MomentAccumulator:
-        rng = block_rng(seed, STREAM_CHANNEL_MI, b)
-        nb = sizes[b]
-        theta = rng.standard_normal((nb, ch.dim)) @ prior_root
-        noise = rng.standard_normal((nb, ch.n_obs)) @ ch.noise_lower.T
+    def draw(rng, size):
+        theta = rng.standard_normal((size, ch.dim)) @ prior_root
+        noise = rng.standard_normal((size, ch.n_obs)) @ ch.noise_lower.T
         signal = theta @ ch.a.T
         y = signal + noise
-        resid_white = noise_inv @ (y - signal).T
-        y_white = marginal_inv @ y.T
-        contrib = half_logdet_gap + 0.5 * (
-            np.sum(y_white * y_white, axis=0) - np.sum(resid_white * resid_white, axis=0)
-        )
-        return MomentAccumulator.from_block(contrib)
+        return y - signal, y
 
-    acc = reduce_moments(map_blocks(worker, len(sizes), n_threads))
-    return _estimate_from_moments(acc, seed)
+    return _gaussian_log_ratio(draw, ch.noise_lower, marginal_lower, n_samples, seed,
+                               STREAM_CHANNEL_MI, n_threads)
 
 
 def estimate_gaussian_kl(
@@ -133,33 +157,15 @@ def estimate_gaussian_kl(
 
     Samples x ~ q and averages log q(x) - log prior(x).
     """
-    if n_samples < MIN_ORACLE_SAMPLES:
-        raise InsufficientSamples(
-            f"Gaussian KL oracle needs >= {MIN_ORACLE_SAMPLES} samples, got {n_samples}"
-        )
-    require_index_count(samples=n_samples)
+    require_samples("Gaussian KL oracle", MIN_ORACLE_SAMPLES, samples=n_samples)
     _, prior_lower = _factor_prior(prior_cov, q.dim)
-    half_logdet_gap = 0.5 * (
-        linalg.logdet_from_cholesky(prior_lower) - linalg.logdet_from_cholesky(q.lower)
-    )
-    eye = np.eye(q.dim)
-    q_inv = linalg.solve_lower(q.lower, eye)
-    prior_inv = linalg.solve_lower(prior_lower, eye)
-    sizes = block_sizes(n_samples, FLAT_BLOCK)
 
-    def worker(b: int) -> MomentAccumulator:
-        rng = block_rng(seed, STREAM_GAUSSIAN_KL, b)
-        x = q.mean + rng.standard_normal((sizes[b], q.dim)) @ q.lower.T
-        centered_white = q_inv @ (x - q.mean).T
-        prior_white = prior_inv @ x.T
-        contrib = half_logdet_gap + 0.5 * (
-            np.sum(prior_white * prior_white, axis=0)
-            - np.sum(centered_white * centered_white, axis=0)
-        )
-        return MomentAccumulator.from_block(contrib)
+    def draw(rng, size):
+        x = q.mean + rng.standard_normal((size, q.dim)) @ q.lower.T
+        return x - q.mean, x
 
-    acc = reduce_moments(map_blocks(worker, len(sizes), n_threads))
-    return _estimate_from_moments(acc, seed)
+    return _gaussian_log_ratio(draw, q.lower, prior_lower, n_samples, seed,
+                               STREAM_GAUSSIAN_KL, n_threads)
 
 
 def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray,
@@ -215,11 +221,11 @@ def _nested_mixture_pass(
     inner_samples: int,
     seed: int,
     n_threads: int = 1,
-) -> tuple[MomentAccumulator, MomentAccumulator, MomentAccumulator]:
+) -> tuple[McEstimate, McEstimate, McEstimate]:
     """Shared nested-MC sweep over the scale-mixture experiment.
 
     One joint outer draw (lam_i, theta_i, y_i) feeds three streaming
-    accumulators:
+    estimates (the first two record the inner count):
 
       t1 = log p(y | theta) - log phat(y)   -> marginal information about theta
       t2 = log p(y | lam)   - log phat(y)   -> information about the scale
@@ -228,28 +234,19 @@ def _nested_mixture_pass(
     phat is the same inner mixture average in t1 and t2, so the estimators
     share its bias and the chain-rule comparison cancels it exactly.
     """
-    if outer_samples < MIN_ORACLE_SAMPLES or inner_samples < MIN_ORACLE_SAMPLES:
-        raise InsufficientSamples(
-            f"nested estimator needs >= {MIN_ORACLE_SAMPLES} outer and inner samples"
-        )
-    require_index_count(samples=outer_samples, inner_samples=inner_samples)
+    require_samples("nested estimator", MIN_ORACLE_SAMPLES,
+                    samples=outer_samples, inner_samples=inner_samples)
     obs_var = m.obs_var
     c_snr = m.c_snr
-    inner_blocks = block_sizes(inner_samples, FLAT_BLOCK)
-    inner_lam = np.concatenate(
-        [m.prior.sample(block_rng(seed, STREAM_MIXTURE_INNER, b), nb)
-         for b, nb in enumerate(inner_blocks)]
-    )
+    inner_lam = np.concatenate(seeded_blocks(
+        m.prior.sample, inner_samples, FLAT_BLOCK, seed, STREAM_MIXTURE_INNER))
     mix_var = inner_lam * inner_lam + obs_var
     neg_half_prec = -0.5 / mix_var
     log_norm = -0.5 * np.log(2.0 * math.pi * mix_var)
     obs_sd = math.sqrt(obs_var)
     log_norm_cond = -0.5 * math.log(2.0 * math.pi * obs_var)
-    sizes = block_sizes(outer_samples, NESTED_OUTER_BLOCK)
 
-    def worker(b: int):
-        rng = block_rng(seed, STREAM_MIXTURE_OUTER, b)
-        nb = sizes[b]
+    def worker(rng, nb):
         lam = m.prior.sample(rng, nb)
         theta = lam * rng.standard_normal(nb)
         y = theta + obs_sd * rng.standard_normal(nb)
@@ -265,11 +262,14 @@ def _nested_mixture_pass(
             MomentAccumulator.from_block(0.5 * np.log1p(c_snr * lam * lam)),
         )
 
-    parts = map_blocks(worker, len(sizes), n_threads)
-    acc_theta = reduce_moments([p[0] for p in parts])
-    acc_lam = reduce_moments([p[1] for p in parts])
-    acc_cond = reduce_moments([p[2] for p in parts])
-    return acc_theta, acc_lam, acc_cond
+    parts = seeded_blocks(worker, outer_samples, NESTED_OUTER_BLOCK, seed,
+                          STREAM_MIXTURE_OUTER, n_threads)
+    estimates = []
+    for k, inner in enumerate((inner_samples, inner_samples, None)):
+        acc = reduce_moments([p[k] for p in parts])
+        estimates.append(McEstimate(estimate=acc.mean, std_error=acc.std_error,
+                                    n_samples=acc.count, seed=seed, inner_samples=inner))
+    return tuple(estimates)
 
 
 def estimate_mixture_marginal_mi(
@@ -285,5 +285,4 @@ def estimate_mixture_marginal_mi(
     draws, making the estimator consistent but biased; the inner count is
     recorded on the returned estimate.
     """
-    acc_theta, _, _ = _nested_mixture_pass(m, outer_samples, inner_samples, seed, n_threads)
-    return _estimate_from_moments(acc_theta, seed, inner_samples=inner_samples)
+    return _nested_mixture_pass(m, outer_samples, inner_samples, seed, n_threads)[0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionMismatch, InputError, require_finite, require_float_count
 
 
@@ -101,7 +102,7 @@ class HalfCauchy(ShrinkagePrior):
     """
 
     global_scale: float = 1.0
-    tail_certificate: TailCertificate | None = field(default=None)
+    tail_certificate: TailCertificate = field(init=False)
 
     def __post_init__(self):
         require_finite(global_scale=self.global_scale)
@@ -112,10 +113,6 @@ class HalfCauchy(ShrinkagePrior):
             "tail_certificate",
             TailCertificate(c_const=2.0 * self.global_scale / math.pi, alpha_exp=1.0, t0=1.0),
         )
-
-    @property
-    def second_moment(self) -> float:
-        return math.inf
 
     def sample(self, rng, size):
         return self.global_scale * np.abs(rng.standard_cauchy(size))
@@ -184,9 +181,7 @@ class GlobalLocalRegression:
     local_priors: tuple[ShrinkagePrior, ...]
 
     def __post_init__(self):
-        design = np.array(self.design, dtype=float)
-        if design.ndim != 2:
-            raise DimensionMismatch("design must be a 2-D matrix")
+        design = linalg.as_matrix(self.design, "design")
         require_finite(noise_var=self.noise_var)
         if self.noise_var <= 0:
             raise InputError("noise variance must be positive")

@@ -10,7 +10,9 @@ independent generator per fixed-size block of samples:
 Stream ids are fixed per operation (see STREAM_* constants), block sizes are
 fixed constants, and block results are merged in block order. Consequently
 results are a pure function of (seed, sample counts): independent of thread
-count, and bit-identical across re-runs.
+count, and bit-identical across re-runs. The estimators apply this contract
+in one place, ``oracle.seeded_blocks``, which alone calls ``block_sizes``,
+``block_rng`` and ``map_blocks``.
 
 Each block reduces to (count, mean, M2) in two passes: the mean, then the
 centered sum of squares about it. Both sums run in one fixed pairwise-tree

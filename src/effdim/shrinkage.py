@@ -24,30 +24,18 @@ import numpy as np
 
 from .dimension import regression_mi, RidgeModel
 from .channel import GaussianChannel, mutual_information
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    InsufficientSamples,
-    require_index_count,
-    require_sample_size,
-)
-from .oracle import McEstimate, _estimate_from_moments, _nested_mixture_pass
+from .errors import DimensionMismatch, InputError, require_sample_size, require_samples
+from .oracle import McEstimate, _nested_mixture_pass, block_mean, seeded_blocks
 from .priors import (
     FixedScale,
     GlobalLocalRegression,
     ScalarShrinkageModel,
     TailCertificate,
 )
-from .sampling import (
-    FLAT_BLOCK,
-    STREAM_COND_MI,
-    STREAM_DEFF_DIST,
-    MomentAccumulator,
-    block_rng,
-    block_sizes,
-    map_blocks,
-    reduce_moments,
-)
+from .sampling import FLAT_BLOCK, STREAM_COND_MI, STREAM_DEFF_DIST, MomentAccumulator
+
+# not called here: bench/tracing.py patches these names on this module
+from .sampling import block_rng, map_blocks, reduce_moments  # noqa: F401
 
 #: Documented bias allowance (nats) for nested log-of-average estimators.
 NESTED_BIAS_ALLOWANCE = 0.01
@@ -111,22 +99,16 @@ def expected_conditional_mi(
     A deterministic (fixed-scale) prior short-circuits to the exact value
     with zero standard error.
     """
-    if samples < MIN_EXPECTED_MI_SAMPLES:
-        raise InsufficientSamples(
-            f"expected conditional MI needs >= {MIN_EXPECTED_MI_SAMPLES} samples"
-        )
-    require_index_count(samples=samples)
+    require_samples("expected conditional MI", MIN_EXPECTED_MI_SAMPLES, samples=samples)
     if isinstance(m.prior, FixedScale):
         exact = conditional_mi(m, m.prior.tau)
         return McEstimate(estimate=exact, std_error=0.0, n_samples=samples, seed=seed)
-    sizes = block_sizes(samples, FLAT_BLOCK)
 
-    def worker(b: int) -> MomentAccumulator:
-        lam = m.prior.sample(block_rng(seed, STREAM_COND_MI, b), sizes[b])
-        return MomentAccumulator.from_block(0.5 * np.log1p(m.c_snr * lam * lam))
+    def values(rng, size):
+        lam = m.prior.sample(rng, size)
+        return 0.5 * np.log1p(m.c_snr * lam * lam)
 
-    acc = reduce_moments(map_blocks(worker, len(sizes), n_threads))
-    return _estimate_from_moments(acc, seed)
+    return block_mean(values, samples, seed, STREAM_COND_MI, n_threads)
 
 
 def jensen_bound(m: ScalarShrinkageModel) -> float | None:
@@ -171,12 +153,9 @@ def chain_decomposition(
     comparison cancels the nested estimator's bias. ``bound_satisfied``
     allows 3 pooled standard errors plus NESTED_BIAS_ALLOWANCE nats of slack.
     """
-    acc_theta, acc_lam, acc_cond = _nested_mixture_pass(
+    i_theta, i_lam, e_cond = _nested_mixture_pass(
         m, outer_samples, inner_samples, seed, n_threads
     )
-    i_theta = _estimate_from_moments(acc_theta, seed, inner_samples=inner_samples)
-    i_lam = _estimate_from_moments(acc_lam, seed, inner_samples=inner_samples)
-    e_cond = _estimate_from_moments(acc_cond, seed)
     pooled_se = math.sqrt(
         i_theta.std_error**2 + i_lam.std_error**2 + e_cond.std_error**2
     )
@@ -228,11 +207,7 @@ def random_deff_distribution(
     with the mean, standard deviation, and nearest-rank quantiles (rank
     ceil(q*N) of the sorted sample, a deterministic convention).
     """
-    if samples < MIN_DISTRIBUTION_SAMPLES:
-        raise InsufficientSamples(
-            f"distribution summary needs >= {MIN_DISTRIBUTION_SAMPLES} samples"
-        )
-    require_index_count(samples=samples)
+    require_samples("distribution summary", MIN_DISTRIBUTION_SAMPLES, samples=samples)
     require_sample_size(m.n)
     if isinstance(m.prior, FixedScale):
         point = random_deff(m, m.prior.tau)
@@ -244,13 +219,13 @@ def random_deff_distribution(
             seed=seed,
         )
     log_n = math.log(m.n)
-    sizes = block_sizes(samples, FLAT_BLOCK)
 
-    def worker(b: int) -> np.ndarray:
-        lam = m.prior.sample(block_rng(seed, STREAM_DEFF_DIST, b), sizes[b])
+    def worker(rng, size):
+        lam = m.prior.sample(rng, size)
         return np.log1p(m.c_snr * lam * lam) / log_n
 
-    values = np.concatenate(map_blocks(worker, len(sizes), n_threads))
+    values = np.concatenate(
+        seeded_blocks(worker, samples, FLAT_BLOCK, seed, STREAM_DEFF_DIST, n_threads))
     acc = MomentAccumulator.from_block(values)
     ordered = np.sort(values)
     quantiles = {

@@ -24,7 +24,7 @@ from effdim.errors import (
     SingularReparameterization,
 )
 
-from effdim.channel import EVALUATION_MODES
+from effdim.channel import EVALUATION_MODES, ChannelSpectrum
 
 from conftest import random_channel, random_covariance, random_invertible
 
@@ -147,6 +147,11 @@ class TestWhitenedSpectrum:
             assert np.all(vals >= 0)
             assert spec.rank == np.count_nonzero(vals)
             assert spec.rank <= min(ch.n_obs, ch.dim)
+
+    def test_rank_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            ChannelSpectrum(eigenvalues=[2.0, 1.0], rank=5)
+        assert ChannelSpectrum(eigenvalues=[2.0, 1.0, 0.0]).rank == 2
 
 
 class TestMutualInformation:

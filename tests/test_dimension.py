@@ -465,6 +465,31 @@ class TestRidgeReport:
         assert calls == [(9, 4)]
         assert report.sandwich_lower == report.df
 
+    def test_one_design_spectrum_per_model(self, monkeypatch):
+        calls = []
+        original = dimension.design_spectrum
+
+        def counting(design):
+            calls.append(design.shape)
+            return original(design)
+
+        monkeypatch.setattr(dimension, "design_spectrum", counting)
+        x = np.random.default_rng(6).standard_normal((9, 4))
+        model = RidgeModel(design=x, noise_var=1.0, prior_var=0.7)
+        assert calls == []  # taken on first use, not at construction
+        report = ridge_report(model)
+        assert deff_rank_bound(model, report.n) == report.rank_bound
+        assert mi_df_sandwich(model)[1] == 2.0 * report.mi_nats
+        assert regression_mi(model)[0] == report.mi_nats
+        assert calls == [(9, 4)]
+
+    def test_stored_spectrum_is_read_only(self):
+        model = RidgeModel(design=np.eye(3), noise_var=1.0, prior_var=1.0)
+        report = ridge_report(model, 10)
+        with pytest.raises(ValueError, match="read-only"):
+            report.singular_values_sq[0] = 5.0
+        assert model.spectrum[0][0] == 1.0
+
     def test_rank_bound_matches_public_function(self):
         rng = np.random.default_rng(5)
         for prior_var in (0.0, 0.3, 2.0):

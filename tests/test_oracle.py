@@ -1,7 +1,11 @@
 """Monte Carlo oracles: exactness cases, coverage, and determinism."""
 
+import importlib
 import math
+import re
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,16 +17,19 @@ from effdim import (
     HalfCauchy,
     InverseGammaMixture,
     ScalarShrinkageModel,
+    chain_decomposition,
     estimate_channel_mi,
     estimate_gaussian_kl,
     estimate_mixture_marginal_mi,
+    expected_conditional_mi,
     gaussian_kl,
     mutual_information,
+    random_deff_distribution,
 )
-from effdim import linalg
+from effdim import linalg, oracle, sampling
 from effdim.errors import DimensionMismatch, InputError, InsufficientSamples
-from effdim.oracle import _log_mixture_marginal
-from effdim.sampling import FLAT_BLOCK, NESTED_OUTER_BLOCK
+from effdim.oracle import McEstimate, _log_mixture_marginal, block_mean, seeded_blocks
+from effdim.sampling import FLAT_BLOCK, NESTED_OUTER_BLOCK, block_rng
 
 from conftest import random_channel, random_covariance
 
@@ -272,3 +279,87 @@ class TestDeterminism:
         a = estimate_channel_mi(ch, 20_000, seed=1)
         b = estimate_channel_mi(ch, 20_000, seed=2)
         assert a.estimate != b.estimate
+
+
+class TestSeededBlocks:
+    def test_blocks_in_order_with_their_own_generators(self):
+        got = seeded_blocks(lambda rng, size: (size, rng.standard_normal(3)),
+                            2 * FLAT_BLOCK + 5, FLAT_BLOCK, seed=4, stream=9, n_threads=2)
+        assert [size for size, _ in got] == [FLAT_BLOCK, FLAT_BLOCK, 5]
+        for b, (_, draws) in enumerate(got):
+            np.testing.assert_array_equal(draws, block_rng(4, 9, b).standard_normal(3))
+
+    def test_block_mean_is_thread_independent(self):
+        def values(rng, size):
+            return rng.standard_normal(size)
+
+        one = block_mean(values, 3 * FLAT_BLOCK + 1, seed=2, stream=9, n_threads=1)
+        two = block_mean(values, 3 * FLAT_BLOCK + 1, seed=2, stream=9, n_threads=2)
+        assert one == two and one.n_samples == 3 * FLAT_BLOCK + 1
+
+    def test_shrinkage_blocks_are_seeded_through_oracle(self, monkeypatch):
+        # the benchmark's spans count blocks at oracle.block_rng
+        blocks = []
+        original = oracle.block_rng
+
+        def counting(seed, stream, block):
+            blocks.append((stream, block))
+            return original(seed, stream, block)
+
+        monkeypatch.setattr(oracle, "block_rng", counting)
+        m = ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=10)
+        expected_conditional_mi(m, 2 * FLAT_BLOCK + 1, seed=1, n_threads=2)
+        random_deff_distribution(m, FLAT_BLOCK + 1, seed=1)
+        assert [b for _, b in blocks] == [0, 1, 2, 0, 1]
+
+
+def _channel():
+    return GaussianChannel(a=[[1.0]], prior_cov=[[1.0]], noise_cov=[[1.0]])
+
+
+def _model():
+    return ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=10)
+
+
+class TestMinimumSamples:
+    """Every estimator rejects a short run with the same message shape."""
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: estimate_channel_mi(_channel(), 9_999, seed=0),
+         "channel MI oracle needs >= 10000 samples, got 9999"),
+        (lambda: estimate_gaussian_kl(GaussianDistribution(mean=[0.0], cov=[[1.0]]), [[1.0]],
+                                      100, seed=0),
+         "Gaussian KL oracle needs >= 10000 samples, got 100"),
+        (lambda: estimate_mixture_marginal_mi(_model(), 9_000, 10_000, seed=0),
+         "nested estimator needs >= 10000 samples, got 9000"),
+        (lambda: chain_decomposition(_model(), 10_000, 500, seed=0),
+         "nested estimator needs >= 10000 inner_samples, got 500"),
+        (lambda: expected_conditional_mi(_model(), 999, seed=0),
+         "expected conditional MI needs >= 1000 samples, got 999"),
+        (lambda: random_deff_distribution(_model(), 9_999, seed=0),
+         "distribution summary needs >= 10000 samples, got 9999"),
+        (lambda: McEstimate(estimate=0.0, std_error=0.0, n_samples=1, seed=0),
+         "an estimate needs >= 2 n_samples, got 1"),
+    ], ids=["channel-mi", "gaussian-kl", "mixture-outer", "chain-inner", "expected-mi",
+            "deff-distribution", "estimate"])
+    def test_short_run_rejected(self, call, message):
+        with pytest.raises(InsufficientSamples, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_oversized_inner_count_rejected(self):
+        with pytest.raises(InputError, match="^inner_samples is too large for an array index"):
+            estimate_mixture_marginal_mi(_model(), 10_000, 10**30, seed=0)
+
+
+def test_benchmark_hook_names_exist(monkeypatch):
+    # bench/tracing.py looks every patched name up with vars(owner)[name], so
+    # a refactor that drops one breaks the traced benchmark with a KeyError
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    try:
+        tracing = importlib.import_module("tracing")
+        with tracing.instrument(tracing.Tracer()):
+            assert oracle.block_rng is not sampling.block_rng
+    finally:
+        for name in ("tracing", "harness", "workloads"):
+            sys.modules.pop(name, None)
+    assert oracle.block_rng is sampling.block_rng

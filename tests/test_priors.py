@@ -79,6 +79,10 @@ class TestHalfCauchy:
                 exact = (2.0 / math.pi) * math.atan(tau_g / t)
                 assert exact <= cert.c_const * t ** (-cert.alpha_exp) + 1e-15
 
+    def test_certificate_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            HalfCauchy(1.0, tail_certificate=TailCertificate(c_const=9.0, alpha_exp=1.0))
+
     def test_median_is_global_scale(self):
         rng = np.random.default_rng(5)
         lam = HalfCauchy(2.0).sample(rng, 200_000)
@@ -150,3 +154,14 @@ class TestModels:
                 design=np.ones((3, 4)), noise_var=1.0,
                 local_priors=(FixedScale(1.0),) * 3,
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_global_local_rejects_non_finite_design(self, bad):
+        with pytest.raises(InputError, match="design has non-finite entries"):
+            GlobalLocalRegression(design=[[bad, 1.0]], noise_var=1.0,
+                                  local_priors=HalfCauchy(1.0))
+
+    def test_global_local_rejects_non_matrix_design(self):
+        with pytest.raises(DimensionMismatch):
+            GlobalLocalRegression(design=[1.0, 2.0], noise_var=1.0,
+                                  local_priors=HalfCauchy(1.0))
