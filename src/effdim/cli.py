@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, default=100_000,
                            help="Monte Carlo sample count")
             p.add_argument("--threads", type=int, default=1,
-                           help="execution hint; never changes results")
+                           help="execution hint, at least 1; never changes results")
 
     def add_prior(p, required):
         p.add_argument("--prior", choices=list(PRIORS), required=required,
@@ -472,6 +472,8 @@ def main(argv=None) -> int:
         return code
     # any other exception is a bug and surfaces as a traceback
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise InputError(f"--threads must be at least 1, got {args.threads}")
         text, code = COMMANDS[args.command](args)
         _write_output(text, args.out)
     except InputError as exc:

@@ -19,9 +19,9 @@ merged in block order (``block_mean`` reduces them to an estimate).
 Identical seeds and sample counts reproduce estimates bit for bit,
 regardless of thread count. The channel-MI and Gaussian-KL oracles are one
 estimator, E_p[log p(x) - log q(x)] for two Gaussians (``_gaussian_log_ratio``):
-it inverts the two lower Cholesky factors once per call and whitens every
-block with a matrix product, so no block runs a linear solve. Nothing is
-ever computed in non-log space.
+p's whitened draw is its own standard-normal vector, so only q's side is
+whitened, through maps built by one triangular solve per call; no block runs
+a linear solve. Nothing is ever computed in non-log space.
 """
 
 import math
@@ -98,28 +98,43 @@ def block_mean(values, n_samples: int, seed: int, stream: int, n_threads: int) -
     return McEstimate(estimate=acc.mean, std_error=acc.std_error, n_samples=acc.count, seed=seed)
 
 
-def _gaussian_log_ratio(draw, p_lower: np.ndarray, q_lower: np.ndarray, n_samples: int,
-                        seed: int, stream: int, n_threads: int) -> McEstimate:
+def _gaussian_log_ratio(q_lower: np.ndarray, offset: np.ndarray, factors: list,
+                        n_samples: int, seed: int, stream: int, n_threads: int) -> McEstimate:
     """MC estimate of E_p[log p(x) - log q(x)] for Gaussians p and q.
 
-    ``p_lower`` and ``q_lower`` are the lower Cholesky factors of the two
-    covariances; ``draw(rng, size)`` samples x ~ p and returns the centred
-    draws (x - m_p, x - m_q), one row per sample. Both factors are inverted
-    once per call, so each block whitens with a matrix product.
+    Each block draws standard normals z_1, ..., z_k in that order, z_i with
+    ``factors[i].shape[1]`` columns per sample, and x ~ p is written as
+    x - m_q = offset + sum_i F_i z_i with F_i = ``factors[i]``. The last
+    factor is the lower Cholesky factor of p's covariance and x - m_p = F_k z_k,
+    so z_k is p's whitened draw as it stands. q's whitened draw is
+    w = L_q^-1 (x - m_q) = c + sum_i M_i z_i, whose maps c = L_q^-1 offset and
+    M_i = L_q^-1 F_i come from one ``solve_lower`` per call. Then
+
+        log p(x) - log q(x) = 1/2 log(det S_q / det S_p) + 1/2 (|w|^2 - |z_k|^2),
+
+    so a block costs one small matrix product per draw and two row dot products.
     """
     half_logdet_gap = 0.5 * (
-        linalg.logdet_from_cholesky(q_lower) - linalg.logdet_from_cholesky(p_lower)
+        linalg.logdet_from_cholesky(q_lower) - linalg.logdet_from_cholesky(factors[-1])
     )
-    eye = np.eye(p_lower.shape[0])
-    p_inv = linalg.solve_lower(p_lower, eye)
-    q_inv = linalg.solve_lower(q_lower, eye)
+    widths = [f.shape[1] for f in factors]
+    splits = np.cumsum(widths)[:-1]
+    whitened = linalg.solve_lower(q_lower, np.column_stack([offset, *factors]))
+    shift = whitened[:, 0]
+    maps = [m.T for m in np.split(whitened[:, 1:], splits, axis=1)]
 
     def values(rng, size):
-        from_p, from_q = draw(rng, size)
-        p_white = p_inv @ from_p.T
-        q_white = q_inv @ from_q.T
+        # one draw of every normal in the block is the same stream as one
+        # draw per factor, in factor order
+        normals = rng.standard_normal(size * sum(widths))
+        draws = [part.reshape(size, -1) for part in np.split(normals, size * splits)]
+        w = draws[0] @ maps[0]
+        for z, m in zip(draws[1:], maps[1:]):
+            w += z @ m
+        w += shift
+        own = draws[-1]
         return half_logdet_gap + 0.5 * (
-            np.sum(q_white * q_white, axis=0) - np.sum(p_white * p_white, axis=0)
+            np.einsum("ij,ij->i", w, w) - np.einsum("ij,ij->i", own, own)
         )
 
     return block_mean(values, n_samples, seed, stream, n_threads)
@@ -132,21 +147,16 @@ def estimate_channel_mi(
 
     Draws (theta, y) from the joint law and averages
     log p(y | theta) - log p(y), with p(y | theta) = N(A theta, noise_cov)
-    and p(y) = N(0, A S A^T + noise_cov), both evaluated analytically.
+    and p(y) = N(0, A S A^T + noise_cov), both evaluated analytically. Each
+    block draws the prior normals z_theta, then the noise normals z_noise:
+    y = A S^1/2 z_theta + L_noise z_noise, and z_noise whitens p(y | theta).
     """
     require_samples("channel MI oracle", MIN_ORACLE_SAMPLES, samples=n_samples)
     prior_root = linalg.psd_sqrt(ch.prior_cov)
     marginal = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
     marginal_lower = linalg.cholesky_lower(0.5 * (marginal + marginal.T), "output covariance")
-
-    def draw(rng, size):
-        theta = rng.standard_normal((size, ch.dim)) @ prior_root
-        noise = rng.standard_normal((size, ch.n_obs)) @ ch.noise_lower.T
-        signal = theta @ ch.a.T
-        y = signal + noise
-        return y - signal, y
-
-    return _gaussian_log_ratio(draw, ch.noise_lower, marginal_lower, n_samples, seed,
+    return _gaussian_log_ratio(marginal_lower, np.zeros(ch.n_obs),
+                               [ch.a @ prior_root, ch.noise_lower], n_samples, seed,
                                STREAM_CHANNEL_MI, n_threads)
 
 
@@ -155,16 +165,11 @@ def estimate_gaussian_kl(
 ) -> McEstimate:
     """Unbiased MC estimate of KL(q || N(0, prior_cov)).
 
-    Samples x ~ q and averages log q(x) - log prior(x).
+    Samples x = q.mean + q.lower z and averages log q(x) - log prior(x).
     """
     require_samples("Gaussian KL oracle", MIN_ORACLE_SAMPLES, samples=n_samples)
     _, prior_lower = _factor_prior(prior_cov, q.dim)
-
-    def draw(rng, size):
-        x = q.mean + rng.standard_normal((size, q.dim)) @ q.lower.T
-        return x - q.mean, x
-
-    return _gaussian_log_ratio(draw, q.lower, prior_lower, n_samples, seed,
+    return _gaussian_log_ratio(prior_lower, q.mean, [q.lower], n_samples, seed,
                                STREAM_GAUSSIAN_KL, n_threads)
 
 

@@ -35,29 +35,31 @@ def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
 
 
 def parse_matrix_csv(text: str) -> np.ndarray:
-    """Parse matrix CSV text; raises CsvFormatError with line/column context."""
-    rows: list[list[float]] = []
-    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    """Parse matrix CSV text; raises CsvFormatError with line/column context.
+
+    Blank lines are skipped; line numbers in errors count them, so they name
+    the line of the file.
+    """
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip() != ""]
     if not lines:
         raise CsvFormatError("empty CSV: no rows found")
-    start = 0
-    first_cells = [c.strip() for c in lines[0].split(",")]
     try:
-        [float(c) for c in first_cells]
+        [float(c) for c in lines[0][1].split(",")]
     except ValueError:
-        start = 1  # header row
-    if start == len(lines):
+        lines = lines[1:]  # header row
+    if not lines:
         raise CsvFormatError("CSV contains only a header row")
     width = None
-    for idx in range(start, len(lines)):
-        cells = [c.strip() for c in lines[idx].split(",")]
+    rows: list[list[float]] = []
+    for line_no, line in lines:
+        cells = [c.strip() for c in line.split(",")]
         if width is None:
             width = len(cells)
         elif len(cells) != width:
             raise CsvFormatError(
-                f"row at line {idx + 1} has {len(cells)} cells, expected {width}"
+                f"row at line {line_no} has {len(cells)} cells, expected {width}"
             )
-        rows.append([_parse_cell(c, idx + 1, j + 1) for j, c in enumerate(cells)])
+        rows.append([_parse_cell(c, line_no, j + 1) for j, c in enumerate(cells)])
     return np.array(rows, dtype=float)
 
 

@@ -23,6 +23,11 @@ single-threaded and multi-threaded paths execute the identical float sequence
 on every thread count and platform.
 """
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -138,15 +143,81 @@ class MomentAccumulator:
         return float(np.sqrt(self.variance / self.count))
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    Looked up once, on first use, among the OpenBLAS libraries mapped into
+    this process (numpy's wheels bundle ``scipy_openblas``).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pools = 0
+_blas_saved = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the loaded OpenBLAS at one thread while any pool runs.
+
+    The count read when the first of any concurrent or nested pools starts is
+    restored when the last one ends, also when a worker raises. Without an
+    OpenBLAS setter this does nothing.
+    """
+    global _blas_pools, _blas_saved
+    with _blas_lock:
+        hooks = _openblas_threads()
+        if hooks is not None and _blas_pools == 0:
+            _blas_saved = hooks[0]()
+            hooks[1](1)
+        _blas_pools += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pools -= 1
+            if hooks is not None and _blas_pools == 0:
+                hooks[1](_blas_saved)
+
+
 def map_blocks(worker, n_blocks: int, n_threads: int = 1) -> list:
     """Run ``worker(block_index)`` for every block, results in block order.
 
     Thread count is an execution hint only: the block structure and merge
-    order are fixed, so results do not depend on it.
+    order are fixed, so results do not depend on it. The pool has at most one
+    worker per usable CPU, and while it runs the loaded OpenBLAS is set to one
+    thread for the whole process (``_one_blas_thread``), so the workers' matrix
+    products do not start BLAS threads of their own on top of the pool.
     """
-    if n_threads <= 1 or n_blocks <= 1:
+    workers = min(n_threads, n_blocks, _usable_cpus())
+    if workers <= 1:
         return [worker(b) for b in range(n_blocks)]
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(n_blocks)))
 
 

@@ -470,8 +470,16 @@ class TestExitCodes:
          "must be finite"),
         (["regression", "--design", "{binary}", "--tau2", "1", "--sigma2", "1"],
          "cannot read"),
+        (["oracle", "--kind", "gaussian-kl", "--mean", "{mean2}", "--cov", "{eye2}",
+          "--prior-cov", "{eye2}", "--samples", "10000", "--seed", "1", "--threads", "0"],
+         "--threads must be at least 1, got 0"),
+        (["shrinkage", "--prior", "fixed", "--tau", "1", "--n", "10", "--seed", "1",
+          "--threads", "-1"], "--threads must be at least 1, got -1"),
+        (["location", "--tau2", "1", "--sigma2", "1", "--n", "10", "--threads", "0"],
+         "--threads must be at least 1, got 0"),
     ], ids=["approx-zero-prior", "approx-indefinite-prior", "kl-indefinite-prior",
-            "kl-prior-size", "negative-seed", "snr-trace-overflow", "non-utf8-csv"])
+            "kl-prior-size", "negative-seed", "snr-trace-overflow", "non-utf8-csv",
+            "oracle-zero-threads", "shrinkage-negative-threads", "location-zero-threads"])
     def test_input_faults_exit_two(self, args, message, tmp_path, capsys):
         files = {"eye1": np.eye(1), "eye2": np.eye(2), "zero2": np.zeros((2, 2)),
                  "indefinite2": np.diag([1.0, -1.0]), "mean2": np.zeros((1, 2))}

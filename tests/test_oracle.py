@@ -116,7 +116,7 @@ class TestGaussianKlOracle:
 
 
 class TestWhitening:
-    """Each flat oracle inverts its two factors once per call, not per block."""
+    """Each flat oracle runs one triangular solve per call, not per block."""
 
     @pytest.fixture()
     def solves(self, monkeypatch):
@@ -133,13 +133,65 @@ class TestWhitening:
     def test_channel_mi_solves_once_per_call(self, solves):
         ch = random_channel(np.random.default_rng(8))
         estimate_channel_mi(ch, 3 * FLAT_BLOCK, seed=8, n_threads=2)
-        assert solves == [(ch.n_obs, ch.n_obs)] * 2
+        assert solves == [(ch.n_obs, 1 + ch.dim + ch.n_obs)]
 
     def test_gaussian_kl_solves_once_per_call(self, solves):
         rng = np.random.default_rng(9)
         q = GaussianDistribution(mean=rng.standard_normal(3), cov=random_covariance(rng, 3))
         estimate_gaussian_kl(q, random_covariance(rng, 3), 3 * FLAT_BLOCK, seed=9)
-        assert solves == [(3, 3)] * 2
+        assert solves == [(3, 1 + 3)]
+
+
+def _block_values(monkeypatch, estimate, size):
+    """Per-sample log ratios of block 0 of ``estimate()``, and that block's generator."""
+    captured = {}
+
+    def capture(values, n_samples, seed, stream, n_threads):
+        captured.update(values=values, seed=seed, stream=stream)
+        return McEstimate(estimate=0.0, std_error=0.0, n_samples=n_samples, seed=seed)
+
+    monkeypatch.setattr(oracle, "block_mean", capture)
+    estimate()
+    values = captured["values"](block_rng(captured["seed"], captured["stream"], 0), size)
+    return values, block_rng(captured["seed"], captured["stream"], 0)
+
+
+def _assert_log_ratio(values, log_p, log_q):
+    # a difference of two logs is exact only to the rounding of its terms
+    np.testing.assert_array_less(np.abs(values - (log_p - log_q)),
+                                 1e-12 * (np.abs(log_p) + np.abs(log_q)))
+
+
+class TestLogRatioSecondRoute:
+    """Per-sample values equal log N(x; m_p, S_p) - log N(x; m_q, S_q) evaluated directly."""
+
+    def test_channel_block(self, monkeypatch):
+        from scipy.stats import multivariate_normal
+
+        ch = random_channel(np.random.default_rng(21), max_dim=8)
+        size = 2048
+        values, rng = _block_values(
+            monkeypatch, lambda: estimate_channel_mi(ch, FLAT_BLOCK, seed=21), size)
+        signal = rng.standard_normal((size, ch.dim)) @ linalg.psd_sqrt(ch.prior_cov) @ ch.a.T
+        y = signal + rng.standard_normal((size, ch.n_obs)) @ ch.noise_lower.T
+        marginal = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
+        log_p = multivariate_normal(np.zeros(ch.n_obs), ch.noise_cov).logpdf(y - signal)
+        log_q = multivariate_normal(np.zeros(ch.n_obs), marginal).logpdf(y)
+        _assert_log_ratio(values, log_p, log_q)
+
+    def test_gaussian_kl_block(self, monkeypatch):
+        from scipy.stats import multivariate_normal
+
+        rng = np.random.default_rng(22)
+        q = GaussianDistribution(mean=rng.standard_normal(5), cov=random_covariance(rng, 5))
+        prior = random_covariance(rng, 5)
+        size = 2048
+        values, rng = _block_values(
+            monkeypatch, lambda: estimate_gaussian_kl(q, prior, FLAT_BLOCK, seed=22), size)
+        x = q.mean + rng.standard_normal((size, q.dim)) @ q.lower.T
+        log_p = multivariate_normal(q.mean, q.cov).logpdf(x)
+        log_q = multivariate_normal(np.zeros(q.dim), prior).logpdf(x)
+        _assert_log_ratio(values, log_p, log_q)
 
 
 class TestMixtureMarginalOracle:

@@ -55,6 +55,14 @@ class TestMatrixCsv:
         with pytest.raises(CsvFormatError, match="line 2, column 2"):
             parse_matrix_csv("1,2\n3,oops\n")
 
+    def test_ragged_row_after_blank_lines_names_file_line(self):
+        with pytest.raises(CsvFormatError, match="^row at line 6 has 3 cells, expected 2$"):
+            parse_matrix_csv("a,b\n\n1,2\n\n   \n1,2,3\n")
+
+    def test_bad_cell_after_blank_lines_names_file_line(self):
+        with pytest.raises(CsvFormatError, match="line 5, column 2$"):
+            parse_matrix_csv("a,b\n\n\n1,2\n1,x\n")
+
     def test_empty_rejected(self):
         with pytest.raises(CsvFormatError):
             parse_matrix_csv("")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from effdim import sampling
 from effdim.sampling import (
     FLAT_BLOCK,
     MomentAccumulator,
@@ -39,6 +40,79 @@ class TestBlockStructure:
         threaded = map_blocks(worker, 16, n_threads=8)
         for a, b in zip(serial, threaded):
             np.testing.assert_array_equal(a, b)
+
+
+class _RecordingPool:
+    """Stands in for ThreadPoolExecutor: records max_workers, runs in this thread."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestPool:
+    def test_workers_clamped_to_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "requested", [])
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
+        assert map_blocks(lambda b: b, 64, n_threads=10**6) == list(range(64))
+        assert _RecordingPool.requested == [3]
+
+    def test_one_usable_cpu_runs_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "requested", [])
+        monkeypatch.setattr(sampling, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 1)
+        assert map_blocks(lambda b: b, 4, n_threads=8) == [0, 1, 2, 3]
+        assert _RecordingPool.requested == []
+
+    @pytest.fixture()
+    def blas(self, monkeypatch):
+        """OpenBLAS (get, set) hooks, with its count at 2 so that 1 is a change."""
+        hooks = sampling._openblas_threads()
+        if hooks is None:
+            pytest.skip("no OpenBLAS thread-count setter in this process")
+        get, put = hooks
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        original = get()
+        put(2)
+        yield get
+        put(original)
+
+    def test_blas_single_threaded_inside_workers_and_restored(self, blas):
+        before = blas()
+        assert map_blocks(lambda b: blas(), 4, n_threads=2) == [1] * 4
+        assert blas() == before
+
+    def test_blas_restored_when_a_worker_raises(self, blas):
+        before = blas()
+
+        def worker(b):
+            if b == 2:
+                raise RuntimeError("block 2 failed")
+            return blas()
+
+        with pytest.raises(RuntimeError, match="block 2 failed"):
+            map_blocks(worker, 4, n_threads=2)
+        assert blas() == before
+
+    def test_nested_pools_restore_the_original_count(self, blas):
+        before = blas()
+
+        def outer(b):
+            return map_blocks(lambda c: blas(), 2, n_threads=2) + [blas()]
+
+        assert map_blocks(outer, 2, n_threads=2) == [[1, 1, 1]] * 2
+        assert blas() == before
 
 
 def tree_sum_reference(xs: list[float]) -> float:
