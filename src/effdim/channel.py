@@ -21,6 +21,7 @@ used throughout the library: deterministic linear coarsening of the data
 the parameter (never changes it).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,8 +46,9 @@ class GaussianChannel:
     Covariances are symmetrized at ingestion (rejected above 1e-12 relative
     asymmetry); the noise covariance must be PD (Cholesky succeeds), the prior
     covariance PSD. The noise covariance's lower Cholesky factor is kept as
-    ``noise_lower``, so no evaluation route factors it again. Instances are
-    immutable and safe to share.
+    ``noise_lower``; ``prior_root`` and ``output_lower`` are computed on first
+    use and kept read-only, so no route or oracle factors a channel twice.
+    Instances are safe to share.
     """
 
     a: np.ndarray
@@ -74,6 +76,25 @@ class GaussianChannel:
         object.__setattr__(self, "prior_cov", prior)
         object.__setattr__(self, "noise_cov", noise)
 
+    @functools.cached_property
+    def prior_root(self) -> np.ndarray:
+        """Symmetric square root S^{1/2} of the prior covariance."""
+        root = linalg.psd_sqrt(self.prior_cov)
+        root.flags.writeable = False
+        return root
+
+    @functools.cached_property
+    def output_lower(self) -> np.ndarray:
+        """Lower Cholesky factor of the output covariance A S A^T + N."""
+        # built in place: n x n temporaries set the peak memory of its readers
+        total = self.a @ self.prior_cov @ self.a.T
+        total += self.noise_cov
+        total = total + total.T
+        total *= 0.5
+        lower = linalg.cholesky_lower(total, "output covariance")
+        lower.flags.writeable = False
+        return lower
+
     @property
     def n_obs(self) -> int:
         return self.a.shape[0]
@@ -87,7 +108,8 @@ class GaussianChannel:
 class ChannelSpectrum:
     """Nonincreasing per-mode signal-to-noise eigenvalues and their rank.
 
-    Entries below the relative rank cutoff are truncated to exactly zero;
+    The library's one spectrum normal form: negatives clip to zero, entries at
+    or below ``linalg.RANK_RTOL`` times the leading one are exactly zero, and
     rank counts the strictly positive survivors.
     """
 
@@ -95,10 +117,11 @@ class ChannelSpectrum:
     rank: int = field(init=False)
 
     def __post_init__(self):
-        vals = linalg.descending_clipped(np.asarray(self.eigenvalues, dtype=float))
-        vals, rank = linalg.truncate_small(vals)
+        vals = np.clip(np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1], 0.0, None)
+        if vals.size:
+            vals[vals <= linalg.RANK_RTOL * vals[0]] = 0.0
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank", int(np.count_nonzero(vals)))
 
     @property
     def nonzero(self) -> np.ndarray:
@@ -109,8 +132,8 @@ def whitened_spectrum(ch: GaussianChannel) -> ChannelSpectrum:
     """Eigenvalues of the noise-whitened signal Gram L^{-1} A S A^T L^{-T}.
 
     L is the channel's stored noise factor ``noise_lower``. The whitened Gram
-    is symmetrized before the symmetric eigensolve; eigenvalues below
-    1e-12 relative to the largest are truncated to exactly zero.
+    is symmetrized before the symmetric eigensolve, and the eigenvalues take
+    the ``ChannelSpectrum`` normal form.
     """
     signal = ch.a @ ch.prior_cov @ ch.a.T
     half = linalg.solve_lower(ch.noise_lower, signal)
@@ -137,26 +160,16 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
     if mode not in EVALUATION_MODES:
         raise InputError(f"unknown evaluation mode {mode!r}; use one of {EVALUATION_MODES}")
     if mode == "spectral":
-        spectrum = whitened_spectrum(ch)
-        if spectrum.rank == 0:
-            return 0.0
-        return float(0.5 * np.sum(np.log1p(spectrum.nonzero)))
+        return float(0.5 * np.sum(np.log1p(whitened_spectrum(ch).nonzero)))
     if mode == "observation":
-        # built in place: with the stored noise factor, n x n temporaries
-        # set this route's peak memory
-        total = ch.a @ ch.prior_cov @ ch.a.T
-        total += ch.noise_cov
-        total = total + total.T
-        total *= 0.5
-        total_lower = linalg.cholesky_lower(total, "output covariance")
         value = 0.5 * (
-            linalg.logdet_from_cholesky(total_lower) - linalg.logdet_from_cholesky(ch.noise_lower)
+            linalg.logdet_from_cholesky(ch.output_lower)
+            - linalg.logdet_from_cholesky(ch.noise_lower)
         )
         return max(float(value), 0.0)
     # parameter form: I_p + S^{1/2} A^T N^{-1} A S^{1/2}, symmetric PSD even
     # when the prior covariance is singular.
-    root = linalg.psd_sqrt(ch.prior_cov)
-    w = linalg.solve_lower(ch.noise_lower, ch.a @ root)
+    w = linalg.solve_lower(ch.noise_lower, ch.a @ ch.prior_root)
     gram = w.T @ w
     m = np.eye(ch.dim) + 0.5 * (gram + gram.T)
     sign, logdet = np.linalg.slogdet(m)

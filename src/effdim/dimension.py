@@ -167,19 +167,16 @@ def location_mi(m: LocationModel) -> float:
 def design_spectrum(design: np.ndarray) -> tuple[np.ndarray, int]:
     """Squared singular values of a design, nonincreasing, with rank.
 
-    Values below the shared relative cutoff are truncated to exactly zero.
+    The fields of the ``ChannelSpectrum`` of s^2, so values at or below the
+    shared relative cutoff are exactly zero.
     """
-    design = np.asarray(design, dtype=float)
-    if design.size == 0:
-        return np.zeros(0), 0
-    s = np.linalg.svd(design, compute_uv=False)
-    return linalg.truncate_small(linalg.descending_clipped(s * s))
+    s = np.linalg.svd(np.asarray(design, dtype=float), compute_uv=False)
+    spectrum = ChannelSpectrum(eigenvalues=s * s)
+    return spectrum.eigenvalues, spectrum.rank
 
 
 def _spectral_mi(s_sq: np.ndarray, rank: int, snr: float) -> float:
     """1/2 sum_j log1p(snr * s_j^2) over the first ``rank`` modes."""
-    if rank == 0 or snr == 0.0:
-        return 0.0
     return 0.5 * float(np.sum(np.log1p(snr * s_sq[:rank])))
 
 
@@ -229,8 +226,6 @@ def ridge_df(singular_values_sq, penalty: float) -> float:
     if penalty <= 0:
         raise InputError("ridge penalty must be positive")
     s_sq = np.asarray(singular_values_sq, dtype=float)
-    if s_sq.size == 0:
-        return 0.0
     return float(np.sum(s_sq / (s_sq + penalty)))
 
 
@@ -338,8 +333,6 @@ def spectrum_sequence_mi(s: SpectrumSequence) -> tuple[float, float, int]:
     a 40-digit reference the partial sum agrees to about 1e-16 relative, as
     a direct sum does. ``terms`` and ``bound`` do not depend on the route.
     """
-    if s.snr == 0.0:
-        return 0.0, 0.0, 1
     two_a = 2.0 * s.decay_exponent
     decay_margin = two_a - 1.0
     budget = s.truncation_error_budget

@@ -38,19 +38,24 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
     """Return (M + M^T)/2 if M is symmetric within tolerance, else reject.
 
     The tolerance is relative: max|M - M^T| <= SYMMETRY_RTOL * max|M|.
-    An exactly zero matrix passes trivially.
+    An exactly zero matrix passes trivially. Besides the copy it returns, one
+    matrix-sized buffer holds |M|, then |M - M^T|, then M^T / 2.
     """
     arr = as_matrix(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
-    scale = np.abs(arr).max()
-    asym = np.abs(arr - arr.T).max()
+    work = np.abs(arr)
+    scale = work.max()
+    asym = np.abs(np.subtract(arr, arr.T, out=work), out=work).max()
     if asym > SYMMETRY_RTOL * scale:
         raise AsymmetricMatrix(
             f"{name} asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:g} * {scale:.3e}"
         )
     # halved before the add, so finite entries near the float maximum stay finite
-    return 0.5 * arr + 0.5 * arr.T
+    np.multiply(arr.T, 0.5, out=work)
+    arr *= 0.5
+    arr += work
+    return arr
 
 
 def cholesky_lower(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -84,20 +89,17 @@ def logdet_from_cholesky(lower: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def validate_psd(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check PSD up to a small relative negative tolerance; return eigenvalues.
+def validate_psd(m: np.ndarray, name: str = "matrix") -> None:
+    """Reject a matrix that is not PSD up to a small relative negative tolerance.
 
     Eigenvalues more negative than -1e-8 * max_eig are rejected; smaller
-    negative values are floating-point noise and are clipped to zero in the
-    returned (descending) array.
+    negative values are floating-point noise.
     """
     eigs = np.linalg.eigvalsh(m)
-    max_eig = max(float(eigs[-1]), 0.0)
-    if float(eigs[0]) < -1e-8 * max_eig:
+    if float(eigs[0]) < -1e-8 * max(float(eigs[-1]), 0.0):
         raise NotPositiveDefinite(
             f"{name} has eigenvalue {eigs[0]:.3e} below the PSD tolerance"
         )
-    return np.clip(eigs[::-1], 0.0, None)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -115,23 +117,3 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b for lower-triangular L; ``solve_lower(L, I)`` inverts L."""
     return np.linalg.solve(lower, b)
-
-
-def descending_clipped(eigs: np.ndarray) -> np.ndarray:
-    """Sort eigenvalues nonincreasing and clip negatives to exactly zero."""
-    out = np.sort(np.asarray(eigs, dtype=float))[::-1]
-    return np.clip(out, 0.0, None)
-
-
-def truncate_small(values: np.ndarray, rtol: float = RANK_RTOL) -> tuple[np.ndarray, int]:
-    """Zero out entries below rtol * leading value; return (values, rank).
-
-    Input must be sorted nonincreasing and nonnegative. Rank is the count of
-    strictly positive retained entries.
-    """
-    vals = np.array(values, dtype=float)
-    if vals.size == 0 or vals[0] <= 0.0:
-        return np.zeros_like(vals), 0
-    cutoff = rtol * vals[0]
-    vals[vals <= cutoff] = 0.0
-    return vals, int(np.count_nonzero(vals))

@@ -150,13 +150,11 @@ def estimate_channel_mi(
     and p(y) = N(0, A S A^T + noise_cov), both evaluated analytically. Each
     block draws the prior normals z_theta, then the noise normals z_noise:
     y = A S^1/2 z_theta + L_noise z_noise, and z_noise whitens p(y | theta).
+    The prior root and the output factor are the channel's own.
     """
     require_samples("channel MI oracle", MIN_ORACLE_SAMPLES, samples=n_samples)
-    prior_root = linalg.psd_sqrt(ch.prior_cov)
-    marginal = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
-    marginal_lower = linalg.cholesky_lower(0.5 * (marginal + marginal.T), "output covariance")
-    return _gaussian_log_ratio(marginal_lower, np.zeros(ch.n_obs),
-                               [ch.a @ prior_root, ch.noise_lower], n_samples, seed,
+    return _gaussian_log_ratio(ch.output_lower, np.zeros(ch.n_obs),
+                               [ch.a @ ch.prior_root, ch.noise_lower], n_samples, seed,
                                STREAM_CHANNEL_MI, n_threads)
 
 

@@ -26,12 +26,15 @@ on every thread count and platform.
 import contextlib
 import ctypes
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericalError
 
 # One stream id per sampling role; never reuse across roles.
 STREAM_CHANNEL_MI = 1
@@ -106,16 +109,21 @@ class MomentAccumulator:
         """Two-pass block reduction (mean + centered sum of squares).
 
         Both sums use ``_tree_sum``, so the result is fixed by the values
-        alone, not by numpy's reduction order.
+        alone, not by numpy's reduction order. A mean or M2 that is not finite
+        raises NumericalError here, where every Monte Carlo estimate is formed.
         """
         values = np.asarray(values, dtype=float).ravel()
         n = int(values.size)
         if n == 0:
             return cls()
         mean = _tree_sum(values, np.empty((n + 1) // 2)) / n
+        if not math.isfinite(mean):
+            raise NumericalError(f"a Monte Carlo block of {n} values has mean {mean}")
         squares = values - mean
         squares *= squares
         m2 = _tree_sum(squares, squares)
+        if not math.isfinite(m2):
+            raise NumericalError(f"a Monte Carlo block of {n} values has M2 {m2}")
         return cls(count=n, mean=mean, m2=m2)
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":

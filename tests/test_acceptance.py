@@ -305,9 +305,9 @@ def test_14_determinism(tmp_path):
 
 
 def test_15_golden_files(tmp_path, monkeypatch):
-    with criterion(15, "three committed fixture configs reproduce committed reports bit-for-bit"):
+    with criterion(15, "four committed fixture configs reproduce committed reports bit-for-bit"):
         monkeypatch.chdir(ROOT)
-        for name in ("location", "regression", "shrinkage"):
+        for name in ("location", "regression", "shrinkage", "location_oracle"):
             args = json.loads((GOLDEN / f"{name}.args.json").read_text())
             expected = (GOLDEN / f"{name}.report.json").read_bytes()
             actual = _run_cli_bytes(args, tmp_path / f"{name}.json")

@@ -1,6 +1,7 @@
 """Gaussian channel: closed forms, invariances, and error contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,62 @@ class TestConstruction:
         estimate_channel_mi(ch, 10_000, seed=1)
         assert "noise covariance" not in factored
 
+    def test_output_factor_and_prior_root_computed_once(self, monkeypatch):
+        ch = random_channel(np.random.default_rng(4))
+        factored, roots = [], []
+        cholesky, psd_sqrt = linalg.cholesky_lower, linalg.psd_sqrt
+
+        def recording_cholesky(m, name="matrix"):
+            factored.append(name)
+            return cholesky(m, name)
+
+        def recording_sqrt(m):
+            roots.append(m)
+            return psd_sqrt(m)
+
+        monkeypatch.setattr(linalg, "cholesky_lower", recording_cholesky)
+        monkeypatch.setattr(linalg, "psd_sqrt", recording_sqrt)
+        mutual_information(ch, "observation")
+        mutual_information(ch, "parameter")
+        estimate_channel_mi(ch, 10_000, seed=1)
+        assert factored == ["output covariance"]
+        assert len(roots) == 1
+
+    def test_kept_factors_are_read_only(self):
+        ch = random_channel(np.random.default_rng(5))
+        total = ch.a @ ch.prior_cov @ ch.a.T + ch.noise_cov
+        np.testing.assert_array_equal(ch.output_lower,
+                                      np.linalg.cholesky(0.5 * (total + total.T)))
+        np.testing.assert_array_equal(ch.prior_root, linalg.psd_sqrt(ch.prior_cov))
+        for factor in (ch.output_lower, ch.prior_root):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[0, 0] = 0.0
+
+
+class TestSymmetrize:
+    @staticmethod
+    def nearly_symmetric(size: int) -> np.ndarray:
+        rng = np.random.default_rng(size)
+        m = random_covariance(rng, size)
+        return m * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, m.shape))
+
+    def test_bit_identical_to_halved_sum(self):
+        m = self.nearly_symmetric(60)
+        assert not np.array_equal(m, m.T)
+        assert linalg.symmetrize(m).tobytes() == (0.5 * m + 0.5 * m.T).tobytes()
+
+    def test_peak_memory_is_one_buffer_besides_the_result(self):
+        m = self.nearly_symmetric(500)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            linalg.symmetrize(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2.2 * m.nbytes
+
 
 class TestWhitenedSpectrum:
     def test_identity_case(self):
@@ -152,6 +209,16 @@ class TestWhitenedSpectrum:
         with pytest.raises(TypeError):
             ChannelSpectrum(eigenvalues=[2.0, 1.0], rank=5)
         assert ChannelSpectrum(eigenvalues=[2.0, 1.0, 0.0]).rank == 2
+
+    @pytest.mark.parametrize("values, normal, rank", [
+        ([], [], 0),
+        ([-1.0, -0.0, 0.0], [0.0, 0.0, 0.0], 0),
+        ([1e-13, -1e-3, 1.0, 1e-11], [1.0, 1e-11, 0.0, 0.0], 2),
+    ], ids=["empty", "no-signal", "sort-clip-cut"])
+    def test_normal_form(self, values, normal, rank):
+        spec = ChannelSpectrum(eigenvalues=values)
+        assert spec.eigenvalues.tobytes() == np.array(normal).tobytes()
+        assert spec.rank == rank
 
 
 class TestMutualInformation:

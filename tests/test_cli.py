@@ -522,6 +522,22 @@ class TestExitCodes:
         assert (got, out) == (code, "")
         assert message in err
 
+    @pytest.mark.parametrize("args, message", [
+        (["shrinkage", "--prior", "student-t", "--nu", "0.01", "--n", "100",
+          "--samples", "10000", "--seed", "1"], "values has mean inf"),
+        (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e200", "--n", "100",
+          "--samples", "10000", "--seed", "1"], "values has mean inf"),
+        (["oracle", "--kind", "mixture-mi", "--prior", "student-t", "--nu", "0.01",
+          "--n", "100", "--samples", "10000", "--inner-samples", "10000", "--seed", "1"],
+         "values has mean nan"),
+    ], ids=["student-t-underflow", "half-cauchy-overflow", "mixture-mi-student-t"])
+    def test_non_finite_draws_exit_three_where_formed(self, args, message, capsys):
+        with pytest.warns(RuntimeWarning):
+            code, out, err = run_cli(args, capsys)
+        assert (code, out) == (3, "")
+        assert "numerical failure: a Monte Carlo block of" in err and message in err
+        assert "cannot appear in a report" not in err
+
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         path = tmp_path / "missing" / "x.json"
         code, out, err = run_cli(

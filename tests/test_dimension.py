@@ -193,6 +193,14 @@ class TestInfoEffectiveRank:
             info_effective_rank([0.0], snr=1.0)
 
 
+class TestDesignSpectrum:
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_design(self, shape):
+        s_sq, rank = design_spectrum(np.zeros(shape))
+        assert s_sq.shape == (0,) and rank == 0
+        assert ridge_df(s_sq, 1.0) == 0.0
+
+
 class TestRidgeDf:
     def test_infinite_penalty_limit(self):
         assert ridge_df([1.0, 1.0], penalty=1e12) == pytest.approx(2e-12, rel=1e-9)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from effdim import sampling
+from effdim.errors import NumericalError
 from effdim.sampling import (
     FLAT_BLOCK,
     MomentAccumulator,
@@ -192,6 +193,19 @@ class TestMomentAccumulator:
         # bit-for-bit: the order is part of the contract, not a tolerance
         assert acc.mean.hex() == mean.hex()
         assert acc.m2.hex() == m2.hex()
+
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, np.inf], "mean inf"),
+        ([1.0, np.nan, 2.0], "mean nan"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_mean_is_numerical_error(self, values, message):
+        with pytest.raises(NumericalError, match=f"block of {len(values)} values has {message}"):
+            MomentAccumulator.from_block(np.array(values))
+
+    def test_overflowing_m2_is_numerical_error(self):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(NumericalError, match="block of 2 values has M2 inf"):
+                MomentAccumulator.from_block(np.array([1e200, -1e200]))
 
     def test_degenerate_counts(self):
         assert MomentAccumulator().std_error == 0.0

@@ -27,7 +27,7 @@ from effdim import (
     regression_conditional_mi,
     regression_mi,
 )
-from effdim.errors import InsufficientSamples, SampleSizeTooSmall
+from effdim.errors import InsufficientSamples, NumericalError, SampleSizeTooSmall
 
 
 def half_cauchy_log_moment_oracle() -> float:
@@ -270,6 +270,13 @@ class TestRegressionConditionalMi:
 
 
 class TestRandomDeffDistribution:
+    def test_non_finite_draws_raise_numerical_error(self):
+        # Gamma(0.005) draws underflow to 0, so scales of inf enter the mean
+        model = ScalarShrinkageModel(prior=InverseGammaMixture(dof=0.01), n=100)
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(NumericalError, match="has mean inf"):
+                random_deff_distribution(model, 10_000, seed=1)
+
     def test_fixed_prior_degenerate(self):
         m = ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=100)
         summary = random_deff_distribution(m, 10_000, seed=1)
