@@ -29,7 +29,7 @@ from . import linalg
 from .dimension import RidgeModel, deff
 from .errors import DimensionMismatch, InputError, NumericalError, require_sample_size
 
-#: Default signed tolerance for the Loewner-order eigenvalue test.
+#: Signed relative tolerance of the Loewner-order eigenvalue test.
 LOEWNER_TOL = 1e-10
 
 
@@ -153,12 +153,12 @@ def conjugate_regression_info(model: RidgeModel) -> float:
     return max(0.5 * (trace_term + quad_term - logdet_term - p), 0.0)
 
 
-def loewner_dominates(sigma_tilde, sigma, tol: float = LOEWNER_TOL) -> bool:
+def loewner_dominates(sigma_tilde, sigma) -> bool:
     """True iff sigma_tilde - sigma is PSD up to a signed relative tolerance.
 
     The eigenvalue route (rather than attempting a Cholesky of the difference)
     degrades gracefully at the semidefinite boundary: the minimum eigenvalue
-    may dip to -tol * (max |eigenvalue| + 1) before the order is declared
+    may dip to -LOEWNER_TOL * (max |eigenvalue| + 1) before the order is declared
     violated.
     """
     sigma_tilde = linalg.symmetrize(sigma_tilde, "dominating covariance")
@@ -168,7 +168,7 @@ def loewner_dominates(sigma_tilde, sigma, tol: float = LOEWNER_TOL) -> bool:
             f"covariances have shapes {sigma_tilde.shape} and {sigma.shape}"
         )
     eigs = np.linalg.eigvalsh(sigma_tilde - sigma)
-    return bool(eigs[0] >= -tol * (np.abs(eigs).max() + 1.0))
+    return bool(eigs[0] >= -LOEWNER_TOL * (np.abs(eigs).max() + 1.0))
 
 
 def audit_approximation(

@@ -143,6 +143,11 @@ def whitened_spectrum(ch: GaussianChannel) -> ChannelSpectrum:
     return ChannelSpectrum(eigenvalues=eigs)
 
 
+def spectral_information(u: np.ndarray) -> float:
+    """1/2 sum_j log1p(u_j) over per-mode signal-to-noise ratios u_j, in nats."""
+    return 0.5 * float(np.sum(np.log1p(u)))
+
+
 def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
     """Mutual information of the channel in nats (always >= 0).
 
@@ -160,7 +165,7 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
     if mode not in EVALUATION_MODES:
         raise InputError(f"unknown evaluation mode {mode!r}; use one of {EVALUATION_MODES}")
     if mode == "spectral":
-        return float(0.5 * np.sum(np.log1p(whitened_spectrum(ch).nonzero)))
+        return spectral_information(whitened_spectrum(ch).nonzero)
     if mode == "observation":
         value = 0.5 * (
             linalg.logdet_from_cholesky(ch.output_lower)

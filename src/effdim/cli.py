@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", required=True,
                    help="comma-separated sample sizes, strictly increasing, all >= 3")
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--tau2", type=float)
+    p.add_argument("--tau2", type=float, required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--tau2-schedule", choices=["fixed", "inverse-n"], default="fixed",
                    help="inverse-n scales the prior variance as tau2/n")
@@ -249,8 +249,7 @@ def _cmd_regression(args) -> tuple[str, int]:
     _check_format(args)
     design = read_matrix_csv(args.design)
     model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
-    n = args.n if args.n is not None else design.shape[0]
-    report_data = ridge_report(model, n)
+    report_data = ridge_report(model, args.n)
     results = {
         "mi_nats": tagged(report_data.mi_nats, "closed-form"),
         "d_eff": tagged(report_data.d_eff, "closed-form"),
@@ -263,7 +262,8 @@ def _cmd_regression(args) -> tuple[str, int]:
         "rank": tagged(report_data.rank, "closed-form"),
         "singular_values_sq": tagged(report_data.singular_values_sq, "closed-form"),
     }
-    config = {"design": args.design, "tau2": args.tau2, "sigma2": args.sigma2, "n": n}
+    config = {"design": args.design, "tau2": args.tau2, "sigma2": args.sigma2,
+              "n": report_data.n}
     return _report(args, config, results)
 
 
@@ -285,16 +285,12 @@ def _cmd_curve(args) -> tuple[str, int]:
     fmt = _check_format(args, allowed=("csv", "json"), default="csv")
     grid = _parse_grid(args.n_grid)
     if args.design is not None:
-        if args.tau2 is None:
-            raise InputError("regression curves require --tau2")
         design = read_matrix_csv(args.design)
         model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
         mi_fixed, _ = regression_mi(model)
         rows = [(n, deff(mi_fixed, n)) for n in grid]
         monotone_guaranteed = True
     else:
-        if args.tau2 is None:
-            raise InputError("location curves require --tau2")
         rows = []
         for n in grid:
             tau2_n = args.tau2 / n if args.tau2_schedule == "inverse-n" else args.tau2

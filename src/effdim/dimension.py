@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channel import ChannelSpectrum, GaussianChannel
+from .channel import ChannelSpectrum, GaussianChannel, spectral_information
 from .errors import (
     DivergentSpectrum,
     EmptySpectrum,
@@ -175,11 +175,6 @@ def design_spectrum(design: np.ndarray) -> tuple[np.ndarray, int]:
     return spectrum.eigenvalues, spectrum.rank
 
 
-def _spectral_mi(s_sq: np.ndarray, rank: int, snr: float) -> float:
-    """1/2 sum_j log1p(snr * s_j^2) over the first ``rank`` modes."""
-    return 0.5 * float(np.sum(np.log1p(snr * s_sq[:rank])))
-
-
 def regression_mi(m: RidgeModel) -> tuple[float, ChannelSpectrum]:
     """MI of the ridge experiment plus its per-mode SNR spectrum.
 
@@ -189,7 +184,7 @@ def regression_mi(m: RidgeModel) -> tuple[float, ChannelSpectrum]:
     """
     s_sq, rank = m.spectrum
     spectrum = ChannelSpectrum(eigenvalues=m.snr_ratio * s_sq)
-    return _spectral_mi(s_sq, rank, m.snr_ratio), spectrum
+    return spectral_information(m.snr_ratio * s_sq[:rank]), spectrum
 
 
 def regression_channel(m: RidgeModel) -> GaussianChannel:
@@ -381,14 +376,14 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     if n is None:
         n = m.n_obs
     s_sq, rank = m.spectrum
-    mi = _spectral_mi(s_sq, rank, m.snr_ratio)
+    # the per-mode SNRs the MI sums log1p over; with both sandwich bounds
+    # summed from them too, u/(1+u) <= log1p(u) <= u survives rounding
+    u = m.snr_ratio * s_sq[:rank]
+    mi = spectral_information(u)
     d_eff = deff(mi, n)  # rejects n < 3 before log(n) divides below
     df = r_info = None
     lower = upper = rank_bound = 0.0
     if rank > 0:
-        # the per-mode SNRs the MI sums log1p over; with both sandwich bounds
-        # summed from them too, u/(1+u) <= log1p(u) <= u survives rounding
-        u = m.snr_ratio * s_sq[:rank]
         rank_bound = rank * math.log1p(float(u[0])) / math.log(n)
         if u[0] > 0:
             df = lower = ridge_df(u, 1.0)

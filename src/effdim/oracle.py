@@ -83,8 +83,13 @@ def seeded_blocks(work, n_samples: int, block: int, seed: int, stream: int,
     collected in block order whatever the thread count.
     """
     sizes = block_sizes(n_samples, block)
-    return map_blocks(lambda b: work(block_rng(seed, stream, b), sizes[b]),
-                      len(sizes), n_threads)
+
+    def run(b):
+        # numpy's error state is per thread; from_block reports a non-finite block
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return work(block_rng(seed, stream, b), sizes[b])
+
+    return map_blocks(run, len(sizes), n_threads)
 
 
 def block_mean(values, n_samples: int, seed: int, stream: int, n_threads: int) -> McEstimate:
@@ -243,9 +248,10 @@ def _nested_mixture_pass(
     c_snr = m.c_snr
     inner_lam = np.concatenate(seeded_blocks(
         m.prior.sample, inner_samples, FLAT_BLOCK, seed, STREAM_MIXTURE_INNER))
-    mix_var = inner_lam * inner_lam + obs_var
-    neg_half_prec = -0.5 / mix_var
-    log_norm = -0.5 * np.log(2.0 * math.pi * mix_var)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mix_var = inner_lam * inner_lam + obs_var
+        neg_half_prec = -0.5 / mix_var
+        log_norm = -0.5 * np.log(2.0 * math.pi * mix_var)
     obs_sd = math.sqrt(obs_var)
     log_norm_cond = -0.5 * math.log(2.0 * math.pi * obs_var)
 

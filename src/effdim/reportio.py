@@ -1,9 +1,10 @@
 """Matrix CSV ingestion and bit-stable report rendering.
 
-Matrix CSV convention: comma-separated, one observation per row, optional
-single header row auto-detected by a non-numeric first row. Floats are
-written with 17 significant digits, which round-trips IEEE doubles exactly,
-so a matrix written by the tool re-ingests to the identical matrix.
+Matrix CSV convention: UTF-8 (a leading byte-order mark is skipped),
+comma-separated, one observation per row; the first row is a header only
+when none of its cells is a number. Floats are written with 17 significant
+digits, which round-trips IEEE doubles exactly, so a matrix written by the
+tool re-ingests to the identical matrix.
 
 JSON reports are rendered by a small emitter rather than ``json.dumps`` so
 that float formatting (17 significant digits) and key order (insertion
@@ -25,6 +26,14 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
     try:
         return float(cell)
@@ -43,9 +52,7 @@ def parse_matrix_csv(text: str) -> np.ndarray:
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip() != ""]
     if not lines:
         raise CsvFormatError("empty CSV: no rows found")
-    try:
-        [float(c) for c in lines[0][1].split(",")]
-    except ValueError:
+    if not any(_is_number(c) for c in lines[0][1].split(",")):
         lines = lines[1:]  # header row
     if not lines:
         raise CsvFormatError("CSV contains only a header row")
@@ -66,7 +73,7 @@ def parse_matrix_csv(text: str) -> np.ndarray:
 def read_matrix_csv(path) -> np.ndarray:
     """Read a matrix CSV file; a file that cannot be read raises InputError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import regression_mi, RidgeModel
-from .channel import GaussianChannel, mutual_information
 from .errors import DimensionMismatch, InputError, require_sample_size, require_samples
 from .oracle import McEstimate, _nested_mixture_pass, block_mean, seeded_blocks
 from .priors import (
@@ -172,30 +171,24 @@ def chain_decomposition(
 def regression_conditional_mi(m: GlobalLocalRegression, lambdas) -> float:
     """1/2 log det(I_n + sigma^-2 X diag(lam^2) X^T) given the scale vector.
 
-    Evaluated through the Gaussian channel (X, diag(lam^2), sigma^2 I). An
-    exactly constant scale vector reduces to the ridge experiment and is
-    routed through the same spectral code path as ``regression_mi`` so the
-    reduction is exact, not merely within tolerance.
+    Given the scales, the experiment is the ridge experiment on the rescaled
+    design X diag(lam / lam_max) with prior variance lam_max^2, so this is
+    ``regression_mi`` of that model: one design SVD, no n x n matrix. A
+    constant scale vector leaves X unchanged, so the reduction to the ridge
+    experiment is exact, not merely within tolerance.
     """
     lam = np.asarray(lambdas, dtype=float).reshape(-1)
     if lam.size != m.dim:
         raise DimensionMismatch(
             f"{lam.size} scales for a design with {m.dim} columns"
         )
-    if np.any(lam < 0):
-        raise InputError("latent scales must be nonnegative")
-    if lam.size and np.all(lam == lam[0]):
-        mi, _ = regression_mi(
-            RidgeModel(design=m.design, noise_var=m.noise_var,
-                       prior_var=float(lam[0]) ** 2)
-        )
-        return mi
-    channel = GaussianChannel(
-        a=m.design,
-        prior_cov=np.diag(lam * lam),
-        noise_cov=m.noise_var * np.eye(m.design.shape[0]),
-    )
-    return mutual_information(channel)
+    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
+        raise InputError("latent scales must be finite and nonnegative")
+    top = float(lam.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    return regression_mi(RidgeModel(design=m.design * (lam / top), noise_var=m.noise_var,
+                                    prior_var=top ** 2))[0]
 
 
 def random_deff_distribution(

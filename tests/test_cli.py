@@ -116,6 +116,19 @@ class TestRegression:
         assert results["r_info"]["value"] == pytest.approx(3.0, rel=1e-12)
         assert results["rank"]["value"] == 3
 
+    def test_byte_order_mark_design_keeps_its_first_row(self, tmp_path, capsys):
+        design = tmp_path / "bom.csv"
+        design.write_bytes(b"\xef\xbb\xbf2,0\n0,1\n")
+        code, out, _ = run_cli(
+            ["regression", "--design", str(design), "--tau2", "1", "--sigma2", "1",
+             "--n", "10"],
+            capsys,
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["rank"]["value"] == 2
+        assert results["mi_nats"]["value"] == pytest.approx(0.5 * math.log(10.0), rel=1e-15)
+
     def test_zero_design_all_zero_report(self, tmp_path, capsys):
         design = tmp_path / "zero.csv"
         write_matrix_csv(design, np.zeros((4, 2)))
@@ -530,10 +543,18 @@ class TestExitCodes:
         (["oracle", "--kind", "mixture-mi", "--prior", "student-t", "--nu", "0.01",
           "--n", "100", "--samples", "10000", "--inner-samples", "10000", "--seed", "1"],
          "values has mean nan"),
-    ], ids=["student-t-underflow", "half-cauchy-overflow", "mixture-mi-student-t"])
+        (["oracle", "--kind", "mixture-mi", "--prior", "half-cauchy", "--tau-g", "1e200",
+          "--n", "100", "--samples", "10000", "--inner-samples", "10000", "--seed", "1"],
+         "values has mean nan"),
+        (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e200", "--n", "100",
+          "--samples", "10000", "--inner-samples", "10000", "--seed", "1", "--decompose"],
+         "values has mean inf"),
+    ], ids=["student-t-underflow", "half-cauchy-overflow", "mixture-mi-student-t",
+            "mixture-mi-half-cauchy", "decompose-half-cauchy"])
     def test_non_finite_draws_exit_three_where_formed(self, args, message, capsys):
-        with pytest.warns(RuntimeWarning):
-            code, out, err = run_cli(args, capsys)
+        # RuntimeWarnings are test errors, so this also checks that the
+        # NumericalError line is the run's only report
+        code, out, err = run_cli(args, capsys)
         assert (code, out) == (3, "")
         assert "numerical failure: a Monte Carlo block of" in err and message in err
         assert "cannot appear in a report" not in err
@@ -669,10 +690,26 @@ class TestPriorFlags:
         assert "--prior student-t requires --nu" in err
 
 
+# Every module that importing the CLI loads and that belongs to an installed
+# distribution other than effdim itself must belong to numpy: numpy is the
+# only runtime dependency.
+NUMPY_ONLY_IMPORT = """
+import sys
+before = set(sys.modules)
+import effdim.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before} - {"effdim"}
+from importlib.metadata import packages_distributions
+owners = packages_distributions()
+foreign = {top: owners[top] for top in loaded if owners.get(top, ["numpy"]) != ["numpy"]}
+assert not foreign, foreign
+assert "scipy" not in sys.modules
+"""
+
+
 def test_cli_imports_without_scipy():
     src = Path(effdim.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", "import effdim.cli, sys; assert 'scipy' not in sys.modules"],
+        [sys.executable, "-c", NUMPY_ONLY_IMPORT],
         env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -682,6 +719,12 @@ class TestArgparseContract:
     def test_unknown_subcommand_exits_two(self, capsys):
         assert main(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("extra", [[], ["--design", "x.csv"]], ids=["location", "design"])
+    def test_curve_requires_tau2(self, extra, capsys):
+        code, out, err = run_cli(["curve", "--n-grid", "10,100", *extra], capsys)
+        assert (code, out) == (2, "")
+        assert "--tau2" in err
 
     def test_csv_format_rejected_for_reports(self, capsys):
         code, _, err = run_cli(

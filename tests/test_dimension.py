@@ -513,6 +513,15 @@ class TestRidgeReport:
         model = RidgeModel(design=x, noise_var=1.0, prior_var=1.0)
         assert ridge_report(model).n == 7
 
+    @pytest.mark.parametrize("tau2", [1e-320, 1e-300, 1.0, 1e30])
+    def test_mi_is_the_half_log1p_sum_of_the_mode_snrs(self, tau2):
+        x = np.random.default_rng(8).standard_normal((7, 4))
+        x[:, 3] = x[:, 0] - x[:, 1]  # rank deficient
+        model = RidgeModel(design=x, noise_var=1.3, prior_var=tau2)
+        s_sq, rank = model.spectrum
+        expected = 0.5 * float(np.sum(np.log1p(model.snr_ratio * s_sq[:rank])))
+        assert ridge_report(model).mi_nats == expected
+
     def test_deff_consistency_bitwise(self):
         rng = np.random.default_rng(2)
         for _ in range(25):

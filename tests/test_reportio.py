@@ -10,6 +10,7 @@ from effdim.reportio import (
     format_float,
     matrix_to_csv,
     parse_matrix_csv,
+    read_matrix_csv,
     render_report,
     tagged,
 )
@@ -62,6 +63,18 @@ class TestMatrixCsv:
     def test_bad_cell_after_blank_lines_names_file_line(self):
         with pytest.raises(CsvFormatError, match="line 5, column 2$"):
             parse_matrix_csv("a,b\n\n\n1,2\n1,x\n")
+
+    def test_byte_order_mark_is_not_a_header(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports open with a BOM; the first row is data
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf2,0\n0,1\n")
+        np.testing.assert_array_equal(read_matrix_csv(path), [[2.0, 0.0], [0.0, 1.0]])
+
+    def test_mixed_first_row_is_data(self, tmp_path):
+        path = tmp_path / "typo.csv"
+        path.write_text("1.0,oops\n3.0,4.0\n", encoding="utf-8")
+        with pytest.raises(CsvFormatError, match="^non-numeric cell 'oops' at line 1, column 2$"):
+            read_matrix_csv(path)
 
     def test_empty_rejected(self):
         with pytest.raises(CsvFormatError):

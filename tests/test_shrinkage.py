@@ -1,6 +1,8 @@
 """Shrinkage functionals: conditional information, bounds, nested estimators."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,12 +24,13 @@ from effdim import (
     expected_conditional_mi,
     heavy_tail_bound,
     jensen_bound,
+    mutual_information,
     random_deff,
     random_deff_distribution,
     regression_conditional_mi,
     regression_mi,
 )
-from effdim.errors import InsufficientSamples, NumericalError, SampleSizeTooSmall
+from effdim.errors import InputError, InsufficientSamples, NumericalError, SampleSizeTooSmall
 
 
 def half_cauchy_log_moment_oracle() -> float:
@@ -259,6 +262,48 @@ class TestRegressionConditionalMi:
         est = estimate_channel_mi(channel, 1_000_000, seed=31)
         assert abs(est.estimate - closed) <= 3.0 * est.std_error
 
+    @pytest.mark.parametrize("mode", ["spectral", "observation", "parameter"])
+    def test_matches_every_channel_route(self, mode):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            n, p = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+            x = rng.standard_normal((n, p))
+            lam = np.abs(rng.standard_cauchy(p))
+            lam[rng.random(p) < 0.25] = 0.0
+            noise_var = float(rng.uniform(0.2, 3.0))
+            m = GlobalLocalRegression(design=x, noise_var=noise_var,
+                                      local_priors=HalfCauchy(1.0))
+            channel = GaussianChannel(a=x, prior_cov=np.diag(lam * lam),
+                                      noise_cov=noise_var * np.eye(n))
+            np.testing.assert_allclose(regression_conditional_mi(m, lam),
+                                       mutual_information(channel, mode), rtol=1e-10)
+
+    def test_empty_design(self):
+        m = GlobalLocalRegression(design=np.zeros((3, 0)), noise_var=1.0,
+                                  local_priors=())
+        assert regression_conditional_mi(m, []) == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scales_rejected_without_warning(self, bad):
+        m = GlobalLocalRegression(design=np.ones((3, 2)), noise_var=1.0,
+                                  local_priors=HalfCauchy(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite"):
+                regression_conditional_mi(m, [1.0, bad])
+
+    def test_memory_stays_near_the_design_size(self):
+        x = np.random.default_rng(5).standard_normal((2000, 200))
+        m = GlobalLocalRegression(design=x, noise_var=1.0, local_priors=HalfCauchy(1.0))
+        lam = np.abs(np.random.default_rng(6).standard_cauchy(200))
+        tracemalloc.start()
+        try:
+            regression_conditional_mi(m, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes
+
     def test_wrong_length_rejected(self):
         from effdim.errors import DimensionMismatch
 
@@ -273,9 +318,8 @@ class TestRandomDeffDistribution:
     def test_non_finite_draws_raise_numerical_error(self):
         # Gamma(0.005) draws underflow to 0, so scales of inf enter the mean
         model = ScalarShrinkageModel(prior=InverseGammaMixture(dof=0.01), n=100)
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(NumericalError, match="has mean inf"):
-                random_deff_distribution(model, 10_000, seed=1)
+        with pytest.raises(NumericalError, match="has mean inf"):
+            random_deff_distribution(model, 10_000, seed=1)
 
     def test_fixed_prior_degenerate(self):
         m = ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=100)
