@@ -127,10 +127,13 @@ class InfoReport:
 
     ``ridge_report`` stores the model's read-only ``spectrum`` here; every
     derived number (MI, d_eff, df, r_info, the sandwich and the rank bound
-    on d_eff) is a transform of it.
+    on d_eff) is a transform of it. ``two_mi`` is the sum of log1p over the
+    per-mode SNRs that ``mi_nats`` halves; the sandwich brackets it, since
+    halving a subnormal sum can drop its last bit.
     """
 
     mi_nats: float
+    two_mi: float
     d_eff: float
     n: int
     df: float | None
@@ -147,7 +150,9 @@ class InfoReport:
         )
         if self.d_eff != deff(self.mi_nats, self.n):
             raise NumericalError("d_eff must equal 2*mi/log(n) from the shared arithmetic path")
-        if not (self.sandwich_lower <= 2.0 * self.mi_nats <= self.sandwich_upper):
+        if self.mi_nats != 0.5 * self.two_mi:
+            raise NumericalError("mi must be half of the summed per-mode information")
+        if not (self.sandwich_lower <= self.two_mi <= self.sandwich_upper):
             raise NumericalError("sandwich bounds must bracket 2*mi")
 
 
@@ -247,7 +252,7 @@ def mi_df_sandwich(m: RidgeModel) -> tuple[float, float, float]:
     if m.prior_var <= 0:
         raise InputError("the sandwich requires prior_var > 0")
     report = ridge_report(m, 3)  # n enters d_eff only
-    return report.sandwich_lower, 2.0 * report.mi_nats, report.sandwich_upper
+    return report.sandwich_lower, report.two_mi, report.sandwich_upper
 
 
 # Modes with snr * j^(-2a) at or below this take the series route; see
@@ -379,7 +384,8 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     # the per-mode SNRs the MI sums log1p over; with both sandwich bounds
     # summed from them too, u/(1+u) <= log1p(u) <= u survives rounding
     u = m.snr_ratio * s_sq[:rank]
-    mi = spectral_information(u)
+    two_mi = float(np.sum(np.log1p(u)))  # spectral_information(u), before halving
+    mi = 0.5 * two_mi
     d_eff = deff(mi, n)  # rejects n < 3 before log(n) divides below
     df = r_info = None
     lower = upper = rank_bound = 0.0
@@ -391,6 +397,7 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
             upper = float(np.sum(u))
     return InfoReport(
         mi_nats=mi,
+        two_mi=two_mi,
         d_eff=d_eff,
         n=n,
         df=df,

@@ -6,6 +6,11 @@ when none of its cells is a number. Floats are written with 17 significant
 digits, which round-trips IEEE doubles exactly, so a matrix written by the
 tool re-ingests to the identical matrix.
 
+The body (the rows after blank lines and any header are set aside) is parsed
+by numpy's C reader, whose values equal Python ``float()`` bit for bit. Only
+when that parse fails are the cells walked one by one in Python, so that an
+error still names the line and column of the first bad cell.
+
 JSON reports are rendered by a small emitter rather than ``json.dumps`` so
 that float formatting (17 significant digits) and key order (insertion
 order) are pinned down; identical inputs produce byte-identical files.
@@ -43,12 +48,8 @@ def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
         ) from None
 
 
-def parse_matrix_csv(text: str) -> np.ndarray:
-    """Parse matrix CSV text; raises CsvFormatError with line/column context.
-
-    Blank lines are skipped; line numbers in errors count them, so they name
-    the line of the file.
-    """
+def _body_lines(text: str) -> list[tuple[int, str]]:
+    """The numbered data lines of matrix CSV text: blank lines and a header dropped."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1) if ln.strip() != ""]
     if not lines:
         raise CsvFormatError("empty CSV: no rows found")
@@ -56,6 +57,11 @@ def parse_matrix_csv(text: str) -> np.ndarray:
         lines = lines[1:]  # header row
     if not lines:
         raise CsvFormatError("CSV contains only a header row")
+    return lines
+
+
+def _walk_cells(lines: list[tuple[int, str]]) -> np.ndarray:
+    """Parse body lines cell by cell; the first bad row or cell raises CsvFormatError."""
     width = None
     rows: list[list[float]] = []
     for line_no, line in lines:
@@ -68,6 +74,23 @@ def parse_matrix_csv(text: str) -> np.ndarray:
             )
         rows.append([_parse_cell(c, line_no, j + 1) for j, c in enumerate(cells)])
     return np.array(rows, dtype=float)
+
+
+def parse_matrix_csv(text: str) -> np.ndarray:
+    """Parse matrix CSV text; raises CsvFormatError with line/column context.
+
+    Blank lines are skipped; line numbers in errors count them, so they name
+    the line of the file.
+    """
+    lines = _body_lines(text)
+    try:
+        # comments=None: "1,2 # x" is a bad cell, not a row with a comment
+        return np.loadtxt([ln for _, ln in lines], delimiter=",", ndmin=2,
+                          comments=None, dtype=float)
+    except ValueError:
+        # float() also reads cells the C reader refuses ("1_0"); otherwise the
+        # walk raises, naming the bad cell's line and column
+        return _walk_cells(lines)
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -88,15 +111,28 @@ def read_vector_csv(path) -> np.ndarray:
     return m.reshape(-1)
 
 
-def matrix_to_csv(matrix: np.ndarray) -> str:
+def _csv_lines(matrix: np.ndarray):
+    """Newline-terminated matrix CSV rows, made one at a time.
+
+    Each cell is rendered as ``format_float`` renders it. A non-finite entry
+    raises here, before any row is made, naming the first in row-major order.
+    """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    lines = [",".join(format_float(x) for x in row) for row in matrix]
-    return "\n".join(lines) + "\n"
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        format_float(matrix[~finite][0])  # raises
+    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return (row % tuple(values.tolist()) for values in matrix)
+
+
+def matrix_to_csv(matrix: np.ndarray) -> str:
+    return "".join(_csv_lines(matrix))
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
+    lines = _csv_lines(matrix)  # a non-finite entry raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_to_csv(matrix))
+        fh.writelines(lines)
 
 
 def _render(node, indent: int, parts: list[str]) -> None:

@@ -187,8 +187,12 @@ def regression_conditional_mi(m: GlobalLocalRegression, lambdas) -> float:
     top = float(lam.max(initial=0.0))
     if top == 0.0:
         return 0.0
+    try:
+        prior_var = top ** 2
+    except OverflowError:
+        raise InputError(f"latent scale {top!r} has no finite square") from None
     return regression_mi(RidgeModel(design=m.design * (lam / top), noise_var=m.noise_var,
-                                    prior_var=top ** 2))[0]
+                                    prior_var=prior_var))[0]
 
 
 def random_deff_distribution(

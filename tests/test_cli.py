@@ -591,6 +591,15 @@ class TestExitCodes:
         assert results["sandwich_lower"]["value"] <= 2.0 * results["mi_nats"]["value"]
         assert 2.0 * results["mi_nats"]["value"] <= results["sandwich_upper"]["value"]
 
+    @pytest.mark.parametrize("tau2", ["1e-312", "1e-313", "1e-320"])
+    def test_subnormal_snr_regression_succeeds(self, tau2, tmp_path, capsys):
+        design = tmp_path / "d.csv"
+        design.write_text("0.37,1.2\n2.1,-0.4\n0.9,0.3\n", encoding="utf-8")
+        code, out, _ = run_cli(["regression", "--design", str(design), "--tau2", tau2,
+                                "--sigma2", "1", "--n", "10"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["mi_nats"]["value"] > 0.0
+
 
 EDGE_VALUES = ["-1", "0", "3", "nan", "inf", "1e308", "1e-308", "1e-30"]
 EDGE_COUNTS = ["-1", "0", "3", "100"]

@@ -291,6 +291,25 @@ class TestSandwich:
         assert report.df is None and report.r_info is None
         assert report.rank == 2
 
+    @pytest.mark.parametrize("tau2", [1e-312, 1e-313, 1e-320])
+    def test_subnormal_snrs_bracket_the_unhalved_sum(self, tau2):
+        # halving the subnormal sum of log1p(u) can drop its last bit, putting
+        # 2 * mi one unit below df = sum(u); the sandwich brackets the sum itself
+        x = np.array([[0.37, 1.2], [2.1, -0.4], [0.9, 0.3]])
+        model = RidgeModel(design=x, noise_var=1.0, prior_var=tau2)
+        report = ridge_report(model, 10)
+        assert report.sandwich_lower <= report.two_mi <= report.sandwich_upper
+        assert report.mi_nats == 0.5 * report.two_mi > 0.0
+        assert mi_df_sandwich(model)[1] == report.two_mi
+
+    @pytest.mark.parametrize("tau2", [1e-310, 1e-320])
+    def test_subnormal_snr_random_designs_never_raise(self, tau2):
+        rng = np.random.default_rng(1310)
+        for _ in range(200):
+            x = rng.standard_normal((rng.integers(2, 40), rng.integers(1, 12)))
+            report = ridge_report(RidgeModel(design=x, noise_var=1.0, prior_var=tau2), 10)
+            assert report.sandwich_lower <= report.two_mi <= report.sandwich_upper
+
     def test_overflowing_snr_trace_rejected(self):
         with pytest.raises(InputError, match="must be finite"):
             RidgeModel(design=np.eye(2), noise_var=1e-308, prior_var=1.0)
@@ -569,6 +588,11 @@ class TestFaultClasses:
         with pytest.raises(NumericalError, match="sandwich") as info:
             dimension.InfoReport(**{**vars(report), "sandwich_upper": 0.0})
         assert not isinstance(info.value, InputError)
+
+    def test_mi_other_than_half_the_sum_is_a_numerical_error(self):
+        report = ridge_report(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=1.0), 10)
+        with pytest.raises(NumericalError, match="half"):
+            dimension.InfoReport(**{**vars(report), "two_mi": 2.0 * report.two_mi})
 
     def test_negative_std_error_is_a_numerical_error(self):
         with pytest.raises(NumericalError) as info:

@@ -1,10 +1,13 @@
 """CSV matrix handling and deterministic report rendering."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from effdim import reportio
 from effdim.errors import CsvFormatError, NumericalError
 from effdim.reportio import (
     format_float,
@@ -13,6 +16,7 @@ from effdim.reportio import (
     read_matrix_csv,
     render_report,
     tagged,
+    write_matrix_csv,
 )
 
 
@@ -81,6 +85,120 @@ class TestMatrixCsv:
             parse_matrix_csv("")
         with pytest.raises(CsvFormatError):
             parse_matrix_csv("only,header\n")
+
+
+class TestMatrixCsvWriter:
+    def test_rows_match_per_cell_rendering(self):
+        rng = np.random.default_rng(4)
+        extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e17, 1 / 3]
+        m = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 301, size=4000)
+        m = np.concatenate([m, extremes * 4]).reshape(-1, 8)
+        expected = "\n".join(",".join(format_float(x) for x in row) for row in m) + "\n"
+        assert matrix_to_csv(m) == expected
+
+    @pytest.mark.parametrize("matrix, first", [
+        (np.array([[1.0, np.inf], [np.nan, 2.0]]), np.inf),
+        (np.asfortranarray([[1.0, -np.inf], [np.nan, 2.0]]), -np.inf),
+        (np.array([3.0, np.nan, np.inf]), np.nan),
+    ])
+    def test_first_non_finite_in_row_major_order_is_named(self, matrix, first):
+        with pytest.raises(NumericalError) as expected:
+            format_float(np.float64(first))
+        with pytest.raises(NumericalError) as info:
+            matrix_to_csv(matrix)
+        assert str(info.value) == str(expected.value)
+
+    def test_empty_shapes(self):
+        assert matrix_to_csv(np.zeros((0, 3))) == ""
+        assert matrix_to_csv(np.zeros((2, 0))) == "\n\n"
+
+    def test_file_equals_text_and_non_finite_leaves_no_file(self, tmp_path):
+        m = np.random.default_rng(5).standard_normal((30, 7))
+        write_matrix_csv(tmp_path / "m.csv", m)
+        assert (tmp_path / "m.csv").read_bytes() == matrix_to_csv(m).encode()
+        with pytest.raises(NumericalError):
+            write_matrix_csv(tmp_path / "bad.csv", [[1.0, np.nan]])
+        assert not (tmp_path / "bad.csv").exists()
+
+
+def _walked(text):
+    """The cell walk alone: the reference the C parse must reproduce."""
+    return reportio._walk_cells(reportio._body_lines(text))
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text)
+    except CsvFormatError as exc:
+        return type(exc), str(exc)
+    return m.shape, m.tobytes()
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_CELLS = st.one_of(
+    _FLOATS.map(lambda x: "%.17g" % x),
+    _FLOATS.map(lambda x: "%.6g" % x),
+    st.sampled_from(["0", "-0", "+0.0", "nan", "-nan", "NaN", "inf", "-inf", "Infinity",
+                     "1e400", "-1e-400", "1_0", "1__0", "\uff11\uff12", "\u0661", "",
+                     "x1", "1 2", "0x10", '"1"', "1 # c", "\ufeff1"]),
+)
+_PADS = st.sampled_from(["", " ", "\t", "  \t", "\u00a0", "\u2003"])
+
+
+@st.composite
+def _csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    rows = []
+    if draw(st.booleans()):
+        rows.append(",".join(f"x{j}" for j in range(width)))
+    for _ in range(draw(st.integers(0, 5))):
+        cells = [draw(_PADS) + draw(_CELLS) + draw(_PADS) for _ in range(width)]
+        shape = draw(st.sampled_from(["full"] * 6 + ["short", "long", "trailing comma"]))
+        if shape == "short":
+            cells = cells[:-1]
+        elif shape == "long":
+            cells.append("1")
+        elif shape == "trailing comma":
+            cells.append("")
+        rows.append(",".join(cells))
+        if draw(st.integers(0, 4)) == 0:
+            rows.append(draw(st.sampled_from(["", " ", "\t \t", "\u00a0"])))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(rows) + draw(st.sampled_from(["", end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(text=_csv_texts())
+def test_c_parse_equals_the_cell_walk(text):
+    assert _outcome(parse_matrix_csv, text) == _outcome(_walked, text)
+
+
+class TestIngestRoute:
+    def test_tool_written_file_never_walks_cells(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((500, 50)) * 10.0 ** rng.integers(-300, 301, size=(500, 50))
+        m[0, :3] = [-0.0, 5e-324, 1.7976931348623157e308]
+        path = tmp_path / "x.csv"
+        write_matrix_csv(path, m)
+
+        def walk(*args):
+            raise AssertionError("a tool-written file reached the cell walk")
+
+        monkeypatch.setattr(reportio, "_parse_cell", walk)
+        assert read_matrix_csv(path).tobytes() == m.tobytes()
+
+    def test_read_peak_memory_stays_near_the_matrix_size(self, tmp_path):
+        m = np.random.default_rng(12).standard_normal((2000, 200))
+        path = tmp_path / "x.csv"
+        write_matrix_csv(path, m)
+        tracemalloc.start()
+        try:
+            read_matrix_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * m.nbytes
 
 
 class TestRenderReport:

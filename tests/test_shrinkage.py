@@ -292,6 +292,13 @@ class TestRegressionConditionalMi:
             with pytest.raises(InputError, match="finite"):
                 regression_conditional_mi(m, [1.0, bad])
 
+    @pytest.mark.parametrize("lam", [[1e200, 1.0], [1e200, 1e200]])
+    def test_scale_without_a_finite_square_is_input_error(self, lam):
+        m = GlobalLocalRegression(design=np.eye(2), noise_var=1.0,
+                                  local_priors=HalfCauchy(1.0))
+        with pytest.raises(InputError, match="1e\\+200"):
+            regression_conditional_mi(m, lam)
+
     def test_memory_stays_near_the_design_size(self):
         x = np.random.default_rng(5).standard_normal((2000, 200))
         m = GlobalLocalRegression(design=x, noise_var=1.0, local_priors=HalfCauchy(1.0))
