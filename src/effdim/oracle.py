@@ -75,19 +75,23 @@ class McEstimate:
 
 
 def seeded_blocks(work, n_samples: int, block: int, seed: int, stream: int,
-                  n_threads: int = 1) -> list:
+                  n_threads: int = 1, out: np.ndarray | None = None) -> list:
     """``work(rng, size)`` for each seeded block of ``n_samples``, in block order.
 
     The one place the seed-partitioning contract of ``sampling`` is applied:
     fixed-size blocks, one generator per (stream, block) cell, and results
-    collected in block order whatever the thread count.
+    collected in block order whatever the thread count. Given ``out``, an
+    array of ``n_samples``, each block instead calls ``work(rng, dest)`` on
+    its own slice ``dest`` of it and fills that slice in place, so the whole
+    sample is held once, never also as a list of blocks.
     """
     sizes = block_sizes(n_samples, block)
 
     def run(b):
+        part = sizes[b] if out is None else out[b * block:b * block + sizes[b]]
         # numpy's error state is per thread; from_block reports a non-finite block
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return work(block_rng(seed, stream, b), sizes[b])
+            return work(block_rng(seed, stream, b), part)
 
     return map_blocks(run, len(sizes), n_threads)
 
@@ -246,8 +250,13 @@ def _nested_mixture_pass(
                     samples=outer_samples, inner_samples=inner_samples)
     obs_var = m.obs_var
     c_snr = m.c_snr
-    inner_lam = np.concatenate(seeded_blocks(
-        m.prior.sample, inner_samples, FLAT_BLOCK, seed, STREAM_MIXTURE_INNER))
+    inner_lam = np.empty(inner_samples)
+
+    def draw_scales(rng, dest):
+        dest[:] = m.prior.sample(rng, dest.size)
+
+    seeded_blocks(draw_scales, inner_samples, FLAT_BLOCK, seed, STREAM_MIXTURE_INNER,
+                  out=inner_lam)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mix_var = inner_lam * inner_lam + obs_var
         neg_half_prec = -0.5 / mix_var

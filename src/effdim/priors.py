@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InputError, require_finite, require_float_count
+from .errors import InputError, require_finite, require_float_count
 
 
 @dataclass(frozen=True)
@@ -174,27 +174,21 @@ class ScalarShrinkageModel:
 
 @dataclass(frozen=True)
 class GlobalLocalRegression:
-    """Regression with iid per-coordinate latent scales on the coefficients."""
+    """Regression with per-coordinate latent scales on the coefficients.
+
+    Holds the design and the noise variance; the scales themselves are given
+    to ``shrinkage.regression_conditional_mi``, one per design column.
+    """
 
     design: np.ndarray
     noise_var: float
-    local_priors: tuple[ShrinkagePrior, ...]
 
     def __post_init__(self):
         design = linalg.as_matrix(self.design, "design")
         require_finite(noise_var=self.noise_var)
         if self.noise_var <= 0:
             raise InputError("noise variance must be positive")
-        priors = self.local_priors
-        if isinstance(priors, ShrinkagePrior):
-            priors = (priors,) * design.shape[1]
-        priors = tuple(priors)
-        if len(priors) != design.shape[1]:
-            raise DimensionMismatch(
-                f"{len(priors)} local priors for a design with {design.shape[1]} columns"
-            )
         object.__setattr__(self, "design", design)
-        object.__setattr__(self, "local_priors", priors)
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,10 @@ in one place, ``oracle.seeded_blocks``, which alone calls ``block_sizes``,
 Each block reduces to (count, mean, M2) in two passes: the mean, then the
 centered sum of squares about it. Both sums run in one fixed pairwise-tree
 order written in this module (see ``_tree_sum``), not in the order of numpy's
-reduce kernel, which may change with its build and SIMD width. Blocks combine
+reduce kernel, which may change with its build and SIMD width. A block of n
+values takes n/2 extra floats: both trees work in one half-length buffer, and
+the squares enter M2's tree already added in pairs, so no n-sized array of
+squares exists. Blocks combine
 with the standard parallel-variance merge, again in block order, so the
 single-threaded and multi-threaded paths execute the identical float sequence
 on every thread count and platform.
@@ -58,6 +61,10 @@ NESTED_OUTER_BLOCK = 512
 # never derived from the machine or the thread count.
 NESTED_TILE_ROWS = 16
 NESTED_INNER_CHUNK = 8192
+
+# Pairs of squares per chunk while ``from_block`` builds M2's first tree
+# level; it bounds that pass's scratch and never changes a result.
+MOMENT_CHUNK = 16384
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -109,19 +116,36 @@ class MomentAccumulator:
         """Two-pass block reduction (mean + centered sum of squares).
 
         Both sums use ``_tree_sum``, so the result is fixed by the values
-        alone, not by numpy's reduction order. A mean or M2 that is not finite
-        raises NumericalError here, where every Monte Carlo estimate is formed.
+        alone, not by numpy's reduction order. Both work in one buffer of
+        ``(n + 1) // 2`` floats, the only scratch of size n/2: M2's first
+        level, ``(v[j] - mean)^2 + (v[j + m] - mean)^2`` plus the odd carry,
+        is written into it chunk by chunk, so the n squares never exist at
+        once. A mean or M2 that is not finite raises NumericalError here,
+        where every Monte Carlo estimate is formed.
         """
         values = np.asarray(values, dtype=float).ravel()
         n = int(values.size)
         if n == 0:
             return cls()
-        mean = _tree_sum(values, np.empty((n + 1) // 2)) / n
+        work = np.empty((n + 1) // 2)
+        mean = _tree_sum(values, work) / n
         if not math.isfinite(mean):
             raise NumericalError(f"a Monte Carlo block of {n} values has mean {mean}")
-        squares = values - mean
-        squares *= squares
-        m2 = _tree_sum(squares, squares)
+        m, odd = divmod(n, 2)
+        head = np.empty(min(m, MOMENT_CHUNK))
+        for lo in range(0, m, MOMENT_CHUNK):
+            hi = min(lo + MOMENT_CHUNK, m)
+            first, pair = head[:hi - lo], work[lo:hi]
+            np.subtract(values[m + lo:m + hi], mean, out=pair)
+            pair *= pair
+            np.subtract(values[lo:hi], mean, out=first)
+            first *= first
+            np.add(first, pair, out=pair)
+        if odd:
+            carry = work[m:]
+            np.subtract(values[n - 1:], mean, out=carry)
+            carry *= carry
+        m2 = _tree_sum(work, work)
         if not math.isfinite(m2):
             raise NumericalError(f"a Monte Carlo block of {n} values has M2 {m2}")
         return cls(count=n, mean=mean, m2=m2)

@@ -202,7 +202,10 @@ def random_deff_distribution(
 
     Draws scales from the prior, maps through ``random_deff``, and summarizes
     with the mean, standard deviation, and nearest-rank quantiles (rank
-    ceil(q*N) of the sorted sample, a deterministic convention).
+    ceil(q*N) of the sorted sample, a deterministic convention). The sample
+    lives in one buffer of ``samples`` floats: each seeded block fills its own
+    slice, the moments take n/2 floats of scratch on top, and the quantiles
+    come from sorting the buffer in place.
     """
     require_samples("distribution summary", MIN_DISTRIBUTION_SAMPLES, samples=samples)
     require_sample_size(m.n)
@@ -217,16 +220,20 @@ def random_deff_distribution(
         )
     log_n = math.log(m.n)
 
-    def worker(rng, size):
-        lam = m.prior.sample(rng, size)
-        return np.log1p(m.c_snr * lam * lam) / log_n
+    def fill(rng, dest):
+        # log1p(c lam^2) / log n, in the order c * lam * lam
+        lam = m.prior.sample(rng, dest.size)
+        np.multiply(m.c_snr, lam, out=dest)
+        dest *= lam
+        np.log1p(dest, out=dest)
+        dest /= log_n
 
-    values = np.concatenate(
-        seeded_blocks(worker, samples, FLAT_BLOCK, seed, STREAM_DEFF_DIST, n_threads))
+    values = np.empty(samples)
+    seeded_blocks(fill, samples, FLAT_BLOCK, seed, STREAM_DEFF_DIST, n_threads, out=values)
     acc = MomentAccumulator.from_block(values)
-    ordered = np.sort(values)
+    values.sort()
     quantiles = {
-        q: float(ordered[min(max(math.ceil(q * samples), 1), samples) - 1])
+        q: float(values[min(max(math.ceil(q * samples), 1), samples) - 1])
         for q in QUANTILE_LEVELS
     }
     return DeffDistributionSummary(

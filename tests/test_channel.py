@@ -25,7 +25,7 @@ from effdim.errors import (
     SingularReparameterization,
 )
 
-from effdim.channel import EVALUATION_MODES, ChannelSpectrum
+from effdim.channel import EVALUATION_MODES, PARAMETER_ROUTE_TOL, ChannelSpectrum
 
 from conftest import random_channel, random_covariance, random_invertible
 
@@ -295,6 +295,46 @@ class TestSylvesterIdentity:
             n_form = mutual_information(ch, "observation")
             p_form = mutual_information(ch, "parameter")
             np.testing.assert_allclose(n_form, p_form, rtol=1e-9, atol=1e-12)
+
+
+def scaled_row_channel(s: float) -> GaussianChannel:
+    """One observation of three parameters: a = [1, 2, 0.5] s, S = diag(1, 2, 3), N = 1."""
+    return GaussianChannel(a=[[1.0 * s, 2.0 * s, 0.5 * s]], prior_cov=np.diag([1.0, 2.0, 3.0]),
+                           noise_cov=[[1.0]])
+
+
+class TestParameterRoute:
+    """The parameter route agrees with the spectral one or raises NumericalError."""
+
+    @pytest.mark.parametrize("s", [1e6, 1e8, 1e20])
+    def test_unresolvable_unit_directions_raise(self, s):
+        # without the check, s = 1e6 is off by 6.6e-6 relative, slogdet
+        # fails at 1e8, and 1e20 returns 102.716 against 47.190
+        with pytest.raises(NumericalError, match="exceeds 1e-06"):
+            mutual_information(scaled_row_channel(s), "parameter")
+
+    def test_every_returned_value_matches_the_spectral_route(self):
+        for s in np.logspace(0, 4, 41):
+            ch = scaled_row_channel(s)
+            np.testing.assert_allclose(mutual_information(ch, "parameter"),
+                                       mutual_information(ch), rtol=1e-9, atol=0)
+
+    def test_random_channels_agree_or_refuse(self):
+        rng = np.random.default_rng(61)
+        outcomes = {"agreed": 0, "refused": 0}
+        for _ in range(300):
+            base = random_channel(rng)
+            ch = GaussianChannel(a=base.a * 10 ** rng.uniform(0, 8),
+                                 prior_cov=base.prior_cov * 10 ** rng.uniform(-2, 2),
+                                 noise_cov=base.noise_cov)
+            try:
+                value = mutual_information(ch, "parameter")
+            except NumericalError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["agreed"] += 1
+            assert abs(value - mutual_information(ch)) <= PARAMETER_ROUTE_TOL
+        assert min(outcomes.values()) >= 50
 
 
 class TestCoarsen:

@@ -576,7 +576,7 @@ class TestFaultClasses:
         lambda: shrinkage.heavy_tail_bound(
             TailCertificate(c_const=1.0, alpha_exp=1.0, t0=1.0), -1.0),
         lambda: shrinkage.regression_conditional_mi(
-            GlobalLocalRegression(design=np.eye(2), noise_var=1.0, local_priors=FixedScale(1.0)),
+            GlobalLocalRegression(design=np.eye(2), noise_var=1.0),
             [1.0, -1.0]),
     ])
     def test_input_checks_raise_input_error(self, call):

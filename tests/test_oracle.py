@@ -341,6 +341,19 @@ class TestSeededBlocks:
         for b, (_, draws) in enumerate(got):
             np.testing.assert_array_equal(draws, block_rng(4, 9, b).standard_normal(3))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_each_block_fills_its_own_slice(self, threads):
+        n = 2 * FLAT_BLOCK + 5
+        out = np.full(n, np.nan)
+
+        def fill(rng, dest):
+            dest[:] = rng.standard_normal(dest.size)
+
+        seeded_blocks(fill, n, FLAT_BLOCK, seed=4, stream=9, n_threads=threads, out=out)
+        joined = np.concatenate(seeded_blocks(lambda rng, size: rng.standard_normal(size),
+                                              n, FLAT_BLOCK, seed=4, stream=9))
+        assert out.tobytes() == joined.tobytes()
+
     def test_block_mean_is_thread_independent(self):
         def values(rng, size):
             return rng.standard_normal(size)

@@ -143,25 +143,15 @@ class TestModels:
         with pytest.raises(InputError, match="c_snr must be finite"):
             ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1e-320, n=10)
 
-    def test_global_local_replicates_single_prior(self):
-        x = np.ones((3, 4))
-        m = GlobalLocalRegression(design=x, noise_var=1.0, local_priors=HalfCauchy(1.0))
-        assert len(m.local_priors) == 4
-
-    def test_global_local_count_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            GlobalLocalRegression(
-                design=np.ones((3, 4)), noise_var=1.0,
-                local_priors=(FixedScale(1.0),) * 3,
-            )
+    def test_global_local_dim_is_the_design_width(self):
+        m = GlobalLocalRegression(design=np.ones((3, 4)), noise_var=1.0)
+        assert m.dim == 4 and m.design.shape == (3, 4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_global_local_rejects_non_finite_design(self, bad):
         with pytest.raises(InputError, match="design has non-finite entries"):
-            GlobalLocalRegression(design=[[bad, 1.0]], noise_var=1.0,
-                                  local_priors=HalfCauchy(1.0))
+            GlobalLocalRegression(design=[[bad, 1.0]], noise_var=1.0)
 
     def test_global_local_rejects_non_matrix_design(self):
         with pytest.raises(DimensionMismatch):
-            GlobalLocalRegression(design=[1.0, 2.0], noise_var=1.0,
-                                  local_priors=HalfCauchy(1.0))
+            GlobalLocalRegression(design=[1.0, 2.0], noise_var=1.0)

@@ -1,13 +1,20 @@
 """Seed partitioning and streaming moments."""
 
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effdim import sampling
 from effdim.errors import NumericalError
 from effdim.sampling import (
     FLAT_BLOCK,
+    MOMENT_CHUNK,
     MomentAccumulator,
+    _tree_sum,
     block_rng,
     block_sizes,
     map_blocks,
@@ -211,3 +218,80 @@ class TestMomentAccumulator:
         assert MomentAccumulator().std_error == 0.0
         one = MomentAccumulator.from_block(np.array([3.0]))
         assert one.count == 1 and one.mean == 3.0 and one.std_error == 0.0
+
+
+def two_pass_from_block(values) -> MomentAccumulator:
+    """The earlier body of ``from_block``, kept verbatim as its reference.
+
+    It squares all n deviations into one array before M2's tree; the current
+    one builds that tree's first level in the mean's half-length buffer.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    n = int(values.size)
+    if n == 0:
+        return MomentAccumulator()
+    mean = _tree_sum(values, np.empty((n + 1) // 2)) / n
+    if not math.isfinite(mean):
+        raise NumericalError(f"a Monte Carlo block of {n} values has mean {mean}")
+    squares = values - mean
+    squares *= squares
+    m2 = _tree_sum(squares, squares)
+    if not math.isfinite(m2):
+        raise NumericalError(f"a Monte Carlo block of {n} values has M2 {m2}")
+    return MomentAccumulator(count=n, mean=mean, m2=m2)
+
+
+def outcome(reduce, values) -> tuple:
+    """(count, mean, M2) in hex, or the NumericalError's message."""
+    with np.errstate(all="ignore"):
+        try:
+            acc = reduce(values)
+        except NumericalError as exc:
+            return ("NumericalError", str(exc))
+    return (acc.count, acc.mean.hex(), acc.m2.hex())
+
+
+class TestHalfBufferM2:
+    """``from_block`` equals the two-pass reference bit for bit, in n/2 scratch."""
+
+    @pytest.mark.parametrize("n", [
+        1, 2, 3, MOMENT_CHUNK - 1, MOMENT_CHUNK, MOMENT_CHUNK + 1, 2 * MOMENT_CHUNK - 1,
+        2 * MOMENT_CHUNK, 2 * MOMENT_CHUNK + 1, 1_000_003,
+    ])
+    def test_sizes_around_the_chunk(self, n):
+        rng = np.random.default_rng(n)
+        wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-60.0, 60.0, n)
+        for values in (rng.standard_normal(n) + 1e3, wide, np.abs(wide)):
+            got = outcome(MomentAccumulator.from_block, values)
+            assert got == outcome(two_pass_from_block, values)
+            assert got[0] == n
+
+    def test_overflowing_m2_gives_the_same_error(self):
+        values = np.array([1e200, -1e200, 3.0])
+        got = outcome(MomentAccumulator.from_block, values)
+        assert got == outcome(two_pass_from_block, values)
+        assert got == ("NumericalError", "a Monte Carlo block of 3 values has M2 inf")
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(values=st.lists(st.one_of(
+        st.floats(width=64),
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=-1e-300, max_value=1e-300),
+        st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    ), min_size=1, max_size=40), chunk=st.integers(1, 8))
+    def test_fuzzed_blocks_match_the_reference(self, values, chunk):
+        # a small chunk splits even short blocks into several chunks
+        with mock.patch.object(sampling, "MOMENT_CHUNK", chunk):
+            got = outcome(MomentAccumulator.from_block, values)
+        assert got == outcome(two_pass_from_block, values)
+
+    def test_scratch_is_half_the_block(self):
+        values = np.random.default_rng(8).standard_normal(2_000_000)
+        tracemalloc.start()
+        try:
+            MomentAccumulator.from_block(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the two-pass reference peaks at 1.00x
+        assert peak <= 0.65 * values.nbytes

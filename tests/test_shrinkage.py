@@ -31,6 +31,9 @@ from effdim import (
     regression_mi,
 )
 from effdim.errors import InputError, InsufficientSamples, NumericalError, SampleSizeTooSmall
+from effdim.oracle import seeded_blocks
+from effdim.sampling import FLAT_BLOCK, STREAM_DEFF_DIST, MomentAccumulator
+from effdim.shrinkage import QUANTILE_LEVELS
 
 
 def half_cauchy_log_moment_oracle() -> float:
@@ -239,7 +242,7 @@ class TestRegressionConditionalMi:
     def test_constant_scales_reduce_exactly(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal((5, 4))
-        m = GlobalLocalRegression(design=x, noise_var=1.3, local_priors=HalfCauchy(1.0))
+        m = GlobalLocalRegression(design=x, noise_var=1.3)
         tau = 0.85
         via_scales = regression_conditional_mi(m, np.full(4, tau))
         via_ridge, _ = regression_mi(RidgeModel(design=x, noise_var=1.3, prior_var=tau**2))
@@ -247,14 +250,14 @@ class TestRegressionConditionalMi:
 
     def test_zero_scales(self):
         x = np.ones((3, 2))
-        m = GlobalLocalRegression(design=x, noise_var=1.0, local_priors=HalfCauchy(1.0))
+        m = GlobalLocalRegression(design=x, noise_var=1.0)
         assert regression_conditional_mi(m, np.zeros(2)) == 0.0
 
     def test_matches_channel_oracle(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((5, 4))
         lam = np.abs(rng.standard_cauchy(4))
-        m = GlobalLocalRegression(design=x, noise_var=1.0, local_priors=HalfCauchy(1.0))
+        m = GlobalLocalRegression(design=x, noise_var=1.0)
         closed = regression_conditional_mi(m, lam)
         channel = GaussianChannel(
             a=x, prior_cov=np.diag(lam * lam), noise_cov=np.eye(5)
@@ -271,22 +274,19 @@ class TestRegressionConditionalMi:
             lam = np.abs(rng.standard_cauchy(p))
             lam[rng.random(p) < 0.25] = 0.0
             noise_var = float(rng.uniform(0.2, 3.0))
-            m = GlobalLocalRegression(design=x, noise_var=noise_var,
-                                      local_priors=HalfCauchy(1.0))
+            m = GlobalLocalRegression(design=x, noise_var=noise_var)
             channel = GaussianChannel(a=x, prior_cov=np.diag(lam * lam),
                                       noise_cov=noise_var * np.eye(n))
             np.testing.assert_allclose(regression_conditional_mi(m, lam),
                                        mutual_information(channel, mode), rtol=1e-10)
 
     def test_empty_design(self):
-        m = GlobalLocalRegression(design=np.zeros((3, 0)), noise_var=1.0,
-                                  local_priors=())
+        m = GlobalLocalRegression(design=np.zeros((3, 0)), noise_var=1.0)
         assert regression_conditional_mi(m, []) == 0.0
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_scales_rejected_without_warning(self, bad):
-        m = GlobalLocalRegression(design=np.ones((3, 2)), noise_var=1.0,
-                                  local_priors=HalfCauchy(1.0))
+        m = GlobalLocalRegression(design=np.ones((3, 2)), noise_var=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InputError, match="finite"):
@@ -294,14 +294,13 @@ class TestRegressionConditionalMi:
 
     @pytest.mark.parametrize("lam", [[1e200, 1.0], [1e200, 1e200]])
     def test_scale_without_a_finite_square_is_input_error(self, lam):
-        m = GlobalLocalRegression(design=np.eye(2), noise_var=1.0,
-                                  local_priors=HalfCauchy(1.0))
+        m = GlobalLocalRegression(design=np.eye(2), noise_var=1.0)
         with pytest.raises(InputError, match="1e\\+200"):
             regression_conditional_mi(m, lam)
 
     def test_memory_stays_near_the_design_size(self):
         x = np.random.default_rng(5).standard_normal((2000, 200))
-        m = GlobalLocalRegression(design=x, noise_var=1.0, local_priors=HalfCauchy(1.0))
+        m = GlobalLocalRegression(design=x, noise_var=1.0)
         lam = np.abs(np.random.default_rng(6).standard_cauchy(200))
         tracemalloc.start()
         try:
@@ -314,9 +313,7 @@ class TestRegressionConditionalMi:
     def test_wrong_length_rejected(self):
         from effdim.errors import DimensionMismatch
 
-        m = GlobalLocalRegression(
-            design=np.ones((3, 2)), noise_var=1.0, local_priors=HalfCauchy(1.0)
-        )
+        m = GlobalLocalRegression(design=np.ones((3, 2)), noise_var=1.0)
         with pytest.raises(DimensionMismatch):
             regression_conditional_mi(m, [1.0])
 
@@ -394,3 +391,41 @@ class TestRandomDeffDistribution:
         a = random_deff_distribution(m, 20_000, seed=5)
         b = random_deff_distribution(m, 20_000, seed=5, n_threads=4)
         assert a.mean == b.mean and a.sd == b.sd and a.quantiles == b.quantiles
+
+    @staticmethod
+    def block_list_summary(m, samples, seed) -> tuple:
+        """The summary from joined per-block arrays and a sorted copy, in hex."""
+        def worker(rng, size):
+            lam = m.prior.sample(rng, size)
+            return np.log1p(m.c_snr * lam * lam) / math.log(m.n)
+
+        values = np.concatenate(
+            seeded_blocks(worker, samples, FLAT_BLOCK, seed, STREAM_DEFF_DIST))
+        acc = MomentAccumulator.from_block(values)
+        ordered = np.sort(values)
+        return (acc.mean.hex(), math.sqrt(acc.variance).hex(),
+                *(float(ordered[math.ceil(q * samples) - 1]).hex() for q in QUANTILE_LEVELS))
+
+    @pytest.mark.parametrize("samples", [65_537, 300_001])
+    @pytest.mark.parametrize("prior", [HalfCauchy(1.0), InverseGammaMixture(dof=3.0)],
+                             ids=["half-cauchy", "student-t"])
+    def test_one_buffer_matches_the_block_list_at_any_thread_count(self, prior, samples):
+        m = ScalarShrinkageModel(prior=prior, noise_var=1.0, n=100)
+        expected = self.block_list_summary(m, samples, seed=13)
+        for threads in (1, 2):
+            s = random_deff_distribution(m, samples, seed=13, n_threads=threads)
+            got = (s.mean.hex(), s.sd.hex(), *(s.quantiles[q].hex() for q in QUANTILE_LEVELS))
+            assert got == expected, threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_memory_is_one_sample_and_a_half(self, threads):
+        m = ScalarShrinkageModel(prior=InverseGammaMixture(dof=3.0), noise_var=1.0, n=100)
+        samples = 2_000_000
+        tracemalloc.start()
+        try:
+            random_deff_distribution(m, samples, seed=2, n_threads=threads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # joined blocks, an array of squares and a sorted copy peak at 2.00x
+        assert peak <= 1.65 * 8 * samples
