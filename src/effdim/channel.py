@@ -11,9 +11,10 @@ identity) and the spectral form
     I = 1/2 sum_j log(1 + lambda_j)
 
 over the nonzero eigenvalues lambda_j of the noise-whitened signal Gram
-L^{-1} A S A^T L^{-T}, where L is the lower Cholesky factor of N. The
-spectral route is the default: it is the stable one for ill-conditioned
-noise, and each lambda_j is a per-mode signal-to-noise ratio.
+G S G^T, G = L^{-1} A with L the lower Cholesky factor of N. The spectral
+route is the default: it is the stable one for ill-conditioned noise, and
+each lambda_j is a per-mode signal-to-noise ratio (zeroed within the
+eigensolve's error).
 
 Also provided: the two information-preserving/reducing channel surgeries
 used throughout the library: deterministic linear coarsening of the data
@@ -96,10 +97,11 @@ class GaussianChannel:
     def output_lower(self) -> np.ndarray:
         """Lower Cholesky factor of the output covariance A S A^T + N."""
         # built in place: n x n temporaries set the peak memory of its readers
-        total = self.a @ self.prior_cov @ self.a.T
-        total += self.noise_cov
-        total = total + total.T
-        total *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):  # cholesky_lower refuses inf
+            total = self.a @ self.prior_cov @ self.a.T
+            total += self.noise_cov
+            total = total + total.T
+            total *= 0.5
         lower = linalg.cholesky_lower(total, "output covariance")
         lower.flags.writeable = False
         return lower
@@ -117,9 +119,9 @@ class GaussianChannel:
 class ChannelSpectrum:
     """Nonincreasing per-mode signal-to-noise eigenvalues and their rank.
 
-    The library's one spectrum normal form: negatives clip to zero, entries at
-    or below ``linalg.RANK_RTOL`` times the leading one are exactly zero, and
-    rank counts the strictly positive survivors.
+    The library's one spectrum normal form: sorted nonincreasing, negatives
+    clipped to zero, read-only; rank counts the positive entries. It cuts
+    nothing: each producer zeroes what its own solver cannot resolve.
     """
 
     eigenvalues: np.ndarray
@@ -127,8 +129,7 @@ class ChannelSpectrum:
 
     def __post_init__(self):
         vals = np.clip(np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1], 0.0, None)
-        if vals.size:
-            vals[vals <= linalg.RANK_RTOL * vals[0]] = 0.0
+        vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "rank", int(np.count_nonzero(vals)))
 
@@ -138,17 +139,19 @@ class ChannelSpectrum:
 
 
 def whitened_spectrum(ch: GaussianChannel) -> ChannelSpectrum:
-    """Eigenvalues of the noise-whitened signal Gram L^{-1} A S A^T L^{-T}.
+    """Eigenvalues of the noise-whitened signal Gram G S G^T, G = L^{-1} A.
 
-    L is the channel's stored noise factor ``noise_lower``. The whitened Gram
-    is symmetrized before the symmetric eigensolve, and the eigenvalues take
-    the ``ChannelSpectrum`` normal form.
+    L is the stored ``noise_lower``. Eigenvalues at or below
+    n * eps * lambda_max, the symmetric eigensolve's error, are zeroed; a Gram
+    beyond the float range raises NumericalError.
     """
-    signal = ch.a @ ch.prior_cov @ ch.a.T
-    half = linalg.solve_lower(ch.noise_lower, signal)
-    whitened = linalg.solve_lower(ch.noise_lower, half.T)
-    whitened = 0.5 * (whitened + whitened.T)
-    eigs = np.linalg.eigvalsh(whitened)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = linalg.solve_lower(ch.noise_lower, ch.a)
+        gram = g @ ch.prior_cov @ g.T  # eigvalsh reads one triangle
+    if not np.isfinite(gram).all():
+        raise NumericalError("whitened signal Gram overflows the float range")
+    eigs = np.linalg.eigvalsh(gram)
+    eigs[eigs <= ch.n_obs * np.finfo(float).eps * eigs.max(initial=0.0)] = 0.0
     return ChannelSpectrum(eigenvalues=eigs)
 
 
@@ -186,9 +189,10 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
         return max(float(value), 0.0)
     # parameter form: I_p + S^{1/2} A^T N^{-1} A S^{1/2}, symmetric PSD even
     # when the prior covariance is singular.
-    w = linalg.solve_lower(ch.noise_lower, ch.a @ ch.prior_root)
-    gram = w.T @ w
-    rounding = np.finfo(float).eps * float(np.trace(gram))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+        w = linalg.solve_lower(ch.noise_lower, ch.a @ ch.prior_root)
+        gram = w.T @ w
+        rounding = np.finfo(float).eps * float(np.trace(gram))
     if not rounding <= PARAMETER_ROUTE_TOL:
         raise NumericalError(
             f"parameter form cannot resolve the unit directions: eps*|W|_F^2 = "

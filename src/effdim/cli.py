@@ -288,16 +288,18 @@ def _cmd_curve(args) -> tuple[str, int]:
         design = read_matrix_csv(args.design)
         model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
         mi_fixed, _ = regression_mi(model)
-        rows = [(n, deff(mi_fixed, n)) for n in grid]
-        monotone_guaranteed = True
+    elif args.tau2_schedule == "inverse-n":
+        # n * (tau2 / n) misses tau2 by an ulp, more than a step in log n: one MI
+        model = LocationModel(dim=args.d, prior_var=args.tau2, noise_var=args.sigma2, n=1)
+        mi_fixed = location_mi(model)
     else:
+        mi_fixed = None
         rows = []
         for n in grid:
-            tau2_n = args.tau2 / n if args.tau2_schedule == "inverse-n" else args.tau2
-            model = LocationModel(dim=args.d, prior_var=tau2_n, noise_var=args.sigma2, n=n)
+            model = LocationModel(dim=args.d, prior_var=args.tau2, noise_var=args.sigma2, n=n)
             rows.append((n, deff(location_mi(model), n)))
-        monotone_guaranteed = args.tau2_schedule == "inverse-n"
-    if monotone_guaranteed:
+    if mi_fixed is not None:  # then d_eff = 2 I / log(n) cannot increase
+        rows = [(n, deff(mi_fixed, n)) for n in grid]
         values = [v for _, v in rows]
         if any(b > a for a, b in zip(values, values[1:])):
             raise NumericalError("d_eff column failed its guaranteed monotonicity check")

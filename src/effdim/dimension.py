@@ -86,10 +86,8 @@ class RidgeModel:
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, int]:
-        """``design_spectrum`` of the design, taken on first use and kept read-only."""
-        s_sq, rank = design_spectrum(self.design)
-        s_sq.flags.writeable = False
-        return s_sq, rank
+        """``design_spectrum`` of the design, taken on first use."""
+        return design_spectrum(self.design)
 
     @property
     def n_obs(self) -> int:
@@ -154,6 +152,8 @@ class InfoReport:
             raise NumericalError("mi must be half of the summed per-mode information")
         if not (self.sandwich_lower <= self.two_mi <= self.sandwich_upper):
             raise NumericalError("sandwich bounds must bracket 2*mi")
+        if self.rank_bound < self.d_eff:
+            raise NumericalError("the rank bound must not read below d_eff")
 
 
 def deff(mi_nats: float, n: int) -> float:
@@ -170,12 +170,13 @@ def location_mi(m: LocationModel) -> float:
 
 
 def design_spectrum(design: np.ndarray) -> tuple[np.ndarray, int]:
-    """Squared singular values of a design, nonincreasing, with rank.
+    """Fields of the ``ChannelSpectrum`` of a design's squared singular values.
 
-    The fields of the ``ChannelSpectrum`` of s^2, so values at or below the
-    shared relative cutoff are exactly zero.
+    Singular values at or below max(m, n) * eps * s_1, the SVD's own error
+    (numpy's ``matrix_rank`` rule), are zeroed before they are squared.
     """
     s = np.linalg.svd(np.asarray(design, dtype=float), compute_uv=False)
+    s[s <= max(np.shape(design)) * np.finfo(float).eps * s.max(initial=0.0)] = 0.0
     spectrum = ChannelSpectrum(eigenvalues=s * s)
     return spectrum.eigenvalues, spectrum.rank
 
@@ -363,7 +364,7 @@ def spectrum_sequence_mi(s: SpectrumSequence) -> tuple[float, float, int]:
 
 
 def deff_rank_bound(m: RidgeModel, n: int) -> float:
-    """Rank-based ceiling r * log1p(snr * s_1^2) / log(n) on d_eff(n)."""
+    """Rank-based ceiling max(r * log1p(snr * s_1^2), 2 I) / log(n) on d_eff(n)."""
     return ridge_report(m, n).rank_bound
 
 
@@ -384,16 +385,18 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     # the per-mode SNRs the MI sums log1p over; with both sandwich bounds
     # summed from them too, u/(1+u) <= log1p(u) <= u survives rounding
     u = m.snr_ratio * s_sq[:rank]
-    two_mi = float(np.sum(np.log1p(u)))  # spectral_information(u), before halving
+    w = np.log1p(u)  # the per-mode weights of every sum below
+    two_mi = float(np.sum(w))  # spectral_information(u), before halving
     mi = 0.5 * two_mi
     d_eff = deff(mi, n)  # rejects n < 3 before log(n) divides below
     df = r_info = None
     lower = upper = rank_bound = 0.0
     if rank > 0:
-        rank_bound = rank * math.log1p(float(u[0])) / math.log(n)
+        # r * w_1 >= sum(w) exactly, not always in floats; 2 * mi is d_eff's numerator
+        rank_bound = max(float(rank * w[0]), 2.0 * mi) / math.log(n)
         if u[0] > 0:
             df = lower = ridge_df(u, 1.0)
-            r_info = info_effective_rank(s_sq[:rank], m.snr_ratio)
+            r_info = two_mi / float(w[0])  # info_effective_rank(s_sq[:rank], snr)
             upper = float(np.sum(u))
     return InfoReport(
         mi_nats=mi,

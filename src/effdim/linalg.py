@@ -20,9 +20,6 @@ from .errors import (
 # Relative asymmetry accepted before a matrix is rejected outright.
 SYMMETRY_RTOL = 1e-12
 
-# Relative eigenvalue cutoff below which spectral mass counts as zero rank.
-RANK_RTOL = 1e-12
-
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Copy input to a finite float 2-D array; reject anything else."""

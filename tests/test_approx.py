@@ -140,6 +140,12 @@ class TestLoewnerDominates:
 
 
 class TestAuditApproximation:
+    def test_posteriors_of_different_dimension_rejected(self):
+        exact = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))
+        approx = GaussianDistribution(mean=[0.0], cov=np.eye(1))
+        with pytest.raises(DimensionMismatch, match="differ in dimension"):
+            audit_approximation(exact, approx, np.eye(2), 100)
+
     def test_prior_validated_and_factored_once(self, monkeypatch):
         exact = GaussianDistribution(mean=[0.0, 0.0], cov=0.5 * np.eye(2))
         approx = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))

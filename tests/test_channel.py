@@ -171,6 +171,40 @@ class TestSymmetrize:
 
 
 class TestWhitenedSpectrum:
+    def test_small_mode_above_eigensolve_error_kept(self):
+        ch = GaussianChannel(a=np.diag([1.0, 1e-7]), prior_cov=1e20 * np.eye(2),
+                             noise_cov=np.eye(2))
+        spec = whitened_spectrum(ch)
+        assert spec.rank == 2
+        assert not spec.eigenvalues.flags.writeable
+        assert mutual_information(ch) == mutual_information(ch, "observation")
+
+    def test_one_triangular_solve(self, monkeypatch):
+        calls = []
+        original = linalg.solve_lower
+
+        def recording(lower, b):
+            calls.append(b.shape)
+            return original(lower, b)
+
+        monkeypatch.setattr(linalg, "solve_lower", recording)
+        whitened_spectrum(random_channel(np.random.default_rng(6)))
+        assert len(calls) == 1
+
+    def test_overflowing_gram_refused_without_warning(self):
+        # pytest turns any RuntimeWarning into an error here
+        ch = GaussianChannel(a=1e160 * np.array([[1.0, 0.5], [0.2, 2.0]]),
+                             prior_cov=np.eye(2), noise_cov=np.eye(2))
+        for mode in EVALUATION_MODES:
+            with pytest.raises(NumericalError):
+                mutual_information(ch, mode)
+
+    def test_large_finite_gram_still_resolved(self):
+        ch = GaussianChannel(a=1e150 * np.array([[1.0, 0.5], [0.2, 2.0]]),
+                             prior_cov=np.eye(2), noise_cov=np.eye(2))
+        assert mutual_information(ch) == 691.4173817843862
+        assert mutual_information(ch, "observation") == 691.4173817843862
+
     def test_identity_case(self):
         spec = whitened_spectrum(scalar_channel())
         np.testing.assert_array_equal(spec.eigenvalues, [1.0])
@@ -213,7 +247,7 @@ class TestWhitenedSpectrum:
     @pytest.mark.parametrize("values, normal, rank", [
         ([], [], 0),
         ([-1.0, -0.0, 0.0], [0.0, 0.0, 0.0], 0),
-        ([1e-13, -1e-3, 1.0, 1e-11], [1.0, 1e-11, 0.0, 0.0], 2),
+        ([1e-13, -1e-3, 1.0, 1e-11], [1.0, 1e-11, 1e-13, 0.0], 3),
     ], ids=["empty", "no-signal", "sort-clip-cut"])
     def test_normal_form(self, values, normal, rank):
         spec = ChannelSpectrum(eigenvalues=values)
@@ -409,6 +443,12 @@ class TestReparameterize:
             before = mutual_information(ch)
             after = mutual_information(reparameterize(ch, t))
             np.testing.assert_allclose(after, before, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("t", [np.eye(3), np.ones((2, 3))], ids=["wrong-size", "not-square"])
+    def test_wrong_shape_rejected(self, t):
+        ch = GaussianChannel(a=np.eye(2), prior_cov=np.eye(2), noise_cov=np.eye(2))
+        with pytest.raises(DimensionMismatch, match="reparameterization must be 2x2"):
+            reparameterize(ch, t)
 
     def test_singular_rejected(self):
         ch = GaussianChannel(a=np.eye(2), prior_cov=np.eye(2), noise_cov=np.eye(2))

@@ -196,6 +196,20 @@ class TestCurve:
         np.testing.assert_allclose(values, expected, rtol=1e-12)
         assert values == sorted(values, reverse=True)
 
+    def test_empty_grid_exits_two(self, capsys):
+        code, _, err = run_cli(["curve", "--n-grid", ",", "--tau2", "1", "--sigma2", "1"], capsys)
+        assert code == 2
+        assert "--n-grid is empty" in err
+
+    def test_inverse_n_consecutive_large_grid(self, capsys):
+        # n * (tau2 / n) wobbled by an ulp, more than the step in log n
+        code, out, err = run_cli(
+            ["curve", "--n-grid", "739003128230823,739003128230824,739003128230825",
+             "--tau2", "7", "--sigma2", "1", "--tau2-schedule", "inverse-n"], capsys)
+        assert code == 0, err
+        values = [float(l.split(",")[1]) for l in out.strip().splitlines()[1:]]
+        assert values == sorted(values, reverse=True)
+
     def test_bad_grid_exits_two(self, capsys):
         for grid in ("2,10", "10,10", "100,10", "abc"):
             code, _, _ = run_cli(
@@ -568,6 +582,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("effdim: error: ")
         assert str(path) in err
+
+    def test_non_integer_env_seed_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("EFFDIM_SEED", "1.5")
+        code, _, err = run_cli(
+            ["location", "--tau2", "1", "--sigma2", "1", "--n", "10", "--oracle",
+             "--samples", "10000"], capsys)
+        assert code == 2
+        assert "EFFDIM_SEED='1.5' is not an integer" in err
 
     def test_negative_env_seed_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("EFFDIM_SEED", "-5")

@@ -200,6 +200,34 @@ class TestDesignSpectrum:
         assert s_sq.shape == (0,) and rank == 0
         assert ridge_df(s_sq, 1.0) == 0.0
 
+    def test_read_only(self):
+        s_sq, _ = design_spectrum(np.eye(2))
+        assert not s_sq.flags.writeable
+
+    def test_dependent_column_cut_at_svd_error(self):
+        x = np.random.default_rng(8).standard_normal((7, 4))
+        x[:, 3] = x[:, 0] - x[:, 1]
+        s_sq, rank = design_spectrum(x)
+        assert rank == 3 and s_sq[3] == 0.0
+
+    def test_mode_below_old_relative_cut_kept(self):
+        # s_2/s_1 = 1e-7 is far above the SVD's error 2 * eps, although its
+        # square sits below 1e-12 of the leading one
+        m = RidgeModel(design=np.diag([1.0, 1e-7]), noise_var=1.0, prior_var=1e20)
+        report = ridge_report(m, 10)
+        exact = 0.5 * (math.log1p(1e20) + math.log1p(1e6))
+        assert report.rank == 2
+        assert report.mi_nats == 29.933606708922344 == pytest.approx(exact, rel=1e-15)
+        assert mutual_information(regression_channel(m)) == 29.933606708922344
+
+    def test_rotated_ill_conditioned_designs(self):
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((2, 2)))
+        for k in range(3, 16):
+            x = q @ np.diag([1.0, 10.0**-k]) @ q.T
+            report = ridge_report(RidgeModel(design=x, noise_var=1.0, prior_var=1e20), 10)
+            exact = 0.5 * (math.log1p(1e20) + math.log1p(1e20 * 10.0 ** (-2 * k)))
+            assert report.mi_nats == pytest.approx(exact, rel=1e-8), k
+
 
 class TestRidgeDf:
     def test_infinite_penalty_limit(self):
@@ -453,6 +481,17 @@ class TestDeffRankBound:
             n = int(rng.integers(3, 1000))
             assert deff_rank_bound(model, n) >= deff(mi, n) - 1e-12
 
+    def test_flat_spectra_bound_not_below_deff(self):
+        # at u = 0.62085..., libm's log1p(u) read one ulp below numpy's; and
+        # summation rounding alone can put sum(w) above r * w_1
+        rng = np.random.default_rng(31)
+        cases = [(0.6208531268935671, 4)] + [
+            (float(rng.uniform(0.01, 10.0)), int(rng.integers(2, 8))) for _ in range(500)]
+        for u, r in cases:
+            x = math.sqrt(u) * np.eye(r)
+            report = ridge_report(RidgeModel(design=x, noise_var=1.0, prior_var=1.0), 10)
+            assert report.rank_bound >= report.d_eff, (u, r)
+
 
 class TestRidgeReport:
     def test_identity_design_report(self):
@@ -588,6 +627,16 @@ class TestFaultClasses:
         with pytest.raises(NumericalError, match="sandwich") as info:
             dimension.InfoReport(**{**vars(report), "sandwich_upper": 0.0})
         assert not isinstance(info.value, InputError)
+
+    def test_inconsistent_deff_is_a_numerical_error(self):
+        report = ridge_report(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=1.0), 10)
+        with pytest.raises(NumericalError, match="d_eff must equal"):
+            dimension.InfoReport(**{**vars(report), "d_eff": 2.0 * report.d_eff})
+
+    def test_rank_bound_below_deff_is_a_numerical_error(self):
+        report = ridge_report(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=1.0), 10)
+        with pytest.raises(NumericalError, match="rank bound"):
+            dimension.InfoReport(**{**vars(report), "rank_bound": 0.5 * report.d_eff})
 
     def test_mi_other_than_half_the_sum_is_a_numerical_error(self):
         report = ridge_report(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=1.0), 10)

@@ -7,6 +7,7 @@ import pytest
 
 from effdim import (
     FixedScale,
+    ShrinkagePrior,
     GlobalLocalRegression,
     HalfCauchy,
     InverseGammaMixture,
@@ -15,6 +16,11 @@ from effdim import (
     TailCertificate,
 )
 from effdim.errors import DimensionMismatch, InputError
+
+
+def test_base_prior_has_no_sampler():
+    with pytest.raises(NotImplementedError):
+        ShrinkagePrior().sample(np.random.default_rng(0), 3)
 
 
 class TestFixedScale:
@@ -83,6 +89,10 @@ class TestHalfCauchy:
         with pytest.raises(TypeError):
             HalfCauchy(1.0, tail_certificate=TailCertificate(c_const=9.0, alpha_exp=1.0))
 
+    def test_zero_global_scale_rejected(self):
+        with pytest.raises(InputError, match="global scale must be positive"):
+            HalfCauchy(global_scale=0.0)
+
     def test_median_is_global_scale(self):
         rng = np.random.default_rng(5)
         lam = HalfCauchy(2.0).sample(rng, 200_000)
@@ -119,6 +129,10 @@ class TestModels:
         m = ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=0.5, n=10)
         assert m.c_snr == pytest.approx(20.0)
         assert m.obs_var == pytest.approx(0.05)
+
+    def test_global_local_zero_noise_rejected(self):
+        with pytest.raises(InputError, match="noise variance must be positive"):
+            GlobalLocalRegression(design=np.eye(2), noise_var=0.0)
 
     def test_scalar_model_validation(self):
         with pytest.raises(InputError):

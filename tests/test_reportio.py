@@ -202,6 +202,11 @@ class TestIngestRoute:
 
 
 class TestRenderReport:
+    def test_empty_containers(self):
+        text = render_report({"d": {}, "l": [], "t": ()})
+        assert text == '{\n  "d": {},\n  "l": [],\n  "t": []\n}\n'
+        assert json.loads(text) == {"d": {}, "l": [], "t": []}
+
     def test_valid_json_and_key_order(self):
         report = {
             "schema": "x",

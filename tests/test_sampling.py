@@ -157,6 +157,15 @@ def _cancelling_values() -> np.ndarray:
 
 
 class TestMomentAccumulator:
+    def test_merge_with_empty_right_side_is_identity(self):
+        acc = MomentAccumulator.from_block(np.array([1.0, 2.0, 4.0]))
+        assert acc.merge(MomentAccumulator()) is acc
+
+    @pytest.mark.parametrize("values", [[], [3.0]], ids=["empty", "one"])
+    def test_variance_below_two_values_is_zero(self, values):
+        acc = MomentAccumulator.from_block(np.array(values))
+        assert acc.variance == 0.0 and acc.std_error == 0.0
+
     def test_streaming_matches_two_pass(self):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(10_000) * 3.0 + 1.0
