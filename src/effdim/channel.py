@@ -36,6 +36,7 @@ from .errors import (
     RankDeficientCoarsening,
     SingularReparameterization,
 )
+from .sampling import _one_blas_thread
 
 EVALUATION_MODES = ("spectral", "observation", "parameter")
 
@@ -58,7 +59,8 @@ class GaussianChannel:
     covariance PSD. The noise covariance's lower Cholesky factor is kept as
     ``noise_lower``; ``prior_root`` and ``output_lower`` are computed on first
     use and kept read-only, so no route or oracle factors a channel twice.
-    Instances are safe to share.
+    All three are computed with OpenBLAS held at one thread, so their bits do
+    not depend on the machine's core count. Instances are safe to share.
     """
 
     a: np.ndarray
@@ -69,7 +71,8 @@ class GaussianChannel:
     def __post_init__(self):
         a = linalg.as_matrix(self.a, "forward map")
         prior = linalg.symmetrize(self.prior_cov, "prior covariance")
-        noise, noise_lower = linalg.factor_covariance(self.noise_cov, "noise covariance")
+        with _one_blas_thread():
+            noise, noise_lower = linalg.factor_covariance(self.noise_cov, "noise covariance")
         if a.shape[1] != prior.shape[0]:
             raise DimensionMismatch(
                 f"forward map has {a.shape[1]} columns but prior covariance is "
@@ -89,7 +92,8 @@ class GaussianChannel:
     @functools.cached_property
     def prior_root(self) -> np.ndarray:
         """Symmetric square root S^{1/2} of the prior covariance."""
-        root = linalg.psd_sqrt(self.prior_cov)
+        with _one_blas_thread():
+            root = linalg.psd_sqrt(self.prior_cov)
         root.flags.writeable = False
         return root
 
@@ -97,12 +101,12 @@ class GaussianChannel:
     def output_lower(self) -> np.ndarray:
         """Lower Cholesky factor of the output covariance A S A^T + N."""
         # built in place: n x n temporaries set the peak memory of its readers
-        with np.errstate(over="ignore", invalid="ignore"):  # cholesky_lower refuses inf
-            total = self.a @ self.prior_cov @ self.a.T
+        with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
+            total = self.a @ self.prior_cov @ self.a.T  # cholesky_lower refuses inf
             total += self.noise_cov
             total = total + total.T
             total *= 0.5
-        lower = linalg.cholesky_lower(total, "output covariance")
+            lower = linalg.cholesky_lower(total, "output covariance")
         lower.flags.writeable = False
         return lower
 
@@ -208,9 +212,13 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
 def coarsen(ch: GaussianChannel, b) -> GaussianChannel:
     """Channel for the deterministic linear summary Y' = B Y.
 
-    Returns (B A, prior_cov, B N B^T). B must have full row rank so that the
-    summarized noise covariance stays PD; mutual information never increases
-    under this operation.
+    Returns the channel (D B A, prior_cov, D B N B^T D) of the summary D B Y,
+    where the diagonal D scales each row of B by a power of two so that its
+    largest |entry| lies in [1, 2). An invertible D keeps I(theta; D B Y) =
+    I(theta; B Y), and it scales exactly, so the size of B's rows cannot
+    push these products out of the float range. B must have full row rank so
+    that the summarized noise covariance stays PD; mutual information never
+    increases under this operation.
     """
     b = linalg.as_matrix(b, "coarsening map")
     if b.shape[1] != ch.n_obs:
@@ -218,6 +226,8 @@ def coarsen(ch: GaussianChannel, b) -> GaussianChannel:
             f"coarsening map has {b.shape[1]} columns but the channel has "
             f"{ch.n_obs} observations"
         )
+    _, exponents = np.frexp(np.abs(b).max(axis=1, initial=0.0))
+    b = np.ldexp(b, 1 - exponents[:, None])  # a zero row stays zero
     noise = b @ ch.noise_cov @ b.T
     try:
         return GaussianChannel(a=b @ ch.a, prior_cov=ch.prior_cov, noise_cov=noise)
@@ -231,7 +241,8 @@ def reparameterize(ch: GaussianChannel, t) -> GaussianChannel:
     """Channel for the linearly transformed parameter phi = T theta.
 
     Returns (A T^{-1}, T S T^T, noise_cov). T must be invertible to working
-    precision; mutual information is invariant under this operation.
+    precision; mutual information is invariant under this operation. An
+    A T^{-1} or T S T^T beyond the float range raises NumericalError.
     """
     t = linalg.as_matrix(t, "reparameterization")
     if t.shape[0] != t.shape[1] or t.shape[0] != ch.dim:
@@ -244,9 +255,10 @@ def reparameterize(ch: GaussianChannel, t) -> GaussianChannel:
             f"transform is singular to working precision "
             f"(smin={singular_values[-1]:.3e}, smax={singular_values[0]:.3e})"
         )
-    # a_new = A T^{-1} solved as T^T x^T = A^T.
-    a_new = np.linalg.solve(t.T, ch.a.T).T
-    prior_new = t @ ch.prior_cov @ t.T
-    return GaussianChannel(
-        a=a_new, prior_cov=0.5 * (prior_new + prior_new.T), noise_cov=ch.noise_cov
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_new = np.linalg.solve(t.T, ch.a.T).T  # A T^{-1}, solved as T^T x^T = A^T
+        prior_new = t @ ch.prior_cov @ t.T
+    for name, m in (("forward map A T^-1", a_new), ("prior covariance T S T^T", prior_new)):
+        if not np.isfinite(m).all():
+            raise NumericalError(f"reparameterized {name} overflows the float range")
+    return GaussianChannel(a=a_new, prior_cov=prior_new, noise_cov=ch.noise_cov)

@@ -93,9 +93,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"effdim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mc=False):
+    def add_common(p, mc=False, formats=("json",)):
         p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], help="output format")
+        p.add_argument("--format", choices=formats, default=formats[0], help="output format")
         if mc:
             p.add_argument("--seed", type=int, help="master seed (fallback: EFFDIM_SEED)")
             p.add_argument("--samples", type=int, default=100_000,
@@ -128,13 +128,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="d_eff versus n, as plot-ready CSV")
     p.add_argument("--n-grid", required=True,
                    help="comma-separated sample sizes, strictly increasing, all >= 3")
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, help="location model dimension (default: 1)")
     p.add_argument("--tau2", type=float, required=True)
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--tau2-schedule", choices=["fixed", "inverse-n"], default="fixed",
                    help="inverse-n scales the prior variance as tau2/n")
     p.add_argument("--design", help="design CSV: emit the regression d_eff curve instead")
-    add_common(p)
+    add_common(p, formats=("csv", "json"))
 
     p = sub.add_parser("approx", help="covariance-inflation audit of an approximate posterior")
     p.add_argument("--exact-cov", required=True)
@@ -188,15 +188,6 @@ def _resolve_seed(args) -> int:
     return seed
 
 
-def _check_format(args, allowed=("json",), default="json") -> str:
-    fmt = args.format or default
-    if fmt not in allowed:
-        raise InputError(
-            f"--format {fmt} is not supported by this subcommand (allowed: {', '.join(allowed)})"
-        )
-    return fmt
-
-
 def _require(args, context: str, flags) -> None:
     """Raise InputError naming the first of ``flags`` that was not given."""
     for dest in flags:
@@ -221,7 +212,6 @@ def _report(args, config: dict, results: dict, code: int = EXIT_OK) -> tuple[str
 
 
 def _cmd_location(args) -> tuple[str, int]:
-    _check_format(args)
     model = LocationModel(dim=args.d, prior_var=args.tau2, noise_var=args.sigma2, n=args.n)
     mi = location_mi(model)
     results = {
@@ -246,7 +236,6 @@ def _cmd_location(args) -> tuple[str, int]:
 
 
 def _cmd_regression(args) -> tuple[str, int]:
-    _check_format(args)
     design = read_matrix_csv(args.design)
     model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
     report_data = ridge_report(model, args.n)
@@ -282,33 +271,38 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _cmd_curve(args) -> tuple[str, int]:
-    fmt = _check_format(args, allowed=("csv", "json"), default="csv")
     grid = _parse_grid(args.n_grid)
+    d = 1 if args.d is None else args.d  # recorded as 1 for a design curve too
     if args.design is not None:
+        # both shape only the location curve; a design curve would ignore them
+        if args.d is not None:
+            raise InputError("--design takes no --d: the design sets the dimension")
+        if args.tau2_schedule == "inverse-n":
+            raise InputError("--design takes no --tau2-schedule inverse-n")
         design = read_matrix_csv(args.design)
         model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
-        mi_fixed, _ = regression_mi(model)
+        mi_fixed = regression_mi(model)
     elif args.tau2_schedule == "inverse-n":
         # n * (tau2 / n) misses tau2 by an ulp, more than a step in log n: one MI
-        model = LocationModel(dim=args.d, prior_var=args.tau2, noise_var=args.sigma2, n=1)
+        model = LocationModel(dim=d, prior_var=args.tau2, noise_var=args.sigma2, n=1)
         mi_fixed = location_mi(model)
     else:
         mi_fixed = None
         rows = []
         for n in grid:
-            model = LocationModel(dim=args.d, prior_var=args.tau2, noise_var=args.sigma2, n=n)
+            model = LocationModel(dim=d, prior_var=args.tau2, noise_var=args.sigma2, n=n)
             rows.append((n, deff(location_mi(model), n)))
     if mi_fixed is not None:  # then d_eff = 2 I / log(n) cannot increase
         rows = [(n, deff(mi_fixed, n)) for n in grid]
         values = [v for _, v in rows]
         if any(b > a for a, b in zip(values, values[1:])):
             raise NumericalError("d_eff column failed its guaranteed monotonicity check")
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["n,d_eff"] + [f"{n},{format_float(v)}" for n, v in rows]
         return "\n".join(lines) + "\n", EXIT_OK
     config = {
         "n_grid": grid,
-        "d": args.d,
+        "d": d,
         "tau2": args.tau2,
         "sigma2": args.sigma2,
         "tau2_schedule": args.tau2_schedule,
@@ -321,7 +315,6 @@ def _cmd_curve(args) -> tuple[str, int]:
 
 
 def _cmd_approx(args) -> tuple[str, int]:
-    _check_format(args)
     exact_cov = read_matrix_csv(args.exact_cov)
     approx_cov = read_matrix_csv(args.approx_cov)
     prior_cov = read_matrix_csv(args.prior_cov)
@@ -357,7 +350,6 @@ def _cmd_approx(args) -> tuple[str, int]:
 
 
 def _cmd_shrinkage(args) -> tuple[str, int]:
-    _check_format(args)
     prior = _build_prior(args)
     seed = _resolve_seed(args)
     model = ScalarShrinkageModel(prior=prior, noise_var=args.sigma2, n=args.n)
@@ -405,7 +397,6 @@ def _cmd_shrinkage(args) -> tuple[str, int]:
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
-    _check_format(args)
     seed = _resolve_seed(args)
     if args.kind == "channel-mi":
         _require(args, "--kind channel-mi", ("a", "prior_cov", "noise_cov"))

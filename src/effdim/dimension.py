@@ -35,6 +35,7 @@ from .errors import (
     require_float_count,
     require_sample_size,
 )
+from .sampling import _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class RidgeModel:
         return self.prior_var / self.noise_var
 
     @functools.cached_property
-    def spectrum(self) -> tuple[np.ndarray, int]:
+    def spectrum(self) -> ChannelSpectrum:
         """``design_spectrum`` of the design, taken on first use."""
         return design_spectrum(self.design)
 
@@ -143,9 +144,6 @@ class InfoReport:
     rank_bound: float
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "singular_values_sq", np.asarray(self.singular_values_sq, dtype=float)
-        )
         if self.d_eff != deff(self.mi_nats, self.n):
             raise NumericalError("d_eff must equal 2*mi/log(n) from the shared arithmetic path")
         if self.mi_nats != 0.5 * self.two_mi:
@@ -169,28 +167,28 @@ def location_mi(m: LocationModel) -> float:
     return 0.5 * m.dim * math.log1p(m.n * m.prior_var / m.noise_var)
 
 
-def design_spectrum(design: np.ndarray) -> tuple[np.ndarray, int]:
-    """Fields of the ``ChannelSpectrum`` of a design's squared singular values.
+def design_spectrum(design: np.ndarray) -> ChannelSpectrum:
+    """``ChannelSpectrum`` of a design's squared singular values.
 
     Singular values at or below max(m, n) * eps * s_1, the SVD's own error
-    (numpy's ``matrix_rank`` rule), are zeroed before they are squared.
+    (numpy's ``matrix_rank`` rule), are zeroed before they are squared. The
+    SVD runs with OpenBLAS held at one thread, whose summation order does not
+    depend on the machine's core count.
     """
-    s = np.linalg.svd(np.asarray(design, dtype=float), compute_uv=False)
+    with _one_blas_thread():
+        s = np.linalg.svd(np.asarray(design, dtype=float), compute_uv=False)
     s[s <= max(np.shape(design)) * np.finfo(float).eps * s.max(initial=0.0)] = 0.0
-    spectrum = ChannelSpectrum(eigenvalues=s * s)
-    return spectrum.eigenvalues, spectrum.rank
+    return ChannelSpectrum(eigenvalues=s * s)
 
 
-def regression_mi(m: RidgeModel) -> tuple[float, ChannelSpectrum]:
-    """MI of the ridge experiment plus its per-mode SNR spectrum.
+def regression_mi(m: RidgeModel) -> float:
+    """MI of the ridge experiment: 1/2 sum log1p(snr * s_j^2).
 
-    Computed from the singular values of the design: 1/2 sum log1p(snr * s_j^2).
-    This is the spectral route, independent of the Gaussian-channel
-    log-determinant route it must agree with.
+    Computed from the singular values of the design (``m.spectrum``). This is
+    the spectral route, independent of the Gaussian-channel log-determinant
+    route it must agree with.
     """
-    s_sq, rank = m.spectrum
-    spectrum = ChannelSpectrum(eigenvalues=m.snr_ratio * s_sq)
-    return spectral_information(m.snr_ratio * s_sq[:rank]), spectrum
+    return spectral_information(m.snr_ratio * m.spectrum.nonzero)
 
 
 def regression_channel(m: RidgeModel) -> GaussianChannel:
@@ -381,22 +379,22 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     """
     if n is None:
         n = m.n_obs
-    s_sq, rank = m.spectrum
+    spectrum = m.spectrum
     # the per-mode SNRs the MI sums log1p over; with both sandwich bounds
     # summed from them too, u/(1+u) <= log1p(u) <= u survives rounding
-    u = m.snr_ratio * s_sq[:rank]
+    u = m.snr_ratio * spectrum.nonzero
     w = np.log1p(u)  # the per-mode weights of every sum below
     two_mi = float(np.sum(w))  # spectral_information(u), before halving
     mi = 0.5 * two_mi
     d_eff = deff(mi, n)  # rejects n < 3 before log(n) divides below
     df = r_info = None
     lower = upper = rank_bound = 0.0
-    if rank > 0:
+    if spectrum.rank > 0:
         # r * w_1 >= sum(w) exactly, not always in floats; 2 * mi is d_eff's numerator
-        rank_bound = max(float(rank * w[0]), 2.0 * mi) / math.log(n)
+        rank_bound = max(float(spectrum.rank * w[0]), 2.0 * mi) / math.log(n)
         if u[0] > 0:
             df = lower = ridge_df(u, 1.0)
-            r_info = two_mi / float(w[0])  # info_effective_rank(s_sq[:rank], snr)
+            r_info = two_mi / float(w[0])  # info_effective_rank(spectrum.nonzero, snr)
             upper = float(np.sum(u))
     return InfoReport(
         mi_nats=mi,
@@ -407,7 +405,7 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
         r_info=r_info,
         sandwich_lower=lower,
         sandwich_upper=upper,
-        rank=rank,
-        singular_values_sq=s_sq,
+        rank=spectrum.rank,
+        singular_values_sq=spectrum.eigenvalues,
         rank_bound=rank_bound,
     )

@@ -215,10 +215,12 @@ _blas_saved = None
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold the loaded OpenBLAS at one thread while any pool runs.
+    """Hold the loaded OpenBLAS at one thread while any holder runs.
 
-    The count read when the first of any concurrent or nested pools starts is
-    restored when the last one ends, also when a worker raises. Without an
+    Holders are the worker pools and the factorizations whose bits must not
+    depend on the BLAS thread count (the design SVD, a channel's factors).
+    The count read when the first of any concurrent or nested holders starts
+    is restored when the last one ends, also when one raises. Without an
     OpenBLAS setter this does nothing.
     """
     global _blas_pools, _blas_saved

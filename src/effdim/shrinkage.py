@@ -192,7 +192,7 @@ def regression_conditional_mi(m: GlobalLocalRegression, lambdas) -> float:
     except OverflowError:
         raise InputError(f"latent scale {top!r} has no finite square") from None
     return regression_mi(RidgeModel(design=m.design * (lam / top), noise_var=m.noise_var,
-                                    prior_var=prior_var))[0]
+                                    prior_var=prior_var))
 
 
 def random_deff_distribution(

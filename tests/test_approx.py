@@ -94,7 +94,7 @@ class TestConjugateRegressionInfo:
     def test_dual_path_agreement_seed9(self):
         rng = np.random.default_rng(9)
         model = RidgeModel(design=rng.standard_normal((5, 3)), noise_var=1.0, prior_var=1.0)
-        mi, _ = regression_mi(model)
+        mi = regression_mi(model)
         np.testing.assert_allclose(conjugate_regression_info(model), mi, rtol=1e-9)
 
     def test_dual_path_agreement_random(self):
@@ -105,7 +105,7 @@ class TestConjugateRegressionInfo:
                 noise_var=float(rng.uniform(0.25, 4.0)),
                 prior_var=float(rng.uniform(0.25, 4.0)),
             )
-            mi, _ = regression_mi(model)
+            mi = regression_mi(model)
             np.testing.assert_allclose(
                 conjugate_regression_info(model), mi, rtol=1e-9, atol=1e-12
             )

@@ -14,7 +14,7 @@ from effdim import (
     reparameterize,
     whitened_spectrum,
 )
-from effdim import linalg
+from effdim import linalg, sampling
 from effdim.errors import (
     AsymmetricMatrix,
     DimensionMismatch,
@@ -143,6 +143,27 @@ class TestConstruction:
         for factor in (ch.output_lower, ch.prior_root):
             with pytest.raises(ValueError, match="read-only"):
                 factor[0, 0] = 0.0
+
+    def test_factors_do_not_depend_on_the_blas_thread_count(self):
+        # at 300 dimensions OpenBLAS's Cholesky, eigh and GEMM round
+        # differently at one and two threads; the channel holds one
+        hooks = sampling._openblas_threads()
+        if hooks is None:
+            pytest.skip("no OpenBLAS thread-count setter in this process")
+        get, put = hooks
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((300, 300))
+        prior, noise = random_covariance(rng, 300), random_covariance(rng, 300)
+        original, factors = get(), []
+        try:
+            for count in (1, 2):
+                put(count)
+                ch = GaussianChannel(a=a, prior_cov=prior, noise_cov=noise)
+                factors.append((ch.noise_lower, ch.prior_root, ch.output_lower))
+        finally:
+            put(original)
+        for one, two in zip(*factors):
+            np.testing.assert_array_equal(one, two)
 
 
 class TestSymmetrize:
@@ -413,6 +434,22 @@ class TestCoarsen:
             b = rng.standard_normal((q, ch.n_obs))
             assert mutual_information(coarsen(ch, b)) <= mutual_information(ch) + 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162, 1e155])
+    def test_extreme_maps_keep_the_information(self, scale):
+        # B N B^T went subnormal (more information than the channel has),
+        # underflowed to 0 (blamed on the map's rank) or overflowed
+        ch = scalar_channel(a=0.12573022, prior=0.56146029, noise=1.71990536)
+        kept = mutual_information(coarsen(ch, [[scale]]))
+        assert kept == mutual_information(coarsen(ch, [[3.0]])) == 0.0025736273276303857
+        assert kept == pytest.approx(mutual_information(ch), rel=1e-15)
+
+    def test_rows_scaled_by_powers_of_two(self):
+        ch = GaussianChannel(a=np.eye(2), prior_cov=np.eye(2), noise_cov=np.eye(2))
+        out = coarsen(ch, [[3.0, -0.5], [0.0, 1e-300]])
+        np.testing.assert_array_equal(out.a, [[1.5, -0.25], [0.0, 1e-300 * 2.0**997]])
+        with pytest.raises(RankDeficientCoarsening):
+            coarsen(ch, [[1.0, 0.0], [0.0, 0.0]])
+
     def test_rank_deficient_rejected(self):
         ch = GaussianChannel(a=np.eye(2), prior_cov=np.eye(2), noise_cov=np.eye(2))
         with pytest.raises(RankDeficientCoarsening):
@@ -454,6 +491,14 @@ class TestReparameterize:
         ch = GaussianChannel(a=np.eye(2), prior_cov=np.eye(2), noise_cov=np.eye(2))
         with pytest.raises(SingularReparameterization):
             reparameterize(ch, [[1.0, 1.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("a, t, part", [(0.12573022, 1e155, "prior covariance"),
+                                             (1e200, 1e-160, "forward map")])
+    def test_overflow_is_a_numerical_failure(self, a, t, part):
+        # it printed a RuntimeWarning and then blamed an input the caller never gave
+        ch = scalar_channel(a=a, prior=0.56146029, noise=1.71990536)
+        with pytest.raises(NumericalError, match=f"reparameterized {part}"):
+            reparameterize(ch, [[t]])
 
     def test_prior_conditioning_respected(self):
         # a random PSD prior stays valid through the congruence transform

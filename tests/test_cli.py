@@ -240,6 +240,31 @@ class TestCurve:
         report = json.loads(out)
         assert report["results"]["n"]["value"] == [10, 100]
 
+    @pytest.mark.parametrize("extra", [["--d", "5"], ["--tau2-schedule", "inverse-n"]],
+                             ids=["d", "inverse-n"])
+    def test_design_refuses_location_options(self, extra, tmp_path, capsys):
+        # a design curve ignored both, yet recorded them in its config
+        design = tmp_path / "s.csv"
+        write_matrix_csv(design, np.eye(2))
+        code, out, err = run_cli(
+            ["curve", "--n-grid", "10,100", "--design", str(design), "--tau2", "1",
+             *extra, "--format", "json"],
+            capsys,
+        )
+        assert (code, out) == (2, "")
+        assert extra[0] in err
+
+    def test_dimension_recorded_as_one_by_default(self, tmp_path, capsys):
+        design = tmp_path / "s.csv"
+        write_matrix_csv(design, np.eye(2))
+        for extra in ([], ["--design", str(design)]):
+            code, out, _ = run_cli(
+                ["curve", "--n-grid", "10,100", "--tau2", "1", *extra, "--format", "json"],
+                capsys,
+            )
+            assert code == 0
+            assert json.loads(out)["config"]["d"] == 1
+
 
 class TestApprox:
     @pytest.fixture()
@@ -426,6 +451,21 @@ class TestDeterminism:
         code2, bytes2 = run_to_file([*base, "--threads", "8"], tmp_path, "t8.json")
         assert code1 == code2 == 0
         assert bytes1 == bytes2
+
+    def test_regression_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the design SVD's last digits moved between one and two OpenBLAS threads
+        design = tmp_path / "d.csv"
+        write_matrix_csv(design, np.random.default_rng(2024).standard_normal((2000, 200)))
+        src = str(Path(effdim.__file__).resolve().parents[1])
+        argv = [sys.executable, "-m", "effdim.cli", "regression", "--design", str(design),
+                "--tau2", "0.5", "--sigma2", "2", "--n", "500"]
+        reports = []
+        for count in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": count}
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert reports[0] == reports[1]
 
     def test_matrix_round_trip_through_tool_format(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -764,4 +804,4 @@ class TestArgparseContract:
             capsys,
         )
         assert code == 2
-        assert "not supported" in err
+        assert "invalid choice: 'csv'" in err

@@ -98,25 +98,30 @@ class TestNonFiniteParameters:
 
 
 class TestRegressionMi:
+    @staticmethod
+    def _snr_rank(model):
+        """Modes with a positive signal-to-noise ratio snr * s_j^2."""
+        return int(np.count_nonzero(model.snr_ratio * model.spectrum.eigenvalues))
+
     def test_zero_design(self):
-        mi, spec = regression_mi(RidgeModel(design=np.zeros((3, 2)), noise_var=1.0, prior_var=1.0))
-        assert mi == 0.0
-        assert spec.rank == 0
+        model = RidgeModel(design=np.zeros((3, 2)), noise_var=1.0, prior_var=1.0)
+        assert regression_mi(model) == 0.0
+        assert self._snr_rank(model) == 0
 
     def test_identity_design(self):
-        mi, spec = regression_mi(RidgeModel(design=np.eye(3), noise_var=1.0, prior_var=1.0))
-        assert mi == pytest.approx(1.5 * math.log(2.0), abs=1e-15)
-        assert spec.rank == 3
+        model = RidgeModel(design=np.eye(3), noise_var=1.0, prior_var=1.0)
+        assert regression_mi(model) == pytest.approx(1.5 * math.log(2.0), abs=1e-15)
+        assert self._snr_rank(model) == 3
 
     def test_zero_prior_variance(self):
-        mi, spec = regression_mi(RidgeModel(design=np.eye(3), noise_var=1.0, prior_var=0.0))
-        assert mi == 0.0 and spec.rank == 0
+        model = RidgeModel(design=np.eye(3), noise_var=1.0, prior_var=0.0)
+        assert regression_mi(model) == 0.0 and self._snr_rank(model) == 0
 
     def test_agrees_with_channel_route(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal((6, 4))
         model = RidgeModel(design=x, noise_var=1.0, prior_var=1.0)
-        mi, _ = regression_mi(model)
+        mi = regression_mi(model)
         mi_channel = mutual_information(regression_channel(model))
         np.testing.assert_allclose(mi, mi_channel, rtol=1e-9)
 
@@ -126,7 +131,7 @@ class TestRegressionMi:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((6, 4))
         model = RidgeModel(design=x, noise_var=1.0, prior_var=1.0)
-        mi, _ = regression_mi(model)
+        mi = regression_mi(model)
         est = estimate_channel_mi(regression_channel(model), 1_000_000, seed=13)
         assert abs(mi - est.estimate) <= 3.0 * est.std_error
 
@@ -139,7 +144,7 @@ class TestRegressionMi:
                 noise_var=float(rng.uniform(0.25, 4.0)),
                 prior_var=float(rng.uniform(0.25, 4.0)),
             )
-            mi, _ = regression_mi(model)
+            mi = regression_mi(model)
             np.testing.assert_allclose(
                 mi, mutual_information(regression_channel(model)), rtol=1e-9, atol=1e-12
             )
@@ -196,19 +201,18 @@ class TestInfoEffectiveRank:
 class TestDesignSpectrum:
     @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
     def test_empty_design(self, shape):
-        s_sq, rank = design_spectrum(np.zeros(shape))
-        assert s_sq.shape == (0,) and rank == 0
-        assert ridge_df(s_sq, 1.0) == 0.0
+        spectrum = design_spectrum(np.zeros(shape))
+        assert spectrum.eigenvalues.shape == (0,) and spectrum.rank == 0
+        assert ridge_df(spectrum.eigenvalues, 1.0) == 0.0
 
     def test_read_only(self):
-        s_sq, _ = design_spectrum(np.eye(2))
-        assert not s_sq.flags.writeable
+        assert not design_spectrum(np.eye(2)).eigenvalues.flags.writeable
 
     def test_dependent_column_cut_at_svd_error(self):
         x = np.random.default_rng(8).standard_normal((7, 4))
         x[:, 3] = x[:, 0] - x[:, 1]
-        s_sq, rank = design_spectrum(x)
-        assert rank == 3 and s_sq[3] == 0.0
+        spectrum = design_spectrum(x)
+        assert spectrum.rank == 3 and spectrum.eigenvalues[3] == 0.0
 
     def test_mode_below_old_relative_cut_kept(self):
         # s_2/s_1 = 1e-7 is far above the SVD's error 2 * eps, although its
@@ -244,8 +248,7 @@ class TestRidgeDf:
         for _ in range(20):
             x = rng.standard_normal((int(rng.integers(2, 9)), int(rng.integers(1, 7))))
             penalty = float(rng.uniform(0.1, 10.0))
-            s_sq, rank = design_spectrum(x)
-            df = ridge_df(s_sq[:rank], penalty)
+            df = ridge_df(design_spectrum(x).nonzero, penalty)
             trace = float(np.trace(smoothing_matrix(x, penalty)))
             np.testing.assert_allclose(df, trace, rtol=1e-9, atol=1e-12)
 
@@ -456,7 +459,7 @@ class TestDeffRankBound:
     def test_rank_one_equality(self):
         x = np.array([[1.0], [2.0]])
         model = RidgeModel(design=x, noise_var=1.0, prior_var=1.0)
-        mi, _ = regression_mi(model)
+        mi = regression_mi(model)
         np.testing.assert_allclose(
             deff_rank_bound(model, 100), deff(mi, 100), rtol=1e-15
         )
@@ -465,7 +468,7 @@ class TestDeffRankBound:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((6, 4))
         model = RidgeModel(design=x, noise_var=1.0, prior_var=1.0)
-        mi, _ = regression_mi(model)
+        mi = regression_mi(model)
         assert deff_rank_bound(model, 100) >= deff(mi, 100)
 
     def test_dominates_on_random_designs(self):
@@ -477,7 +480,7 @@ class TestDeffRankBound:
                 noise_var=float(rng.uniform(0.25, 4.0)),
                 prior_var=float(rng.uniform(0.0, 4.0)),
             )
-            mi, _ = regression_mi(model)
+            mi = regression_mi(model)
             n = int(rng.integers(3, 1000))
             assert deff_rank_bound(model, n) >= deff(mi, n) - 1e-12
 
@@ -546,7 +549,7 @@ class TestRidgeReport:
         report = ridge_report(model)
         assert deff_rank_bound(model, report.n) == report.rank_bound
         assert mi_df_sandwich(model)[1] == 2.0 * report.mi_nats
-        assert regression_mi(model)[0] == report.mi_nats
+        assert regression_mi(model) == report.mi_nats
         assert calls == [(9, 4)]
 
     def test_stored_spectrum_is_read_only(self):
@@ -554,7 +557,7 @@ class TestRidgeReport:
         report = ridge_report(model, 10)
         with pytest.raises(ValueError, match="read-only"):
             report.singular_values_sq[0] = 5.0
-        assert model.spectrum[0][0] == 1.0
+        assert model.spectrum.eigenvalues[0] == 1.0
 
     def test_rank_bound_matches_public_function(self):
         rng = np.random.default_rng(5)
@@ -576,8 +579,7 @@ class TestRidgeReport:
         x = np.random.default_rng(8).standard_normal((7, 4))
         x[:, 3] = x[:, 0] - x[:, 1]  # rank deficient
         model = RidgeModel(design=x, noise_var=1.3, prior_var=tau2)
-        s_sq, rank = model.spectrum
-        expected = 0.5 * float(np.sum(np.log1p(model.snr_ratio * s_sq[:rank])))
+        expected = 0.5 * float(np.sum(np.log1p(model.snr_ratio * model.spectrum.nonzero)))
         assert ridge_report(model).mi_nats == expected
 
     def test_deff_consistency_bitwise(self):

@@ -245,7 +245,7 @@ class TestRegressionConditionalMi:
         m = GlobalLocalRegression(design=x, noise_var=1.3)
         tau = 0.85
         via_scales = regression_conditional_mi(m, np.full(4, tau))
-        via_ridge, _ = regression_mi(RidgeModel(design=x, noise_var=1.3, prior_var=tau**2))
+        via_ridge = regression_mi(RidgeModel(design=x, noise_var=1.3, prior_var=tau**2))
         assert via_scales == via_ridge
 
     def test_zero_scales(self):
