@@ -36,7 +36,6 @@ from .errors import (
     RankDeficientCoarsening,
     SingularReparameterization,
 )
-from .sampling import _one_blas_thread
 
 EVALUATION_MODES = ("spectral", "observation", "parameter")
 
@@ -59,8 +58,7 @@ class GaussianChannel:
     covariance PSD. The noise covariance's lower Cholesky factor is kept as
     ``noise_lower``; ``prior_root`` and ``output_lower`` are computed on first
     use and kept read-only, so no route or oracle factors a channel twice.
-    All three are computed with OpenBLAS held at one thread, so their bits do
-    not depend on the machine's core count. Instances are safe to share.
+    Instances are safe to share.
     """
 
     a: np.ndarray
@@ -71,8 +69,7 @@ class GaussianChannel:
     def __post_init__(self):
         a = linalg.as_matrix(self.a, "forward map")
         prior = linalg.symmetrize(self.prior_cov, "prior covariance")
-        with _one_blas_thread():
-            noise, noise_lower = linalg.factor_covariance(self.noise_cov, "noise covariance")
+        noise, noise_lower = linalg.factor_covariance(self.noise_cov, "noise covariance")
         if a.shape[1] != prior.shape[0]:
             raise DimensionMismatch(
                 f"forward map has {a.shape[1]} columns but prior covariance is "
@@ -92,8 +89,7 @@ class GaussianChannel:
     @functools.cached_property
     def prior_root(self) -> np.ndarray:
         """Symmetric square root S^{1/2} of the prior covariance."""
-        with _one_blas_thread():
-            root = linalg.psd_sqrt(self.prior_cov)
+        root = linalg.psd_sqrt(self.prior_cov)
         root.flags.writeable = False
         return root
 
@@ -101,12 +97,12 @@ class GaussianChannel:
     def output_lower(self) -> np.ndarray:
         """Lower Cholesky factor of the output covariance A S A^T + N."""
         # built in place: n x n temporaries set the peak memory of its readers
-        with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
-            total = self.a @ self.prior_cov @ self.a.T  # cholesky_lower refuses inf
+        with np.errstate(over="ignore", invalid="ignore"):  # cholesky_lower refuses inf
+            total = self.a @ self.prior_cov @ self.a.T
             total += self.noise_cov
             total = total + total.T
             total *= 0.5
-            lower = linalg.cholesky_lower(total, "output covariance")
+        lower = linalg.cholesky_lower(total, "output covariance")
         lower.flags.writeable = False
         return lower
 
@@ -216,7 +212,10 @@ def coarsen(ch: GaussianChannel, b) -> GaussianChannel:
     where the diagonal D scales each row of B by a power of two so that its
     largest |entry| lies in [1, 2). An invertible D keeps I(theta; D B Y) =
     I(theta; B Y), and it scales exactly, so the size of B's rows cannot
-    push these products out of the float range. B must have full row rank so
+    push these products out of the float range. The one exception is a row
+    whose entries span more than the normal float range: entries below
+    2^-1022 of the row's largest become subnormal or zero, so the channel is
+    then that of a slightly different map. B must have full row rank so
     that the summarized noise covariance stays PD; mutual information never
     increases under this operation.
     """
@@ -257,7 +256,11 @@ def reparameterize(ch: GaussianChannel, t) -> GaussianChannel:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         a_new = np.linalg.solve(t.T, ch.a.T).T  # A T^{-1}, solved as T^T x^T = A^T
+        # GaussianChannel refuses asymmetry above 1e-12 of the largest entry, and
+        # the product's rounding asymmetry grows with T's condition number
+        # (whitening an ill-conditioned S gives about eps * cond(S))
         prior_new = t @ ch.prior_cov @ t.T
+        prior_new = 0.5 * (prior_new + prior_new.T)
     for name, m in (("forward map A T^-1", a_new), ("prior covariance T S T^T", prior_new)):
         if not np.isfinite(m).all():
             raise NumericalError(f"reparameterized {name} overflows the float range")

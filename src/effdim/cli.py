@@ -57,6 +57,7 @@ from .shrinkage import (
     jensen_bound,
     random_deff_distribution,
 )
+from .sampling import _one_blas_thread
 
 SCHEMA = "effdim/report-v1"
 
@@ -321,9 +322,10 @@ def _cmd_approx(args) -> tuple[str, int]:
     dim = exact_cov.shape[0]
     exact_mean = read_vector_csv(args.exact_mean) if args.exact_mean else np.zeros(dim)
     approx_mean = read_vector_csv(args.approx_mean) if args.approx_mean else np.zeros(dim)
-    exact = GaussianDistribution(mean=exact_mean, cov=exact_cov)
-    approx = GaussianDistribution(mean=approx_mean, cov=approx_cov)
-    audit = audit_approximation(exact, approx, prior_cov, args.n)
+    with _one_blas_thread():  # its Cholesky factors round differently at 2 threads
+        exact = GaussianDistribution(mean=exact_mean, cov=exact_cov)
+        approx = GaussianDistribution(mean=approx_mean, cov=approx_cov)
+        audit = audit_approximation(exact, approx, prior_cov, args.n)
     config = {
         "exact_cov": args.exact_cov,
         "approx_cov": args.approx_cov,

@@ -43,7 +43,6 @@ from .sampling import (
     STREAM_GAUSSIAN_KL,
     STREAM_MIXTURE_INNER,
     STREAM_MIXTURE_OUTER,
-    _one_blas_thread,
     MomentAccumulator,
     block_rng,
     block_sizes,
@@ -129,8 +128,7 @@ def _gaussian_log_ratio(q_lower: np.ndarray, offset: np.ndarray, factors: list,
     )
     widths = [f.shape[1] for f in factors]
     splits = np.cumsum(widths)[:-1]
-    with _one_blas_thread():  # as the factors were; only the block products use threads
-        whitened = linalg.solve_lower(q_lower, np.column_stack([offset, *factors]))
+    whitened = linalg.solve_lower(q_lower, np.column_stack([offset, *factors]))
     shift = whitened[:, 0]
     maps = [m.T for m in np.split(whitened[:, 1:], splits, axis=1)]
 
@@ -164,10 +162,9 @@ def estimate_channel_mi(
     The prior root and the output factor are the channel's own.
     """
     require_samples("channel MI oracle", MIN_ORACLE_SAMPLES, samples=n_samples)
-    with _one_blas_thread():  # as the channel's own factors are
-        root_map = ch.a @ ch.prior_root
-    return _gaussian_log_ratio(ch.output_lower, np.zeros(ch.n_obs), [root_map, ch.noise_lower],
-                               n_samples, seed, STREAM_CHANNEL_MI, n_threads)
+    return _gaussian_log_ratio(ch.output_lower, np.zeros(ch.n_obs),
+                               [ch.a @ ch.prior_root, ch.noise_lower], n_samples, seed,
+                               STREAM_CHANNEL_MI, n_threads)
 
 
 def estimate_gaussian_kl(

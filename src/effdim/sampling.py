@@ -217,8 +217,8 @@ _blas_saved = None
 def _one_blas_thread():
     """Hold the loaded OpenBLAS at one thread while any holder runs.
 
-    Holders are the worker pools and the factorizations whose bits must not
-    depend on the BLAS thread count (the design SVD, a channel's factors).
+    Holders are the worker pools and the design SVD, whose bits must not
+    depend on the BLAS thread count.
     The count read when the first of any concurrent or nested holders starts
     is restored when the last one ends, also when one raises. Without an
     OpenBLAS setter this does nothing.

@@ -452,20 +452,41 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert bytes1 == bytes2
 
+    @staticmethod
+    def reports_at_one_and_two_blas_threads(args):
+        src = str(Path(effdim.__file__).resolve().parents[1])
+        reports = []
+        for count in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": count}
+            proc = subprocess.run([sys.executable, "-m", "effdim.cli", *args], env=env,
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        return reports
+
     def test_regression_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # the design SVD's last digits moved between one and two OpenBLAS threads
         design = tmp_path / "d.csv"
         write_matrix_csv(design, np.random.default_rng(2024).standard_normal((2000, 200)))
-        src = str(Path(effdim.__file__).resolve().parents[1])
-        argv = [sys.executable, "-m", "effdim.cli", "regression", "--design", str(design),
-                "--tau2", "0.5", "--sigma2", "2", "--n", "500"]
-        reports = []
-        for count in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": count}
-            proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            reports.append(proc.stdout)
-        assert reports[0] == reports[1]
+        one, two = self.reports_at_one_and_two_blas_threads(
+            ["regression", "--design", str(design), "--tau2", "0.5", "--sigma2", "2",
+             "--n", "500"])
+        assert one == two
+
+    def test_approx_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # at 150 dimensions the Cholesky factors' last digits moved between one
+        # and two OpenBLAS threads, and with them logdet_approx
+        rng, size = np.random.default_rng(5), 150
+        h, k = rng.standard_normal((size, size)), rng.standard_normal((size, size))
+        exact = k @ k.T / size + 0.2 * np.eye(size)
+        paths = {name: tmp_path / f"{name}.csv" for name in ("prior", "exact", "approx")}
+        write_matrix_csv(paths["prior"], h @ h.T / size + 0.5 * np.eye(size))
+        write_matrix_csv(paths["exact"], exact)
+        write_matrix_csv(paths["approx"], 1.3 * exact)
+        one, two = self.reports_at_one_and_two_blas_threads(
+            ["approx", "--exact-cov", str(paths["exact"]), "--approx-cov", str(paths["approx"]),
+             "--prior-cov", str(paths["prior"]), "--n", "100"])
+        assert one == two
 
     def test_matrix_round_trip_through_tool_format(self, tmp_path):
         rng = np.random.default_rng(2)
