@@ -4,8 +4,8 @@ Subcommands: location | regression | curve | approx | shrinkage | oracle.
 Reports are JSON (fixed key order, 17-significant-digit floats) except for
 curves, which default to plot-ready CSV. Every numeric result carries a
 computation-path tag: closed-form, mc, or bound. Identical configs and seeds
-produce byte-identical output files; ``--threads`` is an execution hint that
-never changes results.
+produce byte-identical output files: ``--threads`` only sizes the worker pool,
+and every command runs with OpenBLAS held at one thread.
 
 Exit codes: 0 success, 2 invalid configuration or input (an InputError), 3
 numerical failure, 4 contract violation under a strict flag
@@ -322,10 +322,9 @@ def _cmd_approx(args) -> tuple[str, int]:
     dim = exact_cov.shape[0]
     exact_mean = read_vector_csv(args.exact_mean) if args.exact_mean else np.zeros(dim)
     approx_mean = read_vector_csv(args.approx_mean) if args.approx_mean else np.zeros(dim)
-    with _one_blas_thread():  # its Cholesky factors round differently at 2 threads
-        exact = GaussianDistribution(mean=exact_mean, cov=exact_cov)
-        approx = GaussianDistribution(mean=approx_mean, cov=approx_cov)
-        audit = audit_approximation(exact, approx, prior_cov, args.n)
+    exact = GaussianDistribution(mean=exact_mean, cov=exact_cov)
+    approx = GaussianDistribution(mean=approx_mean, cov=approx_cov)
+    audit = audit_approximation(exact, approx, prior_cov, args.n)
     config = {
         "exact_cov": args.exact_cov,
         "approx_cov": args.approx_cov,
@@ -465,7 +464,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "threads", 1) < 1:
             raise InputError(f"--threads must be at least 1, got {args.threads}")
-        text, code = COMMANDS[args.command](args)
+        with _one_blas_thread():  # no report's bits depend on the BLAS thread count
+            text, code = COMMANDS[args.command](args)
         _write_output(text, args.out)
     except InputError as exc:
         print(f"effdim: error: {exc}", file=sys.stderr)

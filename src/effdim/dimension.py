@@ -157,6 +157,7 @@ class InfoReport:
 def deff(mi_nats: float, n: int) -> float:
     """Effective dimension 2 * mi / log(n); requires n >= 3."""
     require_sample_size(n)
+    require_finite(mi_nats=mi_nats)
     if mi_nats < 0:
         raise InputError("mutual information must be nonnegative")
     return 2.0 * mi_nats / math.log(n)
@@ -204,13 +205,17 @@ def regression_channel(m: RidgeModel) -> GaussianChannel:
 def info_effective_rank(singular_values_sq, snr: float) -> float:
     """Information effective rank: sum_j log1p(snr s_j^2) / log1p(snr s_1^2).
 
-    Lies in [1, r]; equals r for a flat spectrum and 1 for a single mode. The
-    identity MI = 1/2 log1p(snr s_1^2) * r_info reconstructs the information.
+    s_1^2 is the largest entry, in any input order. Lies in [1, r]; equals r
+    for a flat spectrum and 1 for a single mode. The identity
+    MI = 1/2 log1p(snr s_1^2) * r_info reconstructs the information.
     """
     s_sq = np.asarray(singular_values_sq, dtype=float)
-    s_sq = s_sq[s_sq > 0.0]
+    if not np.isfinite(s_sq).all():
+        raise InputError("squared singular values must be finite")
+    s_sq = ChannelSpectrum(eigenvalues=s_sq).nonzero
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
+    require_finite(snr=snr)
     if snr <= 0:
         raise InputError("signal-to-noise ratio must be positive")
     weights = np.log1p(snr * s_sq)
@@ -222,9 +227,12 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
 
 def ridge_df(singular_values_sq, penalty: float) -> float:
     """Ridge degrees of freedom sum_j s_j^2 / (s_j^2 + alpha)."""
+    require_finite(penalty=penalty)
     if penalty <= 0:
         raise InputError("ridge penalty must be positive")
     s_sq = np.asarray(singular_values_sq, dtype=float)
+    if not np.isfinite(s_sq).all():
+        raise InputError("squared singular values must be finite")
     return float(np.sum(s_sq / (s_sq + penalty)))
 
 
@@ -233,6 +241,7 @@ def smoothing_matrix(design: np.ndarray, penalty: float) -> np.ndarray:
 
     Cross-check surface only: its trace equals ridge_df of the same design.
     """
+    require_finite(penalty=penalty)
     if penalty <= 0:
         raise InputError("ridge penalty must be positive")
     design = linalg.as_matrix(design, "design")

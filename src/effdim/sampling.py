@@ -217,8 +217,10 @@ _blas_saved = None
 def _one_blas_thread():
     """Hold the loaded OpenBLAS at one thread while any holder runs.
 
-    Holders are the worker pools and the design SVD, whose bits must not
-    depend on the BLAS thread count.
+    Holders are every CLI command (``cli.main``), so that no report's bits
+    depend on the BLAS thread count, and two library callers: the worker
+    pools, so that workers start no BLAS threads of their own, and the design
+    SVD, so that ``ridge_report``'s bits do not depend on it either.
     The count read when the first of any concurrent or nested holders starts
     is restored when the last one ends, also when one raises. Without an
     OpenBLAS setter this does nothing.

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dimension import regression_mi, RidgeModel
-from .errors import DimensionMismatch, InputError, require_sample_size, require_samples
+from .errors import (
+    DimensionMismatch,
+    InputError,
+    require_finite,
+    require_sample_size,
+    require_samples,
+)
 from .oracle import McEstimate, _nested_mixture_pass, block_mean, seeded_blocks
 from .priors import (
     FixedScale,
@@ -77,6 +83,7 @@ def conditional_mi(m: ScalarShrinkageModel, lam: float) -> float:
 
     lam = 0 is accepted and returns 0 (the continuous limit).
     """
+    require_finite(lam=lam)
     if lam < 0:
         raise InputError("latent scale must be nonnegative")
     return 0.5 * math.log1p(m.c_snr * lam * lam)
@@ -85,6 +92,7 @@ def conditional_mi(m: ScalarShrinkageModel, lam: float) -> float:
 def random_deff(m: ScalarShrinkageModel, lam: float) -> float:
     """Per-realization effective dimension log(1 + c lam^2) / log(n)."""
     require_sample_size(m.n)
+    require_finite(lam=lam)
     if lam < 0:
         raise InputError("latent scale must be nonnegative")
     return math.log1p(m.c_snr * lam * lam) / math.log(m.n)
@@ -129,6 +137,7 @@ def heavy_tail_bound(cert: TailCertificate, c_snr: float) -> float:
     Upper-bounds E[log(1 + c lam^2)] for any scale law satisfying the tail
     certificate; finite even when the second moment is not.
     """
+    require_finite(c_snr=c_snr)
     if c_snr < 0:
         raise InputError("signal-to-noise factor must be nonnegative")
     return (

@@ -435,6 +435,51 @@ class TestOracleCommand:
         assert code == 2
 
 
+def _csv_paths(tmp_path, **matrices):
+    for name, m in matrices.items():
+        write_matrix_csv(tmp_path / f"{name}.csv", m)
+    return {name: str(tmp_path / f"{name}.csv") for name in matrices}
+
+
+def _regression_argv(tmp_path):
+    # the design SVD's last digits moved between one and two OpenBLAS threads
+    paths = _csv_paths(tmp_path, d=np.random.default_rng(2024).standard_normal((2000, 200)))
+    return ["regression", "--design", paths["d"], "--tau2", "0.5", "--sigma2", "2", "--n", "500"]
+
+
+def _approx_argv(tmp_path):
+    # at 150 dimensions the Cholesky factors' last digits moved, and with them logdet_approx
+    rng, size = np.random.default_rng(5), 150
+    h, k = rng.standard_normal((size, size)), rng.standard_normal((size, size))
+    exact = k @ k.T / size + 0.2 * np.eye(size)
+    paths = _csv_paths(tmp_path, prior=h @ h.T / size + 0.5 * np.eye(size), exact=exact,
+                       approx=1.3 * exact)
+    return ["approx", "--exact-cov", paths["exact"], "--approx-cov", paths["approx"],
+            "--prior-cov", paths["prior"], "--n", "100"]
+
+
+def _channel_mi_argv(tmp_path):
+    # at 100 dimensions the channel's factors and the block products moved
+    rng, size = np.random.default_rng(11), 100
+    a = rng.standard_normal((size, size))
+    b, c = rng.standard_normal((size, size)), rng.standard_normal((size, size))
+    paths = _csv_paths(tmp_path, a=a, prior=b @ b.T / size + np.eye(size),
+                       noise=c @ c.T / size + np.eye(size))
+    return ["oracle", "--kind", "channel-mi", "--a", paths["a"], "--prior-cov", paths["prior"],
+            "--noise-cov", paths["noise"], "--samples", "20000", "--seed", "3"]
+
+
+def _gaussian_kl_argv(tmp_path):
+    # at 200 dimensions the factors and the whitening solve moved
+    rng, size = np.random.default_rng(5), 200
+    k, h = rng.standard_normal((size, size)), rng.standard_normal((size, size))
+    paths = _csv_paths(tmp_path, mean=rng.standard_normal((1, size)),
+                       cov=k @ k.T / size + 0.2 * np.eye(size),
+                       prior=h @ h.T / size + 0.5 * np.eye(size))
+    return ["oracle", "--kind", "gaussian-kl", "--mean", paths["mean"], "--cov", paths["cov"],
+            "--prior-cov", paths["prior"], "--samples", "20000", "--seed", "3"]
+
+
 class TestDeterminism:
     def test_identical_seed_byte_identical(self, tmp_path):
         args = ["shrinkage", "--prior", "half-cauchy", "--sigma2", "1", "--n", "100",
@@ -464,28 +509,11 @@ class TestDeterminism:
             reports.append(proc.stdout)
         return reports
 
-    def test_regression_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # the design SVD's last digits moved between one and two OpenBLAS threads
-        design = tmp_path / "d.csv"
-        write_matrix_csv(design, np.random.default_rng(2024).standard_normal((2000, 200)))
-        one, two = self.reports_at_one_and_two_blas_threads(
-            ["regression", "--design", str(design), "--tau2", "0.5", "--sigma2", "2",
-             "--n", "500"])
-        assert one == two
-
-    def test_approx_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
-        # at 150 dimensions the Cholesky factors' last digits moved between one
-        # and two OpenBLAS threads, and with them logdet_approx
-        rng, size = np.random.default_rng(5), 150
-        h, k = rng.standard_normal((size, size)), rng.standard_normal((size, size))
-        exact = k @ k.T / size + 0.2 * np.eye(size)
-        paths = {name: tmp_path / f"{name}.csv" for name in ("prior", "exact", "approx")}
-        write_matrix_csv(paths["prior"], h @ h.T / size + 0.5 * np.eye(size))
-        write_matrix_csv(paths["exact"], exact)
-        write_matrix_csv(paths["approx"], 1.3 * exact)
-        one, two = self.reports_at_one_and_two_blas_threads(
-            ["approx", "--exact-cov", str(paths["exact"]), "--approx-cov", str(paths["approx"]),
-             "--prior-cov", str(paths["prior"]), "--n", "100"])
+    @pytest.mark.parametrize("argv", [
+        _regression_argv, _approx_argv, _channel_mi_argv, _gaussian_kl_argv,
+    ], ids=["regression", "approx", "oracle-channel-mi", "oracle-gaussian-kl"])
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, argv, tmp_path):
+        one, two = self.reports_at_one_and_two_blas_threads(argv(tmp_path))
         assert one == two
 
     def test_matrix_round_trip_through_tool_format(self, tmp_path):

@@ -159,8 +159,10 @@ class TestInfoEffectiveRank:
         assert info_effective_rank([2.0], snr=3.0) == 1.0
 
     def test_two_mode_example(self):
+        # the leading mode is the largest, whatever the input order
         expected = (math.log(5.0) + math.log(2.0)) / math.log(5.0)
-        assert info_effective_rank([4.0, 1.0], snr=1.0) == pytest.approx(expected, abs=1e-12)
+        for s_sq in ([4.0, 1.0], [1.0, 4.0]):
+            assert info_effective_rank(s_sq, snr=1.0) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("s_sq, expected", [([1e-5], 1.0), ([4.0, 1.0], 1.25)])
     def test_underflowing_snr_takes_small_snr_limit(self, s_sq, expected):
@@ -619,6 +621,20 @@ class TestFaultClasses:
         lambda: shrinkage.regression_conditional_mi(
             GlobalLocalRegression(design=np.eye(2), noise_var=1.0),
             [1.0, -1.0]),
+        lambda: deff(math.nan, 10),
+        lambda: deff(math.inf, 10),
+        lambda: shrinkage.conditional_mi(
+            ScalarShrinkageModel(prior=FixedScale(tau=1.0), noise_var=1.0, n=10), math.nan),
+        lambda: shrinkage.random_deff(
+            ScalarShrinkageModel(prior=FixedScale(tau=1.0), noise_var=1.0, n=10), math.nan),
+        lambda: shrinkage.heavy_tail_bound(
+            TailCertificate(c_const=1.0, alpha_exp=1.0, t0=1.0), math.nan),
+        lambda: ridge_df([1.0], math.nan),
+        lambda: ridge_df([1.0], math.inf),
+        lambda: ridge_df([math.nan], 1.0),
+        lambda: info_effective_rank([math.nan, 1.0], 1.0),
+        lambda: info_effective_rank([1.0, 2.0], math.inf),
+        lambda: smoothing_matrix([[1.0]], math.nan),
     ])
     def test_input_checks_raise_input_error(self, call):
         with pytest.raises(InputError):
