@@ -121,14 +121,18 @@ class ChannelSpectrum:
 
     The library's one spectrum normal form: sorted nonincreasing, negatives
     clipped to zero, read-only; rank counts the positive entries. It cuts
-    nothing: each producer zeroes what its own solver cannot resolve.
+    nothing: each producer zeroes what its own solver cannot resolve. A NaN
+    or infinite eigenvalue is refused with InputError.
     """
 
     eigenvalues: np.ndarray
     rank: int = field(init=False)
 
     def __post_init__(self):
-        vals = np.clip(np.sort(np.asarray(self.eigenvalues, dtype=float))[::-1], 0.0, None)
+        vals = np.asarray(self.eigenvalues, dtype=float)
+        if not np.isfinite(vals).all():
+            raise InputError("spectrum eigenvalues must be finite")
+        vals = np.clip(np.sort(vals)[::-1], 0.0, None)
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "rank", int(np.count_nonzero(vals)))

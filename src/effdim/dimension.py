@@ -209,10 +209,7 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
     for a flat spectrum and 1 for a single mode. The identity
     MI = 1/2 log1p(snr s_1^2) * r_info reconstructs the information.
     """
-    s_sq = np.asarray(singular_values_sq, dtype=float)
-    if not np.isfinite(s_sq).all():
-        raise InputError("squared singular values must be finite")
-    s_sq = ChannelSpectrum(eigenvalues=s_sq).nonzero
+    s_sq = ChannelSpectrum(eigenvalues=singular_values_sq).nonzero
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
     require_finite(snr=snr)

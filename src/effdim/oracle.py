@@ -44,6 +44,7 @@ from .sampling import (
     STREAM_MIXTURE_INNER,
     STREAM_MIXTURE_OUTER,
     MomentAccumulator,
+    _one_blas_thread,
     block_rng,
     block_sizes,
     map_blocks,
@@ -193,11 +194,20 @@ def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray,
     is never below the row maximum, so no exp overflows, and at most about
     1/2 log(v_max / y^2) above it, so the leading term cannot underflow.
 
-    With the shift known, one pass over NESTED_TILE_ROWS x NESTED_INNER_CHUNK
-    tiles (multiply, add, subtract, exp, row sum) sums the exponentials; the
-    chunk sums of a row add up in column order. For a given numpy build the
-    result is fixed by the inputs and the tile constants, whatever thread
-    runs it.
+    The arguments come from one matrix product per NESTED_TILE_ROWS x
+    NESTED_INNER_CHUNK tile: rows [y^2, 1, -shift] times columns
+    [neg_half_prec; log_norm; 1]. BLAS forms each entry as a chain of fused
+    multiply-adds from zero, and in each step after the first one factor is
+    an exact 1, so the entry rounds exactly like the multiply, add and
+    subtract it stands for. Then exp and the row sum run over the tile; the
+    chunk sums of a row add up in column order. For a given numpy and BLAS
+    build the result is fixed by the inputs and the tile constants, whatever
+    thread runs it and however many threads BLAS uses.
+
+    Components may come in any order. Sorted by variance, which is how the
+    nested pass hands them over, each row's underflowing exponentials sit in
+    one contiguous run, and exp runs fastest; the order changes only how the
+    chunk sums group, never what is summed.
     """
     y_sq = y * y
     lo, hi = int(np.argmin(neg_half_prec)), int(np.argmax(neg_half_prec))
@@ -208,20 +218,30 @@ def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray,
     shift = np.where(y_sq <= v_min, y_sq * neg_half_prec[lo] + log_norm[lo],
                      np.where(y_sq >= v_max, y_sq * neg_half_prec[hi] + log_norm[hi], peak))
     k_total = neg_half_prec.size
+    # numpy hands a product with one row or one column to gemv, which groups
+    # the three terms otherwise; so a last strip or chunk of width 1 is
+    # computed 2 wide, from a copy of its row or column, and cut back
+    lhs = np.stack((y_sq, np.ones_like(y_sq), -shift), axis=1)
+    lhs = np.vstack((lhs, lhs[-1:]))
+    rhs = np.empty((3, max(2, min(NESTED_INNER_CHUNK, k_total))))
+    rhs[2] = 1.0
     total = np.zeros(y.size)
-    scratch = np.empty(min(NESTED_TILE_ROWS, y.size) * min(NESTED_INNER_CHUNK, k_total))
-    for r0 in range(0, y.size, NESTED_TILE_ROWS):
-        rows = slice(r0, r0 + NESTED_TILE_ROWS)
-        strip_y_sq, strip_shift = y_sq[rows, None], shift[rows, None]
-        for c0 in range(0, k_total, NESTED_INNER_CHUNK):
-            cols = slice(c0, c0 + NESTED_INNER_CHUNK)
-            prec = neg_half_prec[cols]
-            tile = scratch[:strip_y_sq.size * prec.size].reshape(strip_y_sq.size, prec.size)
-            np.multiply(strip_y_sq, prec, out=tile)
-            tile += log_norm[cols]
-            tile -= strip_shift
+    scratch = np.empty(max(2, min(NESTED_TILE_ROWS, y.size)) * rhs.shape[1])
+    # chunks outside, strips inside: each row still adds its chunk sums in
+    # column order, and only one chunk of the columns is ever copied
+    for c0 in range(0, k_total, NESTED_INNER_CHUNK):
+        n_cols = min(NESTED_INNER_CHUNK, k_total - c0)
+        chunk = rhs[:, :max(n_cols, 2)]
+        chunk[0, :n_cols] = neg_half_prec[c0:c0 + n_cols]
+        chunk[1, :n_cols] = log_norm[c0:c0 + n_cols]
+        chunk[:2, n_cols:] = chunk[:2, n_cols - 1:n_cols]
+        for r0 in range(0, y.size, NESTED_TILE_ROWS):
+            n_rows = min(NESTED_TILE_ROWS, y.size - r0)
+            strip = lhs[r0:r0 + max(n_rows, 2)]
+            tile = scratch[:strip.shape[0] * chunk.shape[1]].reshape(strip.shape[0], -1)
+            np.matmul(strip, chunk, out=tile)
             np.exp(tile, out=tile)
-            total[rows] += tile.sum(axis=1)
+            total[r0:r0 + n_rows] += tile[:n_rows, :n_cols].sum(axis=1)
     # divide before the log: a degenerate mixture then hits log(1.0) == 0 and
     # cancels against the conditional density bit for bit
     return shift + np.log(total / float(k_total))
@@ -244,7 +264,10 @@ def _nested_mixture_pass(
       t3 = 1/2 log1p(c lam^2)               -> conditional information
 
     phat is the same inner mixture average in t1 and t2, so the estimators
-    share its bias and the chain-rule comparison cancels it exactly.
+    share its bias and the chain-rule comparison cancels it exactly. The
+    inner scales are sorted once after their draw, which only speeds up the
+    kernel (see ``_log_mixture_marginal``), and the pass holds BLAS at one
+    thread, since more BLAS threads only slow the kernel's small products.
     """
     require_samples("nested estimator", MIN_ORACLE_SAMPLES,
                     samples=outer_samples, inner_samples=inner_samples)
@@ -257,6 +280,7 @@ def _nested_mixture_pass(
 
     seeded_blocks(draw_scales, inner_samples, FLAT_BLOCK, seed, STREAM_MIXTURE_INNER,
                   out=inner_lam)
+    inner_lam.sort()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mix_var = inner_lam * inner_lam + obs_var
         neg_half_prec = -0.5 / mix_var
@@ -280,8 +304,9 @@ def _nested_mixture_pass(
             MomentAccumulator.from_block(0.5 * np.log1p(c_snr * lam * lam)),
         )
 
-    parts = seeded_blocks(worker, outer_samples, NESTED_OUTER_BLOCK, seed,
-                          STREAM_MIXTURE_OUTER, n_threads)
+    with _one_blas_thread():
+        parts = seeded_blocks(worker, outer_samples, NESTED_OUTER_BLOCK, seed,
+                              STREAM_MIXTURE_OUTER, n_threads)
     estimates = []
     for k, inner in enumerate((inner_samples, inner_samples, None)):
         acc = reduce_moments([p[k] for p in parts])

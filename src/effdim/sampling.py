@@ -56,9 +56,11 @@ NESTED_OUTER_BLOCK = 512
 
 # Tile of the nested mixture kernel: NESTED_TILE_ROWS outer observations by
 # NESTED_INNER_CHUNK inner components, 16 x 8192 x 8 bytes = 1 MiB of
-# float64, so the tile stays in a 2 MiB L2 cache across its five passes. The
-# chunk width fixes how each row sum is grouped, so both are constants,
-# never derived from the machine or the thread count.
+# float64, so the tile stays in a 2 MiB L2 cache across its three passes
+# (matrix product, exp, row sum). The chunk width fixes how each row sum is
+# grouped, so both are constants, never derived from the machine or the
+# thread count. Component order is not a constant of correctness: the nested
+# pass sorts its components only because exp then runs faster.
 NESTED_TILE_ROWS = 16
 NESTED_INNER_CHUNK = 8192
 
@@ -218,9 +220,11 @@ def _one_blas_thread():
     """Hold the loaded OpenBLAS at one thread while any holder runs.
 
     Holders are every CLI command (``cli.main``), so that no report's bits
-    depend on the BLAS thread count, and two library callers: the worker
-    pools, so that workers start no BLAS threads of their own, and the design
-    SVD, so that ``ridge_report``'s bits do not depend on it either.
+    depend on the BLAS thread count, and three library callers: the worker
+    pools, so that workers start no BLAS threads of their own; the design
+    SVD, so that ``ridge_report``'s bits do not depend on it either; and the
+    nested mixture pass, whose small kernel products only lose time to BLAS
+    threads.
     The count read when the first of any concurrent or nested holders starts
     is restored when the last one ends, also when one raises. Without an
     OpenBLAS setter this does nothing.

@@ -254,6 +254,14 @@ class TestWhitenedSpectrum:
         assert spec.eigenvalues.tobytes() == np.array(normal).tobytes()
         assert spec.rank == rank
 
+    @pytest.mark.parametrize("values", [
+        [math.nan, 1.0, -math.inf, math.inf], [math.nan], [2.0, math.inf], [-math.inf, 0.0],
+    ], ids=["mixed", "nan", "inf", "minus-inf"])
+    def test_non_finite_eigenvalues_rejected(self, values):
+        # NaN once counted as a positive mode and -inf was clipped to 0
+        with pytest.raises(InputError, match="must be finite"):
+            ChannelSpectrum(eigenvalues=values)
+
 
 class TestMutualInformation:
     def test_scalar_half_log_two(self):

@@ -480,6 +480,19 @@ def _gaussian_kl_argv(tmp_path):
             "--prior-cov", paths["prior"], "--samples", "20000", "--seed", "3"]
 
 
+# the nested mixture kernel forms its exp arguments with a BLAS matrix product
+_NESTED_COUNTS = ["--samples", "10000", "--inner-samples", "10000", "--seed", "1"]
+
+
+def _decompose_argv(_tmp_path):
+    return ["shrinkage", "--prior", "half-cauchy", "--n", "100", "--decompose", *_NESTED_COUNTS]
+
+
+def _mixture_mi_argv(_tmp_path):
+    return ["oracle", "--kind", "mixture-mi", "--prior", "student-t", "--nu", "3", "--n", "100",
+            *_NESTED_COUNTS]
+
+
 class TestDeterminism:
     def test_identical_seed_byte_identical(self, tmp_path):
         args = ["shrinkage", "--prior", "half-cauchy", "--sigma2", "1", "--n", "100",
@@ -510,8 +523,10 @@ class TestDeterminism:
         return reports
 
     @pytest.mark.parametrize("argv", [
-        _regression_argv, _approx_argv, _channel_mi_argv, _gaussian_kl_argv,
-    ], ids=["regression", "approx", "oracle-channel-mi", "oracle-gaussian-kl"])
+        _regression_argv, _approx_argv, _channel_mi_argv, _gaussian_kl_argv, _decompose_argv,
+        _mixture_mi_argv,
+    ], ids=["regression", "approx", "oracle-channel-mi", "oracle-gaussian-kl",
+            "shrinkage-decompose", "oracle-mixture-mi"])
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, argv, tmp_path):
         one, two = self.reports_at_one_and_two_blas_threads(argv(tmp_path))
         assert one == two

@@ -29,7 +29,13 @@ from effdim import (
 from effdim import linalg, oracle, sampling
 from effdim.errors import DimensionMismatch, InputError, InsufficientSamples
 from effdim.oracle import McEstimate, _log_mixture_marginal, block_mean, seeded_blocks
-from effdim.sampling import FLAT_BLOCK, NESTED_OUTER_BLOCK, block_rng
+from effdim.sampling import (
+    FLAT_BLOCK,
+    NESTED_INNER_CHUNK,
+    NESTED_OUTER_BLOCK,
+    NESTED_TILE_ROWS,
+    block_rng,
+)
 
 from conftest import random_channel, random_covariance
 
@@ -250,6 +256,27 @@ def _reference_marginal(y, neg_half_prec, log_norm):
     ]) - math.log(neg_half_prec.size)
 
 
+def _three_ufunc_marginal(y, neg_half_prec, log_norm):
+    """The kernel as multiply, add and subtract per tile, before the matrix product."""
+    y_sq = y * y
+    lo, hi = int(np.argmin(neg_half_prec)), int(np.argmax(neg_half_prec))
+    v_min, v_max = -0.5 / neg_half_prec[lo], -0.5 / neg_half_prec[hi]
+    peak = -0.5 - 0.5 * np.log(2.0 * math.pi * np.clip(y_sq, v_min, v_max))
+    shift = np.where(y_sq <= v_min, y_sq * neg_half_prec[lo] + log_norm[lo],
+                     np.where(y_sq >= v_max, y_sq * neg_half_prec[hi] + log_norm[hi], peak))
+    total = np.zeros(y.size)
+    for r0 in range(0, y.size, NESTED_TILE_ROWS):
+        rows = slice(r0, r0 + NESTED_TILE_ROWS)
+        for c0 in range(0, neg_half_prec.size, NESTED_INNER_CHUNK):
+            cols = slice(c0, c0 + NESTED_INNER_CHUNK)
+            tile = np.multiply(y_sq[rows, None], neg_half_prec[cols])
+            tile += log_norm[cols]
+            tile -= shift[rows, None]
+            np.exp(tile, out=tile)
+            total[rows] += tile.sum(axis=1)
+    return shift + np.log(total / float(neg_half_prec.size))
+
+
 def _scale_mixture_inputs(prior, n_outer, n_inner, seed):
     """Outer observations and inner components of a unit-noise scale mixture."""
     rng = np.random.default_rng(seed)
@@ -270,6 +297,37 @@ class TestMixtureKernel:
         out = _log_mixture_marginal(y, prec, log_norm)
         ref = _reference_marginal(y, prec, log_norm)
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+        # each fused step of the matrix product multiplies by an exact 1 or
+        # adds to an exact 0, so it rounds like the three ufuncs
+        assert out.tobytes() == _three_ufunc_marginal(y, prec, log_norm).tobytes()
+
+    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
+                             ids=["student-t", "half-cauchy"])
+    @pytest.mark.parametrize("shape", [
+        (NESTED_TILE_ROWS + 1, NESTED_INNER_CHUNK + 1), (NESTED_OUTER_BLOCK, 1),
+    ], ids=["one-wide-edges", "one-component"])
+    def test_one_wide_products_round_like_three_ufuncs(self, prior, shape):
+        # these end in a strip of one row or a chunk of one column
+        y, prec, log_norm = _scale_mixture_inputs(prior, *shape, seed=21)
+        out = _log_mixture_marginal(y, prec, log_norm)
+        assert out.tobytes() == _three_ufunc_marginal(y, prec, log_norm).tobytes()
+
+    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
+                             ids=["student-t", "half-cauchy"])
+    def test_one_row_calls_round_like_three_ufuncs(self, prior):
+        y, prec, log_norm = _scale_mixture_inputs(prior, 64, 5, seed=21)
+        for row in np.split(y, y.size):
+            out = _log_mixture_marginal(row, prec, log_norm)
+            assert out.tobytes() == _three_ufunc_marginal(row, prec, log_norm).tobytes()
+
+    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
+                             ids=["student-t", "half-cauchy"])
+    def test_component_order_changes_only_the_grouping(self, prior):
+        y, prec, log_norm = _scale_mixture_inputs(prior, NESTED_OUTER_BLOCK, 20_000, seed=23)
+        order = np.argsort(-0.5 / prec)  # ascending variance, as the nested pass sorts
+        shuffled = _log_mixture_marginal(y, prec, log_norm)
+        ordered = _log_mixture_marginal(y, prec[order], log_norm[order])
+        np.testing.assert_allclose(ordered, shuffled, rtol=1e-14, atol=0.0)
 
     def test_two_point_mixture_at_extreme_scales(self):
         prec, log_norm = _mixture_args([1e-150, 1e150])
@@ -279,8 +337,10 @@ class TestMixtureKernel:
         with np.errstate(over="ignore", under="ignore"):
             out = _log_mixture_marginal(y, prec, log_norm)
             ref = _reference_marginal(y, prec, log_norm)
+            three = _three_ufunc_marginal(y, prec, log_norm)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
+        assert out.tobytes() == three.tobytes()
 
     def test_degenerate_mixture_is_its_component_bit_for_bit(self):
         v = 1.0 + 0.25**2
@@ -288,6 +348,7 @@ class TestMixtureKernel:
         y = np.array([0.0, 0.3, math.sqrt(v), 2.0, 1e3, -7.5])
         out = _log_mixture_marginal(y, prec, log_norm)
         assert np.array_equal(out, y * y * prec[0] + log_norm[0])
+        assert out.tobytes() == _three_ufunc_marginal(y, prec, log_norm).tobytes()
 
     def test_scratch_stays_cache_sized(self):
         y, prec, log_norm = _scale_mixture_inputs(
@@ -325,6 +386,12 @@ class TestDeterminism:
         many = estimate_mixture_marginal_mi(m, 20_000, 10_000, seed=3, n_threads=4)
         assert one.estimate == many.estimate
         assert one.std_error == many.std_error
+
+    def test_nested_pass_bits_do_not_depend_on_threads(self):
+        m = ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=100)
+        one = chain_decomposition(m, 20_000, 10_000, seed=5, n_threads=1)
+        two = chain_decomposition(m, 20_000, 10_000, seed=5, n_threads=2)
+        assert one == two
 
     def test_different_seeds_differ(self):
         ch = GaussianChannel(a=[[1.0]], prior_cov=[[1.0]], noise_cov=[[1.0]])
