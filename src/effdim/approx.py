@@ -27,7 +27,7 @@ import numpy as np
 
 from . import linalg
 from .dimension import RidgeModel, deff
-from .errors import DimensionMismatch, InputError, NumericalError, require_sample_size
+from .errors import DimensionMismatch, NumericalError, require_positive, require_sample_size
 
 #: Signed relative tolerance of the Loewner-order eigenvalue test.
 LOEWNER_TOL = 1e-10
@@ -135,8 +135,7 @@ def conjugate_regression_info(model: RidgeModel) -> float:
     and returns 1/2 (trace + quadratic - logdet - p). This is an independent
     derivation route that must agree with the spectral regression formula.
     """
-    if model.prior_var <= 0:
-        raise InputError("conjugate_regression_info requires prior_var > 0")
+    require_positive(prior_var=model.prior_var)
     x = model.design
     p = x.shape[1]
     precision = np.eye(p) / model.prior_var + (x.T @ x) / model.noise_var

@@ -31,8 +31,10 @@ from .errors import (
     EmptySpectrum,
     InputError,
     NumericalError,
+    require_count,
     require_finite,
-    require_float_count,
+    require_nonnegative,
+    require_positive,
     require_sample_size,
 )
 from .sampling import _one_blas_thread
@@ -48,16 +50,9 @@ class LocationModel:
     n: int
 
     def __post_init__(self):
-        require_finite(prior_var=self.prior_var, noise_var=self.noise_var)
-        require_float_count(dim=self.dim, n=self.n)
-        if self.dim < 1:
-            raise InputError("dimension must be >= 1")
-        if self.noise_var <= 0:
-            raise InputError("noise variance must be positive")
-        if self.prior_var < 0:
-            raise InputError("prior variance must be nonnegative")
-        if self.n < 1:
-            raise InputError("sample size must be >= 1")
+        require_count(1, dim=self.dim, n=self.n)
+        require_positive(noise_var=self.noise_var)
+        require_nonnegative(prior_var=self.prior_var)
         require_finite(snr=self.n * self.prior_var / self.noise_var)
 
 
@@ -71,11 +66,8 @@ class RidgeModel:
 
     def __post_init__(self):
         design = linalg.as_matrix(self.design, "design")
-        require_finite(prior_var=self.prior_var, noise_var=self.noise_var)
-        if self.noise_var <= 0:
-            raise InputError("noise variance must be positive")
-        if self.prior_var < 0:
-            raise InputError("prior variance must be nonnegative")
+        require_positive(noise_var=self.noise_var)
+        require_nonnegative(prior_var=self.prior_var)
         # bounds every per-mode SNR and the sandwich's upper end, sum_j snr * s_j^2
         require_finite(snr_trace=self.snr_ratio * float(np.vdot(design, design)))
         object.__setattr__(self, "design", design)
@@ -108,16 +100,13 @@ class SpectrumSequence:
     truncation_error_budget: float
 
     def __post_init__(self):
-        require_finite(decay_exponent=self.decay_exponent, snr=self.snr,
-                       truncation_error_budget=self.truncation_error_budget)
+        require_finite(decay_exponent=self.decay_exponent)
         if self.decay_exponent <= 0.5:
             raise DivergentSpectrum(
                 f"decay exponent {self.decay_exponent} <= 1/2: information sum diverges"
             )
-        if self.snr < 0:
-            raise InputError("signal-to-noise ratio must be nonnegative")
-        if self.truncation_error_budget <= 0:
-            raise InputError("truncation error budget must be positive")
+        require_nonnegative(snr=self.snr)
+        require_positive(truncation_error_budget=self.truncation_error_budget)
 
 
 @dataclass(frozen=True)
@@ -157,9 +146,7 @@ class InfoReport:
 def deff(mi_nats: float, n: int) -> float:
     """Effective dimension 2 * mi / log(n); requires n >= 3."""
     require_sample_size(n)
-    require_finite(mi_nats=mi_nats)
-    if mi_nats < 0:
-        raise InputError("mutual information must be nonnegative")
+    require_nonnegative(mi_nats=mi_nats)
     return 2.0 * mi_nats / math.log(n)
 
 
@@ -212,9 +199,7 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
     s_sq = ChannelSpectrum(eigenvalues=singular_values_sq).nonzero
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
-    require_finite(snr=snr)
-    if snr <= 0:
-        raise InputError("signal-to-noise ratio must be positive")
+    require_positive(snr=snr)
     weights = np.log1p(snr * s_sq)
     if weights[0] == 0.0:
         # snr * s_1^2 underflows to 0: the ratio's small-SNR limit
@@ -224,12 +209,10 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
 
 def ridge_df(singular_values_sq, penalty: float) -> float:
     """Ridge degrees of freedom sum_j s_j^2 / (s_j^2 + alpha)."""
-    require_finite(penalty=penalty)
-    if penalty <= 0:
-        raise InputError("ridge penalty must be positive")
+    require_positive(penalty=penalty)
     s_sq = np.asarray(singular_values_sq, dtype=float)
-    if not np.isfinite(s_sq).all():
-        raise InputError("squared singular values must be finite")
+    if not (np.isfinite(s_sq) & (s_sq >= 0)).all():
+        raise InputError("squared singular values must be finite and nonnegative")
     return float(np.sum(s_sq / (s_sq + penalty)))
 
 
@@ -238,9 +221,7 @@ def smoothing_matrix(design: np.ndarray, penalty: float) -> np.ndarray:
 
     Cross-check surface only: its trace equals ridge_df of the same design.
     """
-    require_finite(penalty=penalty)
-    if penalty <= 0:
-        raise InputError("ridge penalty must be positive")
+    require_positive(penalty=penalty)
     design = linalg.as_matrix(design, "design")
     p = design.shape[1]
     gram = design.T @ design + penalty * np.eye(p)
@@ -254,8 +235,7 @@ def mi_df_sandwich(m: RidgeModel) -> tuple[float, float, float]:
 
     Mode by mode this is u/(1+u) <= log(1+u) <= u at u = snr * s_j^2.
     """
-    if m.prior_var <= 0:
-        raise InputError("the sandwich requires prior_var > 0")
+    require_positive(prior_var=m.prior_var)
     report = ridge_report(m, 3)  # n enters d_eff only
     return report.sandwich_lower, report.two_mi, report.sandwich_upper
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the checks that raise them.
 
 Each fault is classified where it is detected, into one of two families that
 the CLI maps to exit codes. ``InputError`` (exit 2; also a ``ValueError``):
@@ -6,6 +6,10 @@ the caller's input is invalid, including a covariance the caller supplied
 that fails its PD or PSD check (``NotPositiveDefinite``). ``NumericalError``
 (exit 3): a computation on valid input could not complete, such as the
 factorization of an intermediate matrix. Any other exception is a bug.
+
+Scalar inputs are checked by ``require_finite``, ``require_positive``,
+``require_nonnegative``, ``require_count``, ``require_sample_size`` and
+``require_samples``: a refused scalar is named with its value. No numpy here.
 """
 
 import math
@@ -64,16 +68,33 @@ class CsvFormatError(InputError):
     """A matrix CSV file could not be parsed."""
 
 
+def _require(rule: str, holds, values: dict) -> None:
+    """Raise InputError naming the first of ``values`` that is not finite or fails ``holds``."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and holds(value)):
+            raise InputError(f"{name} must be {rule}, got {value!r}")
+
+
 def require_finite(**values: float) -> None:
     """Raise InputError naming the first of ``values`` that is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InputError(f"{name} must be finite, got {value!r}")
+    _require("finite", lambda value: True, values)
 
 
-def require_float_count(**counts: int) -> None:
-    """Raise InputError naming the first of ``counts`` too large for a float."""
+def require_positive(**values: float) -> None:
+    """Raise InputError naming the first of ``values`` that is not finite and > 0."""
+    _require("finite and positive", lambda value: value > 0, values)
+
+
+def require_nonnegative(**values: float) -> None:
+    """Raise InputError naming the first of ``values`` that is not finite and >= 0."""
+    _require("finite and nonnegative", lambda value: value >= 0, values)
+
+
+def require_count(minimum: int, **counts: int) -> None:
+    """Raise InputError naming the first of ``counts`` below ``minimum`` or past float range."""
     for name, value in counts.items():
+        if value < minimum:
+            raise InputError(f"{name} must be >= {minimum}, got {value!r}")
         try:
             float(value)
         except OverflowError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import InputError, require_finite, require_float_count
+from .errors import InputError, require_count, require_finite, require_positive
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,8 @@ class TailCertificate:
     t0: float = 1.0
 
     def __post_init__(self):
-        require_finite(c_const=self.c_const, alpha_exp=self.alpha_exp, t0=self.t0)
-        if self.c_const <= 0 or self.alpha_exp <= 0:
-            raise InputError("tail certificate requires positive constant and exponent")
+        require_positive(c_const=self.c_const, alpha_exp=self.alpha_exp)
+        require_finite(t0=self.t0)
         if self.t0 < 1.0:
             raise InputError("tail certificate threshold t0 must be >= 1")
 
@@ -54,9 +53,7 @@ class FixedScale(ShrinkagePrior):
     tau: float
 
     def __post_init__(self):
-        require_finite(tau=self.tau)
-        if self.tau <= 0:
-            raise InputError("fixed scale tau must be positive")
+        require_positive(tau=self.tau)
 
     @property
     def second_moment(self) -> float:
@@ -77,9 +74,7 @@ class InverseGammaMixture(ShrinkagePrior):
     scale_sq: float = 1.0
 
     def __post_init__(self):
-        require_finite(dof=self.dof, scale_sq=self.scale_sq)
-        if self.dof <= 0 or self.scale_sq <= 0:
-            raise InputError("Student-t mixture requires dof > 0 and scale_sq > 0")
+        require_positive(dof=self.dof, scale_sq=self.scale_sq)
 
     @property
     def second_moment(self) -> float:
@@ -89,7 +84,12 @@ class InverseGammaMixture(ShrinkagePrior):
 
     def sample(self, rng, size):
         g = rng.gamma(shape=0.5 * self.dof, scale=1.0, size=size)
-        return np.sqrt(0.5 * self.dof * self.scale_sq / g)
+        with np.errstate(over="ignore"):
+            lam = np.sqrt(0.5 * self.dof * self.scale_sq / g)
+        if math.isinf(lam.max(initial=0.0)):  # the square overflowed; its root may not
+            big = np.isinf(lam)
+            lam[big] = math.sqrt(0.5 * self.dof * self.scale_sq) / np.sqrt(g[big])
+        return lam
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,7 @@ class HalfCauchy(ShrinkagePrior):
     tail_certificate: TailCertificate = field(init=False)
 
     def __post_init__(self):
-        require_finite(global_scale=self.global_scale)
-        if self.global_scale <= 0:
-            raise InputError("half-Cauchy global scale must be positive")
+        require_positive(global_scale=self.global_scale)
         object.__setattr__(
             self,
             "tail_certificate",
@@ -156,12 +154,9 @@ class ScalarShrinkageModel:
     n: int = 1
 
     def __post_init__(self):
-        if self.noise_var <= 0:
-            raise InputError("noise variance must be positive")
-        if self.n < 1:
-            raise InputError("sample size must be >= 1")
-        require_float_count(n=self.n)
-        require_finite(noise_var=self.noise_var, c_snr=self.c_snr)
+        require_positive(noise_var=self.noise_var)
+        require_count(1, n=self.n)
+        require_finite(c_snr=self.c_snr)
 
     @property
     def c_snr(self) -> float:
@@ -185,9 +180,7 @@ class GlobalLocalRegression:
 
     def __post_init__(self):
         design = linalg.as_matrix(self.design, "design")
-        require_finite(noise_var=self.noise_var)
-        if self.noise_var <= 0:
-            raise InputError("noise variance must be positive")
+        require_positive(noise_var=self.noise_var)
         object.__setattr__(self, "design", design)
 
     @property

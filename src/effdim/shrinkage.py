@@ -26,7 +26,7 @@ from .dimension import regression_mi, RidgeModel
 from .errors import (
     DimensionMismatch,
     InputError,
-    require_finite,
+    require_nonnegative,
     require_sample_size,
     require_samples,
 )
@@ -83,19 +83,32 @@ def conditional_mi(m: ScalarShrinkageModel, lam: float) -> float:
 
     lam = 0 is accepted and returns 0 (the continuous limit).
     """
-    require_finite(lam=lam)
-    if lam < 0:
-        raise InputError("latent scale must be nonnegative")
-    return 0.5 * math.log1p(m.c_snr * lam * lam)
+    require_nonnegative(lam=lam)
+    return 0.5 * _log1p_product(m.c_snr, lam, lam)
 
 
 def random_deff(m: ScalarShrinkageModel, lam: float) -> float:
     """Per-realization effective dimension log(1 + c lam^2) / log(n)."""
     require_sample_size(m.n)
-    require_finite(lam=lam)
-    if lam < 0:
-        raise InputError("latent scale must be nonnegative")
-    return math.log1p(m.c_snr * lam * lam) / math.log(m.n)
+    require_nonnegative(lam=lam)
+    return _log1p_product(m.c_snr, lam, lam) / math.log(m.n)
+
+
+def _log1p_product(*factors: float) -> float:
+    """log1p of the product of finite ``factors``, or the sum of their logs where it overflows."""
+    product = math.prod(map(float, factors))
+    return math.fsum(map(math.log, factors)) if math.isinf(product) else math.log1p(product)
+
+
+def _log1p_c_lam_sq(c: float, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log1p(c * lam * lam), or log c + 2 log lam where the product overflows."""
+    u = np.multiply(c, lam, out=out)  # the seeded blocks' error state hides an overflow
+    u *= lam
+    np.log1p(u, out=u)
+    if math.isinf(u.max(initial=0.0)):  # no mask is built for a block without overflow
+        big = np.isinf(u)
+        u[big] = math.log(c) + 2.0 * np.log(lam[big])  # every finite product keeps its bits
+    return u
 
 
 def expected_conditional_mi(
@@ -112,8 +125,7 @@ def expected_conditional_mi(
         return McEstimate(estimate=exact, std_error=0.0, n_samples=samples, seed=seed)
 
     def values(rng, size):
-        lam = m.prior.sample(rng, size)
-        return 0.5 * np.log1p(m.c_snr * lam * lam)
+        return 0.5 * _log1p_c_lam_sq(m.c_snr, m.prior.sample(rng, size))
 
     return block_mean(values, samples, seed, STREAM_COND_MI, n_threads)
 
@@ -128,7 +140,7 @@ def jensen_bound(m: ScalarShrinkageModel) -> float | None:
     second = m.prior.second_moment
     if not math.isfinite(second):
         return None
-    return 0.5 * math.log1p(m.c_snr * second)
+    return 0.5 * _log1p_product(m.c_snr, second)
 
 
 def heavy_tail_bound(cert: TailCertificate, c_snr: float) -> float:
@@ -137,9 +149,7 @@ def heavy_tail_bound(cert: TailCertificate, c_snr: float) -> float:
     Upper-bounds E[log(1 + c lam^2)] for any scale law satisfying the tail
     certificate; finite even when the second moment is not.
     """
-    require_finite(c_snr=c_snr)
-    if c_snr < 0:
-        raise InputError("signal-to-noise factor must be nonnegative")
+    require_nonnegative(c_snr=c_snr)
     return (
         math.log1p(c_snr)
         + math.log1p(cert.t0 * cert.t0)
@@ -230,11 +240,7 @@ def random_deff_distribution(
     log_n = math.log(m.n)
 
     def fill(rng, dest):
-        # log1p(c lam^2) / log n, in the order c * lam * lam
-        lam = m.prior.sample(rng, dest.size)
-        np.multiply(m.c_snr, lam, out=dest)
-        dest *= lam
-        np.log1p(dest, out=dest)
+        _log1p_c_lam_sq(m.c_snr, m.prior.sample(rng, dest.size), out=dest)
         dest /= log_n
 
     values = np.empty(samples)

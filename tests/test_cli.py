@@ -371,6 +371,21 @@ class TestShrinkage:
         assert chain["bound_satisfied"] is True
         assert chain["i_theta_y"]["path"] == "mc"
 
+    @pytest.mark.parametrize("args, mean", [
+        (["--prior", "half-cauchy", "--tau-g", "1e300", "--samples", "20000"], 301.0),
+        (["--prior", "half-cauchy", "--tau-g", "1e150", "--samples", "20000"], 151.0),
+        # E[log lam^2] = log(nu s2 / 2) - digamma(nu / 2), digamma(3/2) = 2 - gamma - 2 log 2
+        (["--prior", "student-t", "--nu", "3", "--s2", "1e307"],
+         1.0 + (math.log(1.5e307) - (2.0 - 0.5772156649015329 - 2.0 * math.log(2.0)))
+         / math.log(100.0)),
+    ], ids=["half-cauchy-1e300", "half-cauchy-1e150", "student-t-1e307"])
+    def test_overflowing_snr_times_scale_squared_exits_zero(self, args, mean, capsys):
+        code, out, err = run_cli(["shrinkage", *args, "--n", "100", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        summary = json.loads(out)["results"]["deff_distribution"]
+        standard_error = summary["sd"]["value"] / math.sqrt(summary["n_samples"])
+        assert abs(summary["mean"]["value"] - mean) <= 5.0 * standard_error
+
     def test_missing_prior_parameter_exits_two(self, capsys):
         code, _, _ = run_cli(
             ["shrinkage", "--prior", "fixed", "--sigma2", "1", "--n", "100",
@@ -656,7 +671,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("args, message", [
         (["shrinkage", "--prior", "student-t", "--nu", "0.01", "--n", "100",
           "--samples", "10000", "--seed", "1"], "values has mean inf"),
-        (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e200", "--n", "100",
+        (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e307", "--n", "100",
           "--samples", "10000", "--seed", "1"], "values has mean inf"),
         (["oracle", "--kind", "mixture-mi", "--prior", "student-t", "--nu", "0.01",
           "--n", "100", "--samples", "10000", "--inner-samples", "10000", "--seed", "1"],
@@ -666,8 +681,8 @@ class TestExitCodes:
          "values has mean nan"),
         (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e200", "--n", "100",
           "--samples", "10000", "--inner-samples", "10000", "--seed", "1", "--decompose"],
-         "values has mean inf"),
-    ], ids=["student-t-underflow", "half-cauchy-overflow", "mixture-mi-student-t",
+         "values has mean nan"),
+    ], ids=["student-t-underflow", "half-cauchy-scale-overflow", "mixture-mi-student-t",
             "mixture-mi-half-cauchy", "decompose-half-cauchy"])
     def test_non_finite_draws_exit_three_where_formed(self, args, message, capsys):
         # RuntimeWarnings are test errors, so this also checks that the

@@ -245,6 +245,14 @@ class TestRidgeDf:
     def test_two_mode_example(self):
         assert ridge_df([4.0, 1.0], penalty=1.0) == pytest.approx(4.0 / 5.0 + 0.5, abs=1e-15)
 
+    @pytest.mark.parametrize("s_sq", [[-0.5, 2.0], [-1.0], [-5e-324, 1.0]])
+    def test_negative_squared_singular_values_rejected(self, s_sq):
+        with pytest.raises(InputError, match="must be finite and nonnegative"):
+            ridge_df(s_sq, 1.0)
+
+    def test_signed_zero_mode_counts_nothing(self):
+        assert ridge_df([-0.0, 0.0, 1.0], 1.0) == 0.5
+
     def test_matches_smoothing_matrix_trace(self):
         rng = np.random.default_rng(3)
         for _ in range(20):

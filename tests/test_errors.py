@@ -1,0 +1,144 @@
+"""The scalar check vocabulary of ``effdim.errors`` at every site that uses it."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from effdim import (
+    FixedScale,
+    GlobalLocalRegression,
+    HalfCauchy,
+    InverseGammaMixture,
+    LocationModel,
+    RidgeModel,
+    ScalarShrinkageModel,
+    SpectrumSequence,
+    TailCertificate,
+    conditional_mi,
+    conjugate_regression_info,
+    deff,
+    heavy_tail_bound,
+    info_effective_rank,
+    mi_df_sandwich,
+    random_deff,
+    ridge_df,
+    smoothing_matrix,
+)
+from effdim import errors
+from effdim.errors import InputError
+
+ERRORS_PY = Path(errors.__file__)
+
+MODEL = ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=10)
+CERT = TailCertificate(c_const=1.0, alpha_exp=1.0)
+
+
+def _ridge(**kw):
+    return RidgeModel(**{"design": np.eye(2), "noise_var": 1.0, "prior_var": 1.0, **kw})
+
+
+# (site, parameter, rule, build(value)); rule is "positive", "nonnegative" or
+# the minimum of a count
+SITES = [
+    ("LocationModel", "dim", 1, lambda v: LocationModel(dim=v, prior_var=1.0, noise_var=1.0, n=10)),
+    ("LocationModel", "n", 1, lambda v: LocationModel(dim=1, prior_var=1.0, noise_var=1.0, n=v)),
+    ("LocationModel", "noise_var", "positive",
+     lambda v: LocationModel(dim=1, prior_var=1.0, noise_var=v, n=10)),
+    ("LocationModel", "prior_var", "nonnegative",
+     lambda v: LocationModel(dim=1, prior_var=v, noise_var=1.0, n=10)),
+    ("RidgeModel", "noise_var", "positive", lambda v: _ridge(noise_var=v)),
+    ("RidgeModel", "prior_var", "nonnegative", lambda v: _ridge(prior_var=v)),
+    ("SpectrumSequence", "snr", "nonnegative",
+     lambda v: SpectrumSequence(decay_exponent=1.0, snr=v, truncation_error_budget=1e-6)),
+    ("SpectrumSequence", "truncation_error_budget", "positive",
+     lambda v: SpectrumSequence(decay_exponent=1.0, snr=1.0, truncation_error_budget=v)),
+    ("deff", "mi_nats", "nonnegative", lambda v: deff(v, 10)),
+    ("info_effective_rank", "snr", "positive", lambda v: info_effective_rank([1.0, 2.0], v)),
+    ("ridge_df", "penalty", "positive", lambda v: ridge_df([1.0, 2.0], v)),
+    ("smoothing_matrix", "penalty", "positive", lambda v: smoothing_matrix(np.eye(2), v)),
+    ("mi_df_sandwich", "prior_var", "positive", lambda v: mi_df_sandwich(_ridge(prior_var=v))),
+    ("TailCertificate", "c_const", "positive", lambda v: TailCertificate(c_const=v, alpha_exp=1.0)),
+    ("TailCertificate", "alpha_exp", "positive",
+     lambda v: TailCertificate(c_const=1.0, alpha_exp=v)),
+    ("FixedScale", "tau", "positive", lambda v: FixedScale(tau=v)),
+    ("InverseGammaMixture", "dof", "positive", lambda v: InverseGammaMixture(dof=v)),
+    ("InverseGammaMixture", "scale_sq", "positive",
+     lambda v: InverseGammaMixture(dof=3.0, scale_sq=v)),
+    ("HalfCauchy", "global_scale", "positive", lambda v: HalfCauchy(global_scale=v)),
+    ("ScalarShrinkageModel", "noise_var", "positive",
+     lambda v: ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=v, n=10)),
+    ("ScalarShrinkageModel", "n", 1,
+     lambda v: ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=v)),
+    ("GlobalLocalRegression", "noise_var", "positive",
+     lambda v: GlobalLocalRegression(design=np.eye(2), noise_var=v)),
+    ("conditional_mi", "lam", "nonnegative", lambda v: conditional_mi(MODEL, v)),
+    ("random_deff", "lam", "nonnegative", lambda v: random_deff(MODEL, v)),
+    ("heavy_tail_bound", "c_snr", "nonnegative", lambda v: heavy_tail_bound(CERT, v)),
+    ("conjugate_regression_info", "prior_var", "positive",
+     lambda v: conjugate_regression_info(_ridge(prior_var=v))),
+]
+
+BOUNDARY = (-1.0, -0.0, 0.0, 5e-324, math.inf, math.nan)
+COUNT_BOUNDARY = (-1, -0.0, 0, 5e-324, 10**400)
+
+
+def _refused(rule, value) -> bool:
+    if rule == "positive":
+        return not (math.isfinite(value) and value > 0)
+    if rule == "nonnegative":
+        return not (math.isfinite(value) and value >= 0)
+    return value < rule or value == 10**400
+
+
+REFUSALS = [
+    pytest.param(build, parameter, value,
+                 id=f"{site}-{parameter}-{'10**400' if value == 10**400 else repr(value)}")
+    for site, parameter, rule, build in SITES
+    for value in (BOUNDARY if isinstance(rule, str) else COUNT_BOUNDARY)
+    if _refused(rule, value)
+]
+
+
+class TestBoundaries:
+    @pytest.mark.parametrize("build, parameter, value", REFUSALS)
+    def test_refused_value_is_named(self, build, parameter, value):
+        with pytest.raises(InputError) as info:
+            build(value)
+        assert type(info.value) is InputError
+        assert str(info.value).startswith(f"{parameter} ")
+
+    @pytest.mark.parametrize("build", [
+        lambda v: LocationModel(dim=1, prior_var=v, noise_var=1.0, n=10),
+        lambda v: _ridge(prior_var=v),
+        lambda v: SpectrumSequence(decay_exponent=1.0, snr=v, truncation_error_budget=1e-6),
+    ], ids=["location-prior-var", "ridge-prior-var", "sequence-snr"])
+    @pytest.mark.parametrize("value", [0.0, -0.0])
+    def test_zero_is_accepted_where_nonnegative(self, build, value):
+        build(value)
+
+    def test_messages_carry_the_value(self):
+        with pytest.raises(InputError, match=r"^noise_var must be finite and positive, got 0\.0$"):
+            errors.require_positive(noise_var=0.0)
+        with pytest.raises(InputError, match=r"^lam must be finite and nonnegative, got nan$"):
+            errors.require_nonnegative(lam=math.nan)
+        with pytest.raises(InputError, match=r"^dim must be >= 1, got 0$"):
+            errors.require_count(1, dim=0)
+        with pytest.raises(InputError, match=r"^n is too large for a float \(401 digits\)$"):
+            errors.require_count(1, n=10**400)
+
+    def test_first_bad_value_is_named(self):
+        with pytest.raises(InputError, match="^b "):
+            errors.require_positive(a=1.0, b=0.0, c=-1.0)
+
+    def test_imports_no_numpy(self, monkeypatch):
+        # None in sys.modules makes any import of numpy raise ImportError
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        spec = importlib.util.spec_from_file_location("standalone_errors", ERRORS_PY)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        with pytest.raises(module.InputError, match="^tau must be finite and positive"):
+            module.require_positive(tau=-1.0)

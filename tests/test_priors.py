@@ -90,7 +90,7 @@ class TestHalfCauchy:
             HalfCauchy(1.0, tail_certificate=TailCertificate(c_const=9.0, alpha_exp=1.0))
 
     def test_zero_global_scale_rejected(self):
-        with pytest.raises(InputError, match="global scale must be positive"):
+        with pytest.raises(InputError, match=r"^global_scale must be finite and positive, got 0\.0$"):
             HalfCauchy(global_scale=0.0)
 
     def test_median_is_global_scale(self):
@@ -131,7 +131,7 @@ class TestModels:
         assert m.obs_var == pytest.approx(0.05)
 
     def test_global_local_zero_noise_rejected(self):
-        with pytest.raises(InputError, match="noise variance must be positive"):
+        with pytest.raises(InputError, match=r"^noise_var must be finite and positive, got 0\.0$"):
             GlobalLocalRegression(design=np.eye(2), noise_var=0.0)
 
     def test_scalar_model_validation(self):

@@ -90,6 +90,63 @@ class TestRandomDeff:
             random_deff(m, 1.0)
 
 
+class TestOverflowingSnrTimesScale:
+    """c lam^2 past the float range, for a finite lam: log c + 2 log lam."""
+
+    STUDENT_T = ScalarShrinkageModel(prior=InverseGammaMixture(dof=3.0, scale_sq=1e307), n=100)
+
+    @pytest.mark.parametrize("lam", [1e200, 1e300, 1.7976931348623157e308])
+    def test_scalar_functions_take_the_log_sum(self, lam):
+        m = ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=100)
+        exact = math.log(100.0) + 2.0 * math.log(lam)  # log1p(u) = log(u) here
+        assert conditional_mi(m, lam) == pytest.approx(0.5 * exact, rel=1e-15)
+        assert random_deff(m, lam) == pytest.approx(exact / math.log(100.0), rel=1e-15)
+
+    def test_continuous_across_the_overflow_threshold(self):
+        # c lam^2 = 100 lam^2 crosses the largest float near lam = 1.34e153
+        m = ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=100)
+        edge = math.sqrt(np.finfo(float).max / 100.0)
+        below, above = math.nextafter(edge, 0.0), math.nextafter(edge * (1 + 1e-15), math.inf)
+        assert math.isfinite(100.0 * below * below) and math.isinf(100.0 * above * above)
+        assert conditional_mi(m, above) - conditional_mi(m, below) == pytest.approx(0.0, abs=1e-12)
+
+    def test_jensen_bound_of_an_overflowing_second_moment_product(self):
+        # E[lam^2] = 3e307 is a float; c E[lam^2] = 3e309 is not
+        bound = jensen_bound(self.STUDENT_T)
+        assert bound == pytest.approx(0.5 * (math.log(100.0) + math.log(3e307)), rel=1e-15)
+
+    def test_student_t_draws_whose_square_overflows_stay_finite(self):
+        lam = self.STUDENT_T.prior.sample(np.random.default_rng(1), 100_000)
+        g = np.random.default_rng(1).gamma(shape=1.5, scale=1.0, size=100_000)
+        with np.errstate(over="ignore"):
+            direct = np.sqrt(1.5e307 / g)
+        overflowed = np.isinf(direct)
+        assert overflowed.any() and np.isfinite(lam).all()
+        # every draw whose square is a float keeps its bits
+        np.testing.assert_array_equal(lam[~overflowed], direct[~overflowed])
+        np.testing.assert_allclose(lam[overflowed], np.sqrt(1.5e307) / np.sqrt(g[overflowed]),
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("tau_g", [1e150, 1e300])
+    def test_half_cauchy_summaries_are_finite(self, tau_g):
+        # log |C| has mean 0 for a standard Cauchy C, so E[log(c lam^2)] = log c + 2 log tau_g
+        m = ScalarShrinkageModel(prior=HalfCauchy(tau_g), noise_var=1.0, n=100)
+        summary = random_deff_distribution(m, 20_000, seed=1)
+        expected = (math.log(100.0) + 2.0 * math.log(tau_g)) / math.log(100.0)
+        assert abs(summary.mean - expected) <= 5.0 * summary.sd / math.sqrt(20_000)
+        cond = expected_conditional_mi(m, 20_000, seed=1)
+        assert abs(cond.estimate - 0.5 * expected * math.log(100.0)) <= 5.0 * cond.std_error
+
+    def test_finite_products_keep_their_bits(self):
+        m = ScalarShrinkageModel(prior=HalfCauchy(1e150), noise_var=1.0, n=100)
+        lam = HalfCauchy(1e150).sample(np.random.default_rng(4), 1000)
+        values = [random_deff(m, float(x)) for x in lam]
+        for x, value in zip(lam, values):
+            u = 100.0 * float(x) * float(x)
+            if math.isfinite(u):
+                assert value == math.log1p(u) / math.log(100.0)
+
+
 class TestExpectedConditionalMi:
     def test_fixed_prior_exact(self):
         m = ScalarShrinkageModel(prior=FixedScale(2.0), noise_var=1.0, n=1)
