@@ -6,124 +6,85 @@ effective-dimension normalization 2*I/log(n) and its spectral relatives
 prior-to-posterior KL audits for approximate Gaussian posteriors, and
 global-local shrinkage functionals, each closed form paired with an
 independent, seeded Monte Carlo oracle.
+
+Each public name is imported from its module on first use (PEP 562), so
+``import effdim`` loads neither numpy nor a submodule, and
+``import effdim.errors`` loads no numpy.
 """
 
-from .approx import (
-    ApproxAuditReport,
-    GaussianDistribution,
-    audit_approximation,
-    conjugate_regression_info,
-    dominating_diagonal,
-    gaussian_kl,
-    loewner_dominates,
-)
-from .channel import (
-    ChannelSpectrum,
-    GaussianChannel,
-    coarsen,
-    mutual_information,
-    reparameterize,
-    whitened_spectrum,
-)
-from .dimension import (
-    InfoReport,
-    LocationModel,
-    RidgeModel,
-    SpectrumSequence,
-    deff,
-    deff_rank_bound,
-    design_spectrum,
-    info_effective_rank,
-    location_mi,
-    mi_df_sandwich,
-    regression_channel,
-    regression_mi,
-    ridge_df,
-    ridge_report,
-    smoothing_matrix,
-    spectrum_sequence_mi,
-)
-from .oracle import (
-    McEstimate,
-    estimate_channel_mi,
-    estimate_gaussian_kl,
-    estimate_mixture_marginal_mi,
-)
-from .priors import (
-    FixedScale,
-    GlobalLocalRegression,
-    HalfCauchy,
-    InverseGammaMixture,
-    ScalarShrinkageModel,
-    ShrinkagePrior,
-    TabulatedPrior,
-    TailCertificate,
-)
-from .shrinkage import (
-    ChainDecomposition,
-    DeffDistributionSummary,
-    chain_decomposition,
-    conditional_mi,
-    expected_conditional_mi,
-    heavy_tail_bound,
-    jensen_bound,
-    random_deff,
-    random_deff_distribution,
-    regression_conditional_mi,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApproxAuditReport",
-    "ChainDecomposition",
-    "ChannelSpectrum",
-    "DeffDistributionSummary",
-    "FixedScale",
-    "GaussianChannel",
-    "GaussianDistribution",
-    "GlobalLocalRegression",
-    "HalfCauchy",
-    "InfoReport",
-    "InverseGammaMixture",
-    "LocationModel",
-    "McEstimate",
-    "RidgeModel",
-    "ScalarShrinkageModel",
-    "ShrinkagePrior",
-    "SpectrumSequence",
-    "TabulatedPrior",
-    "TailCertificate",
-    "audit_approximation",
-    "chain_decomposition",
-    "coarsen",
-    "conditional_mi",
-    "conjugate_regression_info",
-    "deff",
-    "deff_rank_bound",
-    "design_spectrum",
-    "dominating_diagonal",
-    "estimate_channel_mi",
-    "estimate_gaussian_kl",
-    "estimate_mixture_marginal_mi",
-    "expected_conditional_mi",
-    "gaussian_kl",
-    "heavy_tail_bound",
-    "info_effective_rank",
-    "jensen_bound",
-    "location_mi",
-    "loewner_dominates",
-    "mi_df_sandwich",
-    "mutual_information",
-    "random_deff",
-    "random_deff_distribution",
-    "regression_channel",
-    "regression_conditional_mi",
-    "regression_mi",
-    "reparameterize",
-    "ridge_df",
-    "ridge_report",
-    "smoothing_matrix",
-    "spectrum_sequence_mi",
-    "whitened_spectrum",
-]
+# each public name and the submodule that defines it
+_OWNERS = {
+    "ApproxAuditReport": "approx",
+    "ChainDecomposition": "shrinkage",
+    "ChannelSpectrum": "channel",
+    "DeffDistributionSummary": "shrinkage",
+    "FixedScale": "priors",
+    "GaussianChannel": "channel",
+    "GaussianDistribution": "approx",
+    "GlobalLocalRegression": "priors",
+    "HalfCauchy": "priors",
+    "InfoReport": "dimension",
+    "InverseGammaMixture": "priors",
+    "LocationModel": "dimension",
+    "McEstimate": "oracle",
+    "RidgeModel": "dimension",
+    "ScalarShrinkageModel": "priors",
+    "ShrinkagePrior": "priors",
+    "SpectrumSequence": "dimension",
+    "TabulatedPrior": "priors",
+    "TailCertificate": "priors",
+    "audit_approximation": "approx",
+    "chain_decomposition": "shrinkage",
+    "coarsen": "channel",
+    "conditional_mi": "shrinkage",
+    "conjugate_regression_info": "approx",
+    "deff": "dimension",
+    "deff_rank_bound": "dimension",
+    "design_spectrum": "dimension",
+    "dominating_diagonal": "approx",
+    "estimate_channel_mi": "oracle",
+    "estimate_gaussian_kl": "oracle",
+    "estimate_mixture_marginal_mi": "oracle",
+    "expected_conditional_mi": "shrinkage",
+    "gaussian_kl": "approx",
+    "heavy_tail_bound": "shrinkage",
+    "info_effective_rank": "dimension",
+    "jensen_bound": "shrinkage",
+    "location_mi": "dimension",
+    "loewner_dominates": "approx",
+    "mi_df_sandwich": "dimension",
+    "mutual_information": "channel",
+    "random_deff": "shrinkage",
+    "random_deff_distribution": "shrinkage",
+    "regression_channel": "dimension",
+    "regression_conditional_mi": "shrinkage",
+    "regression_mi": "dimension",
+    "reparameterize": "channel",
+    "ridge_df": "dimension",
+    "ridge_report": "dimension",
+    "smoothing_matrix": "dimension",
+    "spectrum_sequence_mi": "dimension",
+    "whitened_spectrum": "channel",
+}
+
+# submodules that resolve as attributes of a bare ``import effdim``
+_SUBMODULES = frozenset(_OWNERS.values()) | {"errors", "linalg", "sampling"}
+
+__all__ = sorted(_OWNERS)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_OWNERS[name]}", __name__), name)
+    return globals()[name]
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_OWNERS, *_SUBMODULES})

@@ -124,32 +124,24 @@ def _kl_to_prior(q: GaussianDistribution, l0: np.ndarray) -> float:
 def conjugate_regression_info(model: RidgeModel) -> float:
     """Expected prior-to-posterior KL in the conjugate linear model.
 
-    Assembles the expectation term by term: with posterior covariance
-    S = (prior_var^{-1} I + noise_var^{-1} X^T X)^{-1} and prior S0 =
-    prior_var * I,
+    Assembles the expectation term by term in the prior-normalized posterior
+    precision M = I + (prior_var / noise_var) X^T X. The posterior covariance
+    is S = prior_var * M^{-1} and the prior S0 = prior_var * I, so
 
-        E tr(S0^{-1} S)      = tr(S0^{-1} S)          (S nonrandom),
-        E [m^T S0^{-1} m]    = tr(S0^{-1} (S0 - S)),
-        E log det(S0^{-1} S) = log det(S0^{-1} S),
+        E tr(S0^{-1} S)      = tr(M^{-1})                   (S nonrandom),
+        E [m^T S0^{-1} m]    = tr(S0^{-1} (S0 - S)) = p - tr(M^{-1}),
+        E log det(S0^{-1} S) = -log det M,
 
-    and returns 1/2 (trace + quadratic - logdet - p). This is an independent
-    derivation route that must agree with the spectral regression formula.
+    and 1/2 (trace + quadratic - logdet - p) = 1/2 log det M: the two trace
+    terms sum to p, so no inverse is formed, and log det M is read off M's
+    Cholesky factor. This is an independent derivation route that must agree
+    with the spectral regression formula.
     """
     require_positive(prior_var=model.prior_var)
     x = model.design
-    p = x.shape[1]
-    precision = np.eye(p) / model.prior_var + (x.T @ x) / model.noise_var
-    lp = linalg.cholesky_lower(0.5 * (precision + precision.T), "posterior precision")
-    # precision = Lp Lp^T, so S = Lp^{-T} Lp^{-1} = W^T W with W = Lp^{-1}.
-    w = linalg.solve_lower(lp, np.eye(p))
-    post_cov = w.T @ w
-
-    prior_full = model.prior_var * np.eye(p)
-    trace_term = float(np.trace(post_cov)) / model.prior_var
-    quad_term = float(np.trace(prior_full - post_cov)) / model.prior_var
-    # log det(S0^{-1} S) = -log det(S) prior-normalized = -(logdet precision + p log prior_var)
-    logdet_term = -(linalg.logdet_from_cholesky(lp) + p * math.log(model.prior_var))
-    return max(0.5 * (trace_term + quad_term - logdet_term - p), 0.0)
+    precision = np.eye(x.shape[1]) + model.snr_ratio * (x.T @ x)
+    lower = linalg.cholesky_lower(0.5 * (precision + precision.T), "posterior precision")
+    return max(0.5 * linalg.logdet_from_cholesky(lower), 0.0)
 
 
 def loewner_dominates(sigma_tilde, sigma) -> bool:

@@ -200,7 +200,11 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
     require_positive(snr=snr)
-    weights = np.log1p(snr * s_sq)
+    with np.errstate(over="ignore"):
+        weights = np.log1p(snr * s_sq)
+    if math.isinf(weights[0]):  # log snr + log s_j^2 where the product overflows
+        big = np.isinf(weights)
+        weights[big] = math.log(snr) + np.log(s_sq[big])
     if weights[0] == 0.0:
         # snr * s_1^2 underflows to 0: the ratio's small-SNR limit
         return float(np.sum(s_sq) / s_sq[0])
@@ -210,10 +214,15 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
 def ridge_df(singular_values_sq, penalty: float) -> float:
     """Ridge degrees of freedom sum_j s_j^2 / (s_j^2 + alpha)."""
     require_positive(penalty=penalty)
-    s_sq = np.asarray(singular_values_sq, dtype=float)
+    s_sq = np.array(singular_values_sq, dtype=float, ndmin=1)
     if not (np.isfinite(s_sq) & (s_sq >= 0)).all():
         raise InputError("squared singular values must be finite and nonnegative")
-    return float(np.sum(s_sq / (s_sq + penalty)))
+    with np.errstate(over="ignore"):
+        total = s_sq + penalty
+    ratios = s_sq / total
+    big = np.isinf(total)  # halving both operands is exact where the sum overflows
+    ratios[big] = 0.5 * s_sq[big] / (0.5 * s_sq[big] + 0.5 * penalty)
+    return float(np.sum(ratios))
 
 
 def smoothing_matrix(design: np.ndarray, penalty: float) -> np.ndarray:

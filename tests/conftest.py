@@ -6,9 +6,25 @@ relative tolerances in the identities actually measure algebraic agreement,
 not conditioning luck.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import effdim
 from effdim import GaussianChannel
+
+SRC = str(Path(effdim.__file__).resolve().parents[1])
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports effdim from this tree."""
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -110,6 +110,15 @@ class TestConjugateRegressionInfo:
                 conjugate_regression_info(model), mi, rtol=1e-9, atol=1e-12
             )
 
+    def test_tiny_prior_variance_stays_finite(self):
+        # I / prior_var would overflow; the prior-normalized precision does not
+        model = RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            info = conjugate_regression_info(model)
+        assert math.isfinite(info)
+        assert info == pytest.approx(regression_mi(model), abs=1e-12)
+
     def test_zero_prior_rejected(self):
         model = RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)
         with pytest.raises(ValueError):

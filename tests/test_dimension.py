@@ -170,6 +170,13 @@ class TestInfoEffectiveRank:
             warnings.simplefilter("error")
             assert info_effective_rank(s_sq, snr=1e-320) == expected
 
+    def test_overflowing_product_takes_the_log_sum(self):
+        # snr * s_1^2 = 1e318 overflows; its weight is log(1e10) + log(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r_info = info_effective_rank([1e308, 1.0], 1e10)
+        assert r_info == pytest.approx(1.0314465408806397, rel=1e-15)
+
     def test_range_and_decomposition(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -249,6 +256,12 @@ class TestRidgeDf:
     def test_negative_squared_singular_values_rejected(self, s_sq):
         with pytest.raises(InputError, match="must be finite and nonnegative"):
             ridge_df(s_sq, 1.0)
+
+    def test_overflowing_sum_halves_its_operands(self):
+        # s^2 + alpha = 2e308 overflows; 5e307 / (5e307 + 5e307) is exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ridge_df([1e308, 1.0], 1e308) == 0.5
 
     def test_signed_zero_mode_counts_nothing(self):
         assert ridge_df([-0.0, 0.0, 1.0], 1.0) == 0.5

@@ -1,9 +1,6 @@
 """The scalar check vocabulary of ``effdim.errors`` at every site that uses it."""
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +28,18 @@ from effdim import (
 from effdim import errors
 from effdim.errors import InputError
 
-ERRORS_PY = Path(errors.__file__)
+from conftest import run_fresh
+
+# for a fresh interpreter: None in sys.modules makes any import of numpy raise
+WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+import effdim.errors as errors
+try:
+    errors.require_positive(tau=-1.0)
+except errors.InputError as exc:
+    print(exc)
+"""
 
 MODEL = ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=10)
 CERT = TailCertificate(c_const=1.0, alpha_exp=1.0)
@@ -134,11 +142,5 @@ class TestBoundaries:
         with pytest.raises(InputError, match="^b "):
             errors.require_positive(a=1.0, b=0.0, c=-1.0)
 
-    def test_imports_no_numpy(self, monkeypatch):
-        # None in sys.modules makes any import of numpy raise ImportError
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        spec = importlib.util.spec_from_file_location("standalone_errors", ERRORS_PY)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        with pytest.raises(module.InputError, match="^tau must be finite and positive"):
-            module.require_positive(tau=-1.0)
+    def test_imports_no_numpy(self):
+        assert run_fresh(WITHOUT_NUMPY).startswith("tau must be finite and positive")
