@@ -89,8 +89,9 @@ class ApproxAuditReport:
 
 
 def gaussian_kl(q: GaussianDistribution, prior_cov) -> float:
-    """KL(N(m, S) || N(0, S0)) in nats, via Cholesky solves; always >= 0."""
-    return _kl_to_prior(q, _factor_prior(prior_cov, q.dim)[1])
+    """KL(N(m, S) || N(0, S0)) in nats, from one triangular solve; always >= 0."""
+    (kl,) = _kl_to_prior(_factor_prior(prior_cov, q.dim)[1], q)
+    return kl
 
 
 def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,23 +103,31 @@ def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return linalg.factor_covariance(prior_cov, "prior covariance")
 
 
-def _kl_to_prior(q: GaussianDistribution, l0: np.ndarray) -> float:
-    """``gaussian_kl`` given the prior covariance's lower Cholesky factor.
+def _kl_to_prior(l0: np.ndarray, *posteriors: GaussianDistribution) -> list[float]:
+    """``gaussian_kl`` of each posterior, given the prior's lower Cholesky factor L0.
 
+    One solve of L0 against the stacked columns [L_q | m] of every posterior
+    gives both data terms as sums of squares, tr(S0^{-1} S) = ||L0^{-1} L_q||_F^2
+    and m^T S0^{-1} m = ||L0^{-1} m||^2, so neither can come out negative.
     A trace or quadratic term beyond the float range (a posterior near 1e308
     times the prior) is a ``NumericalError`` here, not an inf in a report.
     """
-    p = q.dim
+    prior_logdet = linalg.logdet_from_cholesky(l0)
+    kls = []
     with np.errstate(over="ignore"):
-        trace_term = float(np.sum(linalg.solve_lower(l0, linalg.solve_lower(l0, q.cov).T)
-                                  .diagonal()))
-        quad_term = float(np.sum(linalg.solve_lower(l0, q.mean) ** 2))
-    if not (math.isfinite(trace_term) and math.isfinite(quad_term)):
-        raise NumericalError(
-            f"KL to the prior overflows: trace term {trace_term!r}, quadratic term {quad_term!r}"
-        )
-    logdet_ratio = linalg.logdet_from_cholesky(q.lower) - linalg.logdet_from_cholesky(l0)
-    return max(0.5 * (trace_term + quad_term - logdet_ratio - p), 0.0)
+        solved = linalg.solve_lower(
+            l0, np.column_stack([col for q in posteriors for col in (q.lower, q.mean)]))
+        for q, block in zip(posteriors, np.split(solved, len(posteriors), axis=1)):
+            trace_term = float(np.sum(block[:, :-1] ** 2))
+            quad_term = float(np.sum(block[:, -1] ** 2))
+            if not (math.isfinite(trace_term) and math.isfinite(quad_term)):
+                raise NumericalError(
+                    f"KL to the prior overflows: trace term {trace_term!r}, "
+                    f"quadratic term {quad_term!r}"
+                )
+            logdet_ratio = linalg.logdet_from_cholesky(q.lower) - prior_logdet
+            kls.append(max(0.5 * (trace_term + quad_term - logdet_ratio - q.dim), 0.0))
+    return kls
 
 
 def conjugate_regression_info(model: RidgeModel) -> float:
@@ -149,8 +158,9 @@ def loewner_dominates(sigma_tilde, sigma) -> bool:
 
     The eigenvalue route (rather than attempting a Cholesky of the difference)
     degrades gracefully at the semidefinite boundary: the minimum eigenvalue
-    may dip to -LOEWNER_TOL * (max |eigenvalue| + 1) before the order is declared
-    violated.
+    may dip to -LOEWNER_TOL times the larger |entry| of the two matrices
+    before the order is declared violated, so the test means the same at
+    every scale.
     """
     sigma_tilde = linalg.symmetrize(sigma_tilde, "dominating covariance")
     sigma = linalg.symmetrize(sigma, "dominated covariance")
@@ -158,8 +168,14 @@ def loewner_dominates(sigma_tilde, sigma) -> bool:
         raise DimensionMismatch(
             f"covariances have shapes {sigma_tilde.shape} and {sigma.shape}"
         )
+    return _dominates(sigma_tilde, sigma)
+
+
+def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray) -> bool:
+    """``loewner_dominates`` for two symmetric matrices of one shape, as validated."""
+    scale = max(np.abs(sigma_tilde).max(), np.abs(sigma).max())
     eigs = np.linalg.eigvalsh(sigma_tilde - sigma)
-    return bool(eigs[0] >= -LOEWNER_TOL * (np.abs(eigs).max() + 1.0))
+    return bool(eigs[0] >= -LOEWNER_TOL * scale)
 
 
 def audit_approximation(
@@ -181,8 +197,7 @@ def audit_approximation(
     if exact.dim != approx.dim:
         raise DimensionMismatch("exact and approximate posteriors differ in dimension")
     prior_cov, prior_lower = _factor_prior(prior_cov, exact.dim)
-    kl_exact = _kl_to_prior(exact, prior_lower)
-    kl_approx = _kl_to_prior(approx, prior_lower)
+    kl_exact, kl_approx = _kl_to_prior(prior_lower, exact, approx)
     # log det(S0^{-1} S) from the two Cholesky factors
     prior_logdet = linalg.logdet_from_cholesky(prior_lower)
     return ApproxAuditReport(
@@ -190,12 +205,12 @@ def audit_approximation(
         kl_approx=kl_approx,
         logdet_exact=linalg.logdet_from_cholesky(exact.lower) - prior_logdet,
         logdet_approx=linalg.logdet_from_cholesky(approx.lower) - prior_logdet,
-        loewner_dominates=loewner_dominates(approx.cov, exact.cov),
+        loewner_dominates=_dominates(approx.cov, exact.cov),
         deff_exact=deff(kl_exact, n),
         deff_approx=deff(kl_approx, n),
         n=n,
         means_equal=bool(np.array_equal(exact.mean, approx.mean)),
-        prior_dominates_approx=loewner_dominates(prior_cov, approx.cov),
+        prior_dominates_approx=_dominates(prior_cov, approx.cov),
     )
 
 
@@ -203,12 +218,13 @@ def dominating_diagonal(sigma) -> np.ndarray:
     """Smallest power-of-two multiple of diag(S) that dominates S (Loewner).
 
     Starts at c = 1 and doubles until c * diag(S) >= S, certifying each step
-    with ``loewner_dominates``. A finite c always exists: any c at least the
-    largest eigenvalue of the correlation-normalized matrix works.
+    with the Loewner test of ``loewner_dominates``. A finite c always exists:
+    any c at least the largest eigenvalue of the correlation-normalized
+    matrix works.
     """
     sigma, _ = linalg.factor_covariance(sigma)
     diag = np.diag(np.diag(sigma))
     c = 1.0
-    while not loewner_dominates(c * diag, sigma):
+    while not _dominates(c * diag, sigma):
         c *= 2.0
     return c * diag

@@ -56,9 +56,9 @@ class GaussianChannel:
     Covariances are symmetrized at ingestion (rejected above 1e-12 relative
     asymmetry); the noise covariance must be PD (Cholesky succeeds), the prior
     covariance PSD. The noise covariance's lower Cholesky factor is kept as
-    ``noise_lower``; ``prior_root`` and ``output_lower`` are computed on first
-    use and kept read-only, so no route or oracle factors a channel twice.
-    Instances are safe to share.
+    ``noise_lower``; ``prior_root``, ``output_lower`` and ``whitened_map`` are
+    computed on first use and kept read-only, so no route or oracle factors
+    or solves against a channel's factor twice. Instances are safe to share.
     """
 
     a: np.ndarray
@@ -106,6 +106,13 @@ class GaussianChannel:
         lower.flags.writeable = False
         return lower
 
+    @functools.cached_property
+    def whitened_map(self) -> np.ndarray:
+        """Noise-whitened forward map G = L^{-1} A, L the noise factor."""
+        g = linalg.solve_lower(self.noise_lower, self.a)
+        g.flags.writeable = False
+        return g
+
     @property
     def n_obs(self) -> int:
         return self.a.shape[0]
@@ -145,12 +152,12 @@ class ChannelSpectrum:
 def whitened_spectrum(ch: GaussianChannel) -> ChannelSpectrum:
     """Eigenvalues of the noise-whitened signal Gram G S G^T, G = L^{-1} A.
 
-    L is the stored ``noise_lower``. Eigenvalues at or below
+    G is the channel's ``whitened_map``. Eigenvalues at or below
     n * eps * lambda_max, the symmetric eigensolve's error, are zeroed; a Gram
     beyond the float range raises NumericalError.
     """
+    g = ch.whitened_map
     with np.errstate(over="ignore", invalid="ignore"):
-        g = linalg.solve_lower(ch.noise_lower, ch.a)
         gram = g @ ch.prior_cov @ g.T  # eigvalsh reads one triangle
     if not np.isfinite(gram).all():
         raise NumericalError("whitened signal Gram overflows the float range")
@@ -191,10 +198,10 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
             - linalg.logdet_from_cholesky(ch.noise_lower)
         )
         return max(float(value), 0.0)
-    # parameter form: I_p + S^{1/2} A^T N^{-1} A S^{1/2}, symmetric PSD even
+    # parameter form: I_p + W^T W with W = G S^{1/2}, symmetric PSD even
     # when the prior covariance is singular.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-        w = linalg.solve_lower(ch.noise_lower, ch.a @ ch.prior_root)
+        w = ch.whitened_map @ ch.prior_root
         gram = w.T @ w
         rounding = np.finfo(float).eps * float(np.trace(gram))
     if not rounding <= PARAMETER_ROUTE_TOL:

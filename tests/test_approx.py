@@ -147,6 +147,12 @@ class TestLoewnerDominates:
         with pytest.raises(DimensionMismatch):
             loewner_dominates(np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-200, 1e200])
+    def test_tolerance_scales_with_the_matrices(self, scale):
+        # a halved covariance never dominates the full one, at any scale
+        assert not loewner_dominates(scale * np.eye(3), 2.0 * scale * np.eye(3))
+        assert loewner_dominates(2.0 * scale * np.eye(3), scale * np.eye(3))
+
 
 class TestAuditApproximation:
     def test_posteriors_of_different_dimension_rejected(self):
@@ -246,6 +252,68 @@ class TestAuditApproximation:
         assert not audit.loewner_dominates
         assert not audit.truncation_certified
 
+    def test_small_scale_shrinkage_not_certified(self):
+        # posteriors this small come from n near 1e12; the shrunk covariance
+        # has the larger KL, so the audit must not certify it
+        exact = GaussianDistribution(mean=np.zeros(3), cov=2e-12 * np.eye(3))
+        approx = GaussianDistribution(mean=np.zeros(3), cov=1e-12 * np.eye(3))
+        audit = audit_approximation(exact, approx, np.eye(3), 100)
+        assert audit.kl_approx > audit.kl_exact
+        assert not audit.loewner_dominates
+        assert not audit.truncation_certified
+
+    def test_flags_match_the_public_loewner_test(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            dim = int(rng.integers(1, 5))
+            prior = random_covariance(rng, dim)
+            exact_cov = random_covariance(rng, dim, eig_low=0.1, eig_high=0.9)
+            approx_cov = exact_cov + float(rng.uniform(-0.05, 0.5)) * random_covariance(rng, dim)
+            approx_cov = 0.5 * (approx_cov + approx_cov.T)
+            if np.linalg.eigvalsh(approx_cov)[0] <= 0.0:
+                continue
+            exact = GaussianDistribution(mean=np.zeros(dim), cov=exact_cov)
+            approx = GaussianDistribution(mean=np.zeros(dim), cov=approx_cov)
+            audit = audit_approximation(exact, approx, prior, 100)
+            assert audit.loewner_dominates == loewner_dominates(approx_cov, exact_cov)
+            assert audit.prior_dominates_approx == loewner_dominates(prior, approx_cov)
+
+    def test_one_triangular_solve(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        exact = GaussianDistribution(mean=rng.standard_normal(4),
+                                     cov=random_covariance(rng, 4, eig_low=0.1, eig_high=0.5))
+        approx = GaussianDistribution(mean=exact.mean, cov=random_covariance(rng, 4))
+        calls = []
+        original = linalg.solve_lower
+
+        def recording(lower, b):
+            calls.append(b.shape)
+            return original(lower, b)
+
+        monkeypatch.setattr(linalg, "solve_lower", recording)
+        audit_approximation(exact, approx, random_covariance(rng, 4), 100)
+        assert calls == [(4, 10)]
+        gaussian_kl(exact, np.eye(4))
+        assert calls[1:] == [(4, 5)]
+
+    def test_kl_terms_match_a_triangular_solve_reference(self):
+        sla = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(50)
+        dim = 50
+        for _ in range(5):
+            prior = random_covariance(rng, dim)
+            l0 = np.linalg.cholesky(prior)
+            posts = [GaussianDistribution(mean=mean, cov=random_covariance(rng, dim, 0.05, 0.9))
+                     for mean in (np.zeros(dim), rng.standard_normal(dim))]
+            audit = audit_approximation(*posts, prior, 100)
+            for q, kl in zip(posts, (audit.kl_exact, audit.kl_approx)):
+                trace_term = np.sum(sla.solve_triangular(l0, q.lower, lower=True) ** 2)
+                quad_term = np.sum(sla.solve_triangular(l0, q.mean, lower=True) ** 2)
+                logdet_ratio = 2.0 * np.sum(np.log(np.diag(q.lower) / np.diag(l0)))
+                reference = 0.5 * (trace_term + quad_term - logdet_ratio - dim)
+                assert kl == pytest.approx(reference, rel=1e-12)
+                assert gaussian_kl(q, prior) == pytest.approx(reference, rel=1e-12)
+
     def test_small_n_rejected(self):
         post = GaussianDistribution(mean=[0.0], cov=[[1.0]])
         from effdim.errors import SampleSizeTooSmall
@@ -285,6 +353,11 @@ class TestDominatingDiagonal:
         out = dominating_diagonal(sigma)
         np.testing.assert_array_equal(out, 2.0 * np.eye(2))
         assert loewner_dominates(out, sigma)
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_doubling_does_not_depend_on_the_scale(self, scale):
+        sigma = scale * np.array([[1.0, 0.9], [0.9, 1.0]])
+        np.testing.assert_array_equal(dominating_diagonal(sigma), 2.0 * scale * np.eye(2))
 
     def test_random_correlation_certified(self):
         rng = np.random.default_rng(2)

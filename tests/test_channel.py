@@ -115,8 +115,9 @@ class TestConstruction:
 
     def test_output_factor_and_prior_root_computed_once(self, monkeypatch):
         ch = random_channel(np.random.default_rng(4))
-        factored, roots = [], []
+        factored, roots, solves = [], [], []
         cholesky, psd_sqrt = linalg.cholesky_lower, linalg.psd_sqrt
+        solve_lower = linalg.solve_lower
 
         def recording_cholesky(m, name="matrix"):
             factored.append(name)
@@ -126,10 +127,17 @@ class TestConstruction:
             roots.append(m)
             return psd_sqrt(m)
 
+        def recording_solve(lower, b):
+            solves.append(lower)
+            return solve_lower(lower, b)
+
         monkeypatch.setattr(linalg, "cholesky_lower", recording_cholesky)
         monkeypatch.setattr(linalg, "psd_sqrt", recording_sqrt)
-        mutual_information(ch, "observation")
-        mutual_information(ch, "parameter")
+        monkeypatch.setattr(linalg, "solve_lower", recording_solve)
+        whitened_spectrum(ch)
+        for mode in EVALUATION_MODES:
+            mutual_information(ch, mode)
+        assert len(solves) == 1  # the whitened map, shared by two routes
         estimate_channel_mi(ch, 10_000, seed=1)
         assert factored == ["output covariance"]
         assert len(roots) == 1
@@ -140,7 +148,9 @@ class TestConstruction:
         np.testing.assert_array_equal(ch.output_lower,
                                       np.linalg.cholesky(0.5 * (total + total.T)))
         np.testing.assert_array_equal(ch.prior_root, linalg.psd_sqrt(ch.prior_cov))
-        for factor in (ch.output_lower, ch.prior_root):
+        np.testing.assert_array_equal(ch.whitened_map,
+                                      linalg.solve_lower(ch.noise_lower, ch.a))
+        for factor in (ch.output_lower, ch.prior_root, ch.whitened_map):
             with pytest.raises(ValueError, match="read-only"):
                 factor[0, 0] = 0.0
 

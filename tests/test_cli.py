@@ -275,6 +275,9 @@ class TestApprox:
             ("approx", [[1.0]]),
             ("prior", [[1.0]]),
             ("bigger", [[2.0]]),
+            ("small_exact", 2e-12 * np.eye(3)),
+            ("small_approx", 1e-12 * np.eye(3)),
+            ("eye3", np.eye(3)),
         ):
             p = tmp_path / f"{name}.csv"
             write_matrix_csv(p, np.array(m))
@@ -315,6 +318,17 @@ class TestApprox:
         )
         assert code == 4
         assert json.loads(out)["results"]["loewner_dominates"] is False
+
+    def test_small_scale_shrinkage_exits_four(self, matrices, capsys):
+        # covariances near 1e-12 (n near 1e12): halving one is no inflation
+        code, out, _ = run_cli(
+            ["approx", "--exact-cov", matrices["small_exact"],
+             "--approx-cov", matrices["small_approx"], "--prior-cov", matrices["eye3"],
+             "--n", "100", "--require-domination"],
+            capsys,
+        )
+        assert code == 4
+        assert json.loads(out)["results"]["truncation_certified"] is False
 
     def test_non_pd_input_exits_two(self, tmp_path, matrices, capsys):
         bad = tmp_path / "npd.csv"
