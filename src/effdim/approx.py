@@ -90,7 +90,8 @@ class ApproxAuditReport:
 
 def gaussian_kl(q: GaussianDistribution, prior_cov) -> float:
     """KL(N(m, S) || N(0, S0)) in nats, from one triangular solve; always >= 0."""
-    (kl,) = _kl_to_prior(_factor_prior(prior_cov, q.dim)[1], q)
+    prior_lower = _factor_prior(prior_cov, q.dim)[1]
+    (kl,) = _kl_to_prior(prior_lower, _inverse(prior_lower), q)
     return kl
 
 
@@ -103,21 +104,28 @@ def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return linalg.factor_covariance(prior_cov, "prior covariance")
 
 
-def _kl_to_prior(l0: np.ndarray, *posteriors: GaussianDistribution) -> list[float]:
-    """``gaussian_kl`` of each posterior, given the prior's lower Cholesky factor L0.
+def _inverse(lower: np.ndarray) -> np.ndarray:
+    """L^{-1} for a lower Cholesky factor L, by one triangular solve."""
+    return linalg.solve_lower(lower, np.eye(lower.shape[0]))
 
-    One solve of L0 against the stacked columns [L_q | m] of every posterior
-    gives both data terms as sums of squares, tr(S0^{-1} S) = ||L0^{-1} L_q||_F^2
+
+def _kl_to_prior(
+    l0: np.ndarray, l0_inverse: np.ndarray, *posteriors: GaussianDistribution
+) -> list[float]:
+    """``gaussian_kl`` of each posterior, given the prior's Cholesky factor L0 and L0^{-1}.
+
+    L0^{-1} applied to the stacked columns [L_q | m] of every posterior gives
+    both data terms as sums of squares, tr(S0^{-1} S) = ||L0^{-1} L_q||_F^2
     and m^T S0^{-1} m = ||L0^{-1} m||^2, so neither can come out negative.
     A trace or quadratic term beyond the float range (a posterior near 1e308
     times the prior) is a ``NumericalError`` here, not an inf in a report.
     """
     prior_logdet = linalg.logdet_from_cholesky(l0)
     kls = []
-    with np.errstate(over="ignore"):
-        solved = linalg.solve_lower(
-            l0, np.column_stack([col for q in posteriors for col in (q.lower, q.mean)]))
-        for q, block in zip(posteriors, np.split(solved, len(posteriors), axis=1)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = l0_inverse @ np.column_stack(
+            [col for q in posteriors for col in (q.lower, q.mean)])
+        for q, block in zip(posteriors, np.split(whitened, len(posteriors), axis=1)):
             trace_term = float(np.sum(block[:, :-1] ** 2))
             quad_term = float(np.sum(block[:, -1] ** 2))
             if not (math.isfinite(trace_term) and math.isfinite(quad_term)):
@@ -156,11 +164,12 @@ def conjugate_regression_info(model: RidgeModel) -> float:
 def loewner_dominates(sigma_tilde, sigma) -> bool:
     """True iff sigma_tilde - sigma is PSD up to a signed relative tolerance.
 
-    The eigenvalue route (rather than attempting a Cholesky of the difference)
-    degrades gracefully at the semidefinite boundary: the minimum eigenvalue
-    may dip to -LOEWNER_TOL times the larger |entry| of the two matrices
-    before the order is declared violated, so the test means the same at
-    every scale.
+    When sigma_tilde is PD the test runs in the coordinates where it is the
+    identity (see ``_dominates``), so it means the same at every scale and in
+    every direction. A singular sigma_tilde has no such coordinates: then the
+    minimum eigenvalue of the difference itself may dip to -LOEWNER_TOL times
+    its largest |eigenvalue|, plus the rounding of the matrices' largest entry,
+    before the order is declared violated.
     """
     sigma_tilde = linalg.symmetrize(sigma_tilde, "dominating covariance")
     sigma = linalg.symmetrize(sigma, "dominated covariance")
@@ -168,14 +177,39 @@ def loewner_dominates(sigma_tilde, sigma) -> bool:
         raise DimensionMismatch(
             f"covariances have shapes {sigma_tilde.shape} and {sigma.shape}"
         )
-    return _dominates(sigma_tilde, sigma)
+    try:
+        lower = np.linalg.cholesky(sigma_tilde)
+    except np.linalg.LinAlgError:  # singular: test the difference as it stands
+        eigs = np.linalg.eigvalsh(sigma_tilde - sigma)
+        floor = np.finfo(float).eps * max(np.abs(sigma_tilde).max(), np.abs(sigma).max())
+        return bool(eigs[0] >= -(LOEWNER_TOL * np.abs(eigs).max() + floor))
+    return _dominates(sigma_tilde, sigma, _inverse(lower))
 
 
-def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray) -> bool:
-    """``loewner_dominates`` for two symmetric matrices of one shape, as validated."""
-    scale = max(np.abs(sigma_tilde).max(), np.abs(sigma).max())
-    eigs = np.linalg.eigvalsh(sigma_tilde - sigma)
-    return bool(eigs[0] >= -LOEWNER_TOL * scale)
+def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray, inverse: np.ndarray) -> bool:
+    """Loewner test of validated covariances; ``inverse`` is L^{-1}, sigma_tilde = L L^T.
+
+    The order is invariant under congruence, so the difference is whitened
+    by the dominating matrix: E = L^{-1} (sigma_tilde - sigma) L^{-T} has the
+    eigenvalues 1 - lambda_i, lambda_i the generalized eigenvalues of sigma
+    against sigma_tilde, and the order holds iff all of them are >= 0.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        whitened = inverse @ (sigma_tilde - sigma) @ inverse.T
+    # where the order holds every entry of E lies in [-1, 1], so an
+    # overflow is a violation by more than the float range
+    if not np.isfinite(whitened).all():
+        return False
+    return _order_holds(np.linalg.eigvalsh(whitened))
+
+
+def _order_holds(whitened_eigs: np.ndarray) -> bool:
+    """Whether a whitened difference, given by its eigenvalues, is PSD within tolerance.
+
+    The smallest may dip to -LOEWNER_TOL * (max |eigenvalue| + 1), the 1 being
+    the whitened dominating matrix, before the order is declared violated.
+    """
+    return bool(whitened_eigs.min() >= -LOEWNER_TOL * (np.abs(whitened_eigs).max() + 1.0))
 
 
 def audit_approximation(
@@ -187,17 +221,19 @@ def audit_approximation(
     """Full covariance-inflation audit of an approximate posterior.
 
     Computes both prior-to-posterior KLs, both prior-normalized
-    log-determinants, the Loewner flag, and both per-realization effective
+    log-determinants, the Loewner flags, and both per-realization effective
     dimensions 2*KL/log(n). Per-realization means the KLs of these specific
     posterior instances are used rather than an expectation over data; in
     the conjugate case the posterior covariance is nonrandom and the two
-    notions coincide.
+    notions coincide. The prior and the approximate posterior, the two
+    dominating matrices, are each inverted by one triangular solve.
     """
     require_sample_size(n)
     if exact.dim != approx.dim:
         raise DimensionMismatch("exact and approximate posteriors differ in dimension")
     prior_cov, prior_lower = _factor_prior(prior_cov, exact.dim)
-    kl_exact, kl_approx = _kl_to_prior(prior_lower, exact, approx)
+    prior_inverse = _inverse(prior_lower)
+    kl_exact, kl_approx = _kl_to_prior(prior_lower, prior_inverse, exact, approx)
     # log det(S0^{-1} S) from the two Cholesky factors
     prior_logdet = linalg.logdet_from_cholesky(prior_lower)
     return ApproxAuditReport(
@@ -205,12 +241,12 @@ def audit_approximation(
         kl_approx=kl_approx,
         logdet_exact=linalg.logdet_from_cholesky(exact.lower) - prior_logdet,
         logdet_approx=linalg.logdet_from_cholesky(approx.lower) - prior_logdet,
-        loewner_dominates=_dominates(approx.cov, exact.cov),
+        loewner_dominates=_dominates(approx.cov, exact.cov, _inverse(approx.lower)),
         deff_exact=deff(kl_exact, n),
         deff_approx=deff(kl_approx, n),
         n=n,
         means_equal=bool(np.array_equal(exact.mean, approx.mean)),
-        prior_dominates_approx=_dominates(prior_cov, approx.cov),
+        prior_dominates_approx=_dominates(prior_cov, approx.cov, prior_inverse),
     )
 
 
@@ -218,13 +254,15 @@ def dominating_diagonal(sigma) -> np.ndarray:
     """Smallest power-of-two multiple of diag(S) that dominates S (Loewner).
 
     Starts at c = 1 and doubles until c * diag(S) >= S, certifying each step
-    with the Loewner test of ``loewner_dominates``. A finite c always exists:
-    any c at least the largest eigenvalue of the correlation-normalized
-    matrix works.
+    with the audit's Loewner test. Whitened by c * diag(S), the
+    difference is I - R / c, R the correlation matrix of S, so one eigensolve
+    of R serves every step, and any c at least R's largest eigenvalue works.
     """
     sigma, _ = linalg.factor_covariance(sigma)
-    diag = np.diag(np.diag(sigma))
+    diag = np.diag(sigma)
+    root = np.sqrt(diag)
+    correlation_eigs = np.linalg.eigvalsh(sigma / np.outer(root, root))
     c = 1.0
-    while not _dominates(c * diag, sigma):
+    while not _order_holds(1.0 - correlation_eigs / c):
         c *= 2.0
-    return c * diag
+    return np.diag(c * diag)

@@ -202,6 +202,8 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
     # when the prior covariance is singular.
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
         w = ch.whitened_map @ ch.prior_root
+        if not np.isfinite(w).all():  # G overflowed along the prior's null space
+            w = linalg.solve_lower(ch.noise_lower, ch.a @ ch.prior_root)
         gram = w.T @ w
         rounding = np.finfo(float).eps * float(np.trace(gram))
     if not rounding <= PARAMETER_ROUTE_TOL:

@@ -147,11 +147,21 @@ class TestLoewnerDominates:
         with pytest.raises(DimensionMismatch):
             loewner_dominates(np.eye(2), np.eye(3))
 
-    @pytest.mark.parametrize("scale", [1e-12, 1e-200, 1e200])
-    def test_tolerance_scales_with_the_matrices(self, scale):
-        # a halved covariance never dominates the full one, at any scale
-        assert not loewner_dominates(scale * np.eye(3), 2.0 * scale * np.eye(3))
-        assert loewner_dominates(2.0 * scale * np.eye(3), scale * np.eye(3))
+    @pytest.mark.parametrize("large, small", [
+        (1e-12, 1e-12), (1e-200, 1e-200), (1e200, 1e200),
+        (1e10, 1.0), (1.0, 2e-12), (1.0, 2e-300),
+    ])
+    def test_tolerance_holds_at_every_scale_and_in_every_direction(self, large, small):
+        # halving the covariance in one direction is a violation, whatever
+        # the scale of the pair or of the other direction
+        sigma = np.diag([large, small])
+        assert not loewner_dominates(np.diag([large, 0.5 * small]), sigma)
+        assert loewner_dominates(np.diag([large, 2.0 * small]), sigma)
+
+    def test_singular_pair_tested_on_the_difference(self):
+        assert loewner_dominates(np.zeros((2, 2)), np.zeros((2, 2)))
+        assert loewner_dominates(np.diag([1.0, 0.0]), np.diag([0.5, 0.0]))
+        assert not loewner_dominates(np.diag([1.0, 0.0]), np.eye(2))
 
 
 class TestAuditApproximation:
@@ -252,49 +262,76 @@ class TestAuditApproximation:
         assert not audit.loewner_dominates
         assert not audit.truncation_certified
 
-    def test_small_scale_shrinkage_not_certified(self):
-        # posteriors this small come from n near 1e12; the shrunk covariance
-        # has the larger KL, so the audit must not certify it
-        exact = GaussianDistribution(mean=np.zeros(3), cov=2e-12 * np.eye(3))
-        approx = GaussianDistribution(mean=np.zeros(3), cov=1e-12 * np.eye(3))
-        audit = audit_approximation(exact, approx, np.eye(3), 100)
+    @pytest.mark.parametrize("exact_cov, approx_cov, prior", [
+        # posteriors this small come from n near 1e12
+        (2e-12 * np.eye(3), 1e-12 * np.eye(3), np.eye(3)),
+        # one direction of scale 1e10 must not excuse halving the unit one
+        (np.diag([1e10, 1.0]), np.diag([1e10, 0.5]), np.diag([1e11, 10.0])),
+        (np.diag([1.0, 2e-12]), np.diag([1.0, 1e-12]), np.eye(2)),
+    ], ids=["small-scale", "beside-a-large-direction", "small-direction"])
+    def test_shrinkage_not_certified(self, exact_cov, approx_cov, prior):
+        # the shrunk covariance has the larger KL, so the audit must not certify it
+        dim = len(prior)
+        exact = GaussianDistribution(mean=np.zeros(dim), cov=exact_cov)
+        approx = GaussianDistribution(mean=np.zeros(dim), cov=approx_cov)
+        audit = audit_approximation(exact, approx, prior, 100)
         assert audit.kl_approx > audit.kl_exact
         assert not audit.loewner_dominates
         assert not audit.truncation_certified
 
-    def test_flags_match_the_public_loewner_test(self):
-        rng = np.random.default_rng(8)
-        for _ in range(200):
-            dim = int(rng.integers(1, 5))
-            prior = random_covariance(rng, dim)
-            exact_cov = random_covariance(rng, dim, eig_low=0.1, eig_high=0.9)
-            approx_cov = exact_cov + float(rng.uniform(-0.05, 0.5)) * random_covariance(rng, dim)
-            approx_cov = 0.5 * (approx_cov + approx_cov.T)
-            if np.linalg.eigvalsh(approx_cov)[0] <= 0.0:
-                continue
-            exact = GaussianDistribution(mean=np.zeros(dim), cov=exact_cov)
-            approx = GaussianDistribution(mean=np.zeros(dim), cov=approx_cov)
-            audit = audit_approximation(exact, approx, prior, 100)
-            assert audit.loewner_dominates == loewner_dominates(approx_cov, exact_cov)
-            assert audit.prior_dominates_approx == loewner_dominates(prior, approx_cov)
+    def test_prior_envelope_checked_in_every_direction(self):
+        # the prior exceeds the approximation 1e14-fold in one direction and
+        # falls short by a third in the other, so the envelope fails
+        exact = GaussianDistribution(mean=np.zeros(2), cov=np.diag([1e-2, 1.0]))
+        approx = GaussianDistribution(mean=np.zeros(2), cov=np.diag([1e-2, 1.5]))
+        audit = audit_approximation(exact, approx, np.diag([1e12, 1.0]), 100)
+        assert audit.loewner_dominates and audit.means_equal
+        assert audit.kl_approx > audit.kl_exact
+        assert not audit.prior_dominates_approx
+        assert not audit.truncation_certified
 
-    def test_one_triangular_solve(self, monkeypatch):
+    def test_equal_ill_conditioned_covariances_dominate(self):
+        # the whitened difference of two equal matrices is exactly zero,
+        # however ill-conditioned they are
+        rng = np.random.default_rng(9)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        cov = (q * np.array([1e6, 1.0, 1e-4, 1e-8])) @ q.T
+        cov = 0.5 * (cov + cov.T)
+        post = GaussianDistribution(mean=np.zeros(4), cov=cov)
+        audit = audit_approximation(post, post, cov, 100)
+        assert audit.loewner_dominates and audit.prior_dominates_approx
+        assert audit.truncation_certified
+
+    def test_whitened_overflow_is_a_violation(self):
+        exact = GaussianDistribution(mean=np.zeros(2), cov=np.diag([1e300, 1.0]))
+        approx = GaussianDistribution(mean=np.zeros(2), cov=np.diag([1e-300, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            audit = audit_approximation(exact, approx, np.diag([1e300, 1.0]), 100)
+        assert not audit.loewner_dominates
+
+    def test_one_solve_per_dominating_factor(self, monkeypatch):
         rng = np.random.default_rng(12)
         exact = GaussianDistribution(mean=rng.standard_normal(4),
                                      cov=random_covariance(rng, 4, eig_low=0.1, eig_high=0.5))
         approx = GaussianDistribution(mean=exact.mean, cov=random_covariance(rng, 4))
+        prior = random_covariance(rng, 4)
         calls = []
         original = linalg.solve_lower
 
         def recording(lower, b):
-            calls.append(b.shape)
+            calls.append(lower)
             return original(lower, b)
 
         monkeypatch.setattr(linalg, "solve_lower", recording)
-        audit_approximation(exact, approx, random_covariance(rng, 4), 100)
-        assert calls == [(4, 10)]
+        audit_approximation(exact, approx, prior, 100)
+        # the prior's factor serves both KLs and the envelope test, the
+        # approximation's the Loewner flag
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0], np.linalg.cholesky(prior))
+        assert calls[1] is approx.lower
         gaussian_kl(exact, np.eye(4))
-        assert calls[1:] == [(4, 5)]
+        assert len(calls) == 3
 
     def test_kl_terms_match_a_triangular_solve_reference(self):
         sla = pytest.importorskip("scipy.linalg")

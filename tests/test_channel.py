@@ -365,6 +365,15 @@ class TestParameterRoute:
         with pytest.raises(NumericalError, match="exceeds 1e-06"):
             mutual_information(scaled_row_channel(s), "parameter")
 
+    def test_map_overflowing_along_the_prior_null_space(self):
+        # G = L^-1 A overflows in the direction the prior never reaches, while
+        # W = L^-1 A S^1/2 is small; the route solves for W directly
+        ch = GaussianChannel(a=[[1e300, 1e-10]], prior_cov=np.diag([0.0, 1.0]),
+                             noise_cov=[[1e-20]])
+        assert not np.isfinite(ch.whitened_map).all()
+        assert mutual_information(ch, "parameter") == pytest.approx(0.5 * math.log(2.0),
+                                                                   rel=1e-14)
+
     def test_every_returned_value_matches_the_spectral_route(self):
         for s in np.logspace(0, 4, 41):
             ch = scaled_row_channel(s)
