@@ -66,7 +66,6 @@ _OWNERS = {
     "reparameterize": "channel",
     "ridge_df": "dimension",
     "ridge_report": "dimension",
-    "smoothing_matrix": "dimension",
     "spectrum_sequence_mi": "dimension",
     "whitened_spectrum": "channel",
 }

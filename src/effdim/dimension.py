@@ -225,20 +225,6 @@ def ridge_df(singular_values_sq, penalty: float) -> float:
     return float(np.sum(ratios))
 
 
-def smoothing_matrix(design: np.ndarray, penalty: float) -> np.ndarray:
-    """Ridge smoothing matrix X (X^T X + alpha I)^{-1} X^T.
-
-    Cross-check surface only: its trace equals ridge_df of the same design.
-    """
-    require_positive(penalty=penalty)
-    design = linalg.as_matrix(design, "design")
-    p = design.shape[1]
-    gram = design.T @ design + penalty * np.eye(p)
-    lower = linalg.cholesky_lower(0.5 * (gram + gram.T), "penalized Gram")
-    half = linalg.solve_lower(lower, design.T)
-    return half.T @ half
-
-
 def mi_df_sandwich(m: RidgeModel) -> tuple[float, float, float]:
     """(df(alpha), 2*MI, snr * tr(X^T X)) with lower <= mid <= upper.
 

@@ -6,9 +6,11 @@ relative tolerances in the identities actually measure algebraic agreement,
 not conditioning luck.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,15 @@ import effdim
 from effdim import GaussianChannel
 
 SRC = str(Path(effdim.__file__).resolve().parents[1])
+
+# hypothesis imports this module when it reports a falsifying example; through
+# libcst it reads a deprecated mypy_extensions name, and the suite's "error"
+# warning filter would turn that into an INTERNALERROR that ends the session.
+# Imported here once, with that one warning class ignored, the later import is
+# a no-op.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def run_fresh(code: str) -> str:

@@ -290,17 +290,22 @@ class TestAuditApproximation:
         assert not audit.prior_dominates_approx
         assert not audit.truncation_certified
 
-    def test_equal_ill_conditioned_covariances_dominate(self):
+    def test_equal_ill_conditioned_covariances_dominate(self, monkeypatch):
         # the whitened difference of two equal matrices is exactly zero,
-        # however ill-conditioned they are
+        # however ill-conditioned they are; E = 0 has no Cholesky factor, so
+        # both flags come from the eigenvalue rule
         rng = np.random.default_rng(9)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         cov = (q * np.array([1e6, 1.0, 1e-4, 1e-8])) @ q.T
         cov = 0.5 * (cov + cov.T)
         post = GaussianDistribution(mean=np.zeros(4), cov=cov)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
         audit = audit_approximation(post, post, cov, 100)
         assert audit.loewner_dominates and audit.prior_dominates_approx
         assert audit.truncation_certified
+        assert len(calls) == 2 and not any(m.any() for m in calls)
 
     def test_whitened_overflow_is_a_violation(self):
         exact = GaussianDistribution(mean=np.zeros(2), cov=np.diag([1e300, 1.0]))
@@ -376,6 +381,69 @@ class TestAuditApproximation:
                 audit_approximation(exact, huge, np.eye(2), 10)
             with pytest.raises(NumericalError, match="KL to the prior overflows"):
                 gaussian_kl(GaussianDistribution(mean=[1e200, 1e200], cov=np.eye(2)), np.eye(2))
+
+
+def _eigenvalue_rule(dominating, dominated, dominating_lower, eigvalsh):
+    """The Loewner flag by the eigenvalues of the audit's own whitened difference."""
+    inverse = linalg.solve_lower(dominating_lower, np.eye(dominating.shape[0]))
+    whitened = inverse @ (dominating - dominated) @ inverse.T
+    return approx_module._order_holds(eigvalsh(whitened))
+
+
+class TestCholeskyCertificate:
+    def test_flags_equal_the_eigenvalue_rule(self, monkeypatch):
+        # inflations toward the prior, on and just past both ends of the
+        # envelope, for full-rank and rank-deficient forward maps
+        eigvalsh = np.linalg.eigvalsh
+        fallbacks = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: fallbacks.append(m) or eigvalsh(m))
+        rng = np.random.default_rng(21)
+        shortcut_audits = fallback_audits = 0
+        for dim in (3, 20, 64, 65, 130, 200):
+            for rank in (dim, dim // 2 + 1):
+                prior = random_covariance(rng, dim)
+                a = rng.standard_normal((rank, dim))
+                precision = np.linalg.inv(prior) + a.T @ a
+                exact_cov = np.linalg.inv(0.5 * (precision + precision.T))
+                exact = GaussianDistribution(mean=np.zeros(dim), cov=exact_cov)
+                prior_cov, prior_lower = linalg.factor_covariance(prior)
+                for t in (1e-12, 0.5, 1.0 - 1e-12, 1.0 + 1e-9, -1e-9):
+                    approx = GaussianDistribution(
+                        mean=np.zeros(dim), cov=exact.cov + t * (prior_cov - exact.cov))
+                    fallbacks.clear()
+                    audit = audit_approximation(exact, approx, prior, 100)
+                    shortcut_audits += not fallbacks
+                    fallback_audits += bool(fallbacks)
+                    assert audit.loewner_dominates == _eigenvalue_rule(
+                        approx.cov, exact.cov, approx.lower, eigvalsh), (dim, rank, t)
+                    assert audit.prior_dominates_approx == _eigenvalue_rule(
+                        prior_cov, approx.cov, prior_lower, eigvalsh), (dim, rank, t)
+        # both the certificate and the eigenvalue fallback were exercised
+        assert shortcut_audits and fallback_audits
+
+    def test_positive_definite_difference_needs_no_eigensolve(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        prior = random_covariance(rng, 6, eig_low=2.0, eig_high=4.0)
+        exact = GaussianDistribution(mean=np.zeros(6), cov=random_covariance(rng, 6, 0.1, 0.5))
+        approx = GaussianDistribution(mean=np.zeros(6), cov=random_covariance(rng, 6, 1.0, 1.5))
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m))
+        audit = audit_approximation(exact, approx, prior, 100)
+        assert audit.truncation_certified and calls == []
+
+    def test_certificate_stops_at_its_dimension_bound(self, monkeypatch):
+        # n (n + 1) u <= LOEWNER_TOL holds up to n = 948; past it the
+        # eigenvalues decide even a positive definite difference
+        u = approx_module.UNIT_ROUNDOFF
+        assert 948 * 949 * u <= approx_module.LOEWNER_TOL < 949 * 950 * u
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+        for dim, expected_calls in ((948, 0), (949, 1)):
+            calls.clear()
+            inverse = np.eye(dim) / math.sqrt(2.0)
+            assert approx_module._dominates(2.0 * np.eye(dim), np.eye(dim), inverse)
+            assert len(calls) == expected_calls
 
 
 class TestDominatingDiagonal:

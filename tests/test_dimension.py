@@ -22,7 +22,6 @@ from effdim import (
     regression_mi,
     ridge_df,
     ridge_report,
-    smoothing_matrix,
     spectrum_sequence_mi,
 )
 from effdim import conjugate_regression_info, dimension, shrinkage
@@ -36,6 +35,12 @@ from effdim.errors import (
 )
 from effdim.oracle import McEstimate
 from effdim.priors import FixedScale, GlobalLocalRegression, ScalarShrinkageModel, TailCertificate
+
+
+def smoothing_matrix(design: np.ndarray, penalty: float) -> np.ndarray:
+    """Ridge smoothing matrix X (X^T X + alpha I)^{-1} X^T; its trace is ridge_df."""
+    gram = design.T @ design + penalty * np.eye(design.shape[1])
+    return design @ np.linalg.solve(gram, design.T)
 
 
 class TestDeff:
@@ -627,7 +632,6 @@ class TestFaultClasses:
         lambda: deff(-1.0, 10),
         lambda: info_effective_rank([1.0], 0.0),
         lambda: ridge_df([1.0], 0.0),
-        lambda: smoothing_matrix(np.eye(2), 0.0),
         lambda: mi_df_sandwich(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)),
         lambda: conjugate_regression_info(
             RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)),
@@ -655,7 +659,6 @@ class TestFaultClasses:
         lambda: ridge_df([math.nan], 1.0),
         lambda: info_effective_rank([math.nan, 1.0], 1.0),
         lambda: info_effective_rank([1.0, 2.0], math.inf),
-        lambda: smoothing_matrix([[1.0]], math.nan),
     ])
     def test_input_checks_raise_input_error(self, call):
         with pytest.raises(InputError):

@@ -23,7 +23,6 @@ from effdim import (
     mi_df_sandwich,
     random_deff,
     ridge_df,
-    smoothing_matrix,
 )
 from effdim import errors
 from effdim.errors import InputError
@@ -67,7 +66,6 @@ SITES = [
     ("deff", "mi_nats", "nonnegative", lambda v: deff(v, 10)),
     ("info_effective_rank", "snr", "positive", lambda v: info_effective_rank([1.0, 2.0], v)),
     ("ridge_df", "penalty", "positive", lambda v: ridge_df([1.0, 2.0], v)),
-    ("smoothing_matrix", "penalty", "positive", lambda v: smoothing_matrix(np.eye(2), v)),
     ("mi_df_sandwich", "prior_var", "positive", lambda v: mi_df_sandwich(_ridge(prior_var=v))),
     ("TailCertificate", "c_const", "positive", lambda v: TailCertificate(c_const=v, alpha_exp=1.0)),
     ("TailCertificate", "alpha_exp", "positive",

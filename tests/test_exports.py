@@ -34,7 +34,7 @@ except ModuleNotFoundError as exc:
 
 class TestExportTable:
     def test_all_is_the_sorted_table(self):
-        assert len(effdim.__all__) == 51
+        assert len(effdim.__all__) == 50
         assert effdim.__all__ == sorted(set(effdim.__all__))
 
     def test_each_name_is_its_modules_object(self):
