@@ -5,8 +5,6 @@ rejected) once at ingestion, factorizations use Cholesky, and log-determinants
 are read off triangular factors. No densities or determinants are ever formed
 in non-log space. Everything runs on ``numpy.linalg``; non-finite entries are
 rejected before they reach LAPACK, which would otherwise pass them through.
-Triangular factors are solved as triangular (``solve_lower``): by blocked
-forward substitution, SOLVE_BLOCK rows at a time, not by an LU of the whole.
 """
 
 import numpy as np
@@ -21,9 +19,6 @@ from .errors import (
 
 # Relative asymmetry accepted before a matrix is rejected outright.
 SYMMETRY_RTOL = 1e-12
-
-# Rows per diagonal block of ``solve_lower``'s forward substitution.
-SOLVE_BLOCK = 64
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -117,22 +112,5 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L; ``solve_lower(L, I)`` inverts L.
-
-    Blocked forward substitution: each SOLVE_BLOCK-row diagonal block of L is
-    solved by ``np.linalg.solve`` once the solved rows above it are subtracted
-    by one matrix product. An L of at most SOLVE_BLOCK rows is one
-    ``np.linalg.solve``; on a diagonal L the products subtract exact zeros, so
-    every size gives that one solve's bits. A singular L raises
-    ``np.linalg.LinAlgError``.
-    """
-    n = lower.shape[0]
-    if n <= SOLVE_BLOCK:
-        return np.linalg.solve(lower, b)
-    x = np.array(b, dtype=float)
-    for start in range(0, n, SOLVE_BLOCK):
-        rows = slice(start, start + SOLVE_BLOCK)
-        if start:
-            x[rows] -= lower[rows, :start] @ x[:start]
-        x[rows] = np.linalg.solve(lower[rows, rows], x[rows])
-    return x
+    """Solve L x = b for lower-triangular L; ``solve_lower(L, I)`` inverts L."""
+    return np.linalg.solve(lower, b)

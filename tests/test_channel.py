@@ -374,6 +374,16 @@ class TestParameterRoute:
         assert mutual_information(ch, "parameter") == pytest.approx(0.5 * math.log(2.0),
                                                                    rel=1e-14)
 
+    def test_map_overflowing_along_the_prior_null_space_in_65_rows(self):
+        # the same overflow in more output rows than one LAPACK block: the
+        # solve must stay quiet under the suite's warnings-as-errors; W has
+        # one column of 65 ones, so 2 MI = log(1 + 65)
+        ch = GaussianChannel(a=[[1e300, 1e-10]] * 65, prior_cov=np.diag([0.0, 1.0]),
+                             noise_cov=1e-20 * np.eye(65))
+        assert not np.isfinite(ch.whitened_map).all()
+        assert mutual_information(ch, "parameter") == pytest.approx(0.5 * math.log(66.0),
+                                                                   rel=1e-14)
+
     def test_every_returned_value_matches_the_spectral_route(self):
         for s in np.logspace(0, 4, 41):
             ch = scaled_row_channel(s)
