@@ -17,7 +17,8 @@ alone does not control the trace term). Posterior covariances in the
 conjugate Gaussian model always satisfy the envelope condition.
 
 The audit below computes both sides and reports whether the hypotheses hold;
-it never assumes them.
+it never assumes them. It inverts each dominating Cholesky factor once, by
+``linalg.invert_lower``, and every KL term and Loewner test reads that inverse.
 """
 
 import math
@@ -92,9 +93,9 @@ class ApproxAuditReport:
 
 
 def gaussian_kl(q: GaussianDistribution, prior_cov) -> float:
-    """KL(N(m, S) || N(0, S0)) in nats, from one triangular solve; always >= 0."""
+    """KL(N(m, S) || N(0, S0)) in nats, from one triangular inverse; always >= 0."""
     prior_lower = _factor_prior(prior_cov, q.dim)[1]
-    (kl,) = _kl_to_prior(prior_lower, _inverse(prior_lower), q)
+    (kl,) = _kl_to_prior(prior_lower, linalg.invert_lower(prior_lower), q)
     return kl
 
 
@@ -107,19 +108,15 @@ def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return linalg.factor_covariance(prior_cov, "prior covariance")
 
 
-def _inverse(lower: np.ndarray) -> np.ndarray:
-    """L^{-1} for a lower Cholesky factor L, by one triangular solve."""
-    return linalg.solve_lower(lower, np.eye(lower.shape[0]))
-
-
 def _kl_to_prior(
     l0: np.ndarray, l0_inverse: np.ndarray, *posteriors: GaussianDistribution
 ) -> list[float]:
     """``gaussian_kl`` of each posterior, given the prior's Cholesky factor L0 and L0^{-1}.
 
-    L0^{-1} applied to the stacked columns [L_q | m] of every posterior gives
-    both data terms as sums of squares, tr(S0^{-1} S) = ||L0^{-1} L_q||_F^2
-    and m^T S0^{-1} m = ||L0^{-1} m||^2, so neither can come out negative.
+    L0^{-1} (from ``linalg.invert_lower``) applied to the stacked columns
+    [L_q | m] of every posterior gives both data terms as sums of squares,
+    tr(S0^{-1} S) = ||L0^{-1} L_q||_F^2 and m^T S0^{-1} m = ||L0^{-1} m||^2,
+    so neither can come out negative.
     A trace or quadratic term beyond the float range (a posterior near 1e308
     times the prior) is a ``NumericalError`` here, not an inf in a report.
     """
@@ -186,7 +183,7 @@ def loewner_dominates(sigma_tilde, sigma) -> bool:
         eigs = np.linalg.eigvalsh(sigma_tilde - sigma)
         floor = np.finfo(float).eps * max(np.abs(sigma_tilde).max(), np.abs(sigma).max())
         return bool(eigs[0] >= -(LOEWNER_TOL * np.abs(eigs).max() + floor))
-    return _dominates(sigma_tilde, sigma, _inverse(lower))
+    return _dominates(sigma_tilde, sigma, linalg.invert_lower(lower))
 
 
 def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray, inverse: np.ndarray) -> bool:
@@ -245,14 +242,14 @@ def audit_approximation(
     dimensions 2*KL/log(n). Per-realization means the KLs of these specific
     posterior instances are used rather than an expectation over data; in
     the conjugate case the posterior covariance is nonrandom and the two
-    notions coincide. The prior and the approximate posterior, the two
-    dominating matrices, are each inverted by one triangular solve.
+    notions coincide. The Cholesky factors of the prior and the approximate
+    posterior, the two dominating matrices, are each inverted once.
     """
     require_sample_size(n)
     if exact.dim != approx.dim:
         raise DimensionMismatch("exact and approximate posteriors differ in dimension")
     prior_cov, prior_lower = _factor_prior(prior_cov, exact.dim)
-    prior_inverse = _inverse(prior_lower)
+    prior_inverse = linalg.invert_lower(prior_lower)
     kl_exact, kl_approx = _kl_to_prior(prior_lower, prior_inverse, exact, approx)
     # log det(S0^{-1} S) from the two Cholesky factors
     prior_logdet = linalg.logdet_from_cholesky(prior_lower)
@@ -261,7 +258,8 @@ def audit_approximation(
         kl_approx=kl_approx,
         logdet_exact=linalg.logdet_from_cholesky(exact.lower) - prior_logdet,
         logdet_approx=linalg.logdet_from_cholesky(approx.lower) - prior_logdet,
-        loewner_dominates=_dominates(approx.cov, exact.cov, _inverse(approx.lower)),
+        loewner_dominates=_dominates(
+            approx.cov, exact.cov, linalg.invert_lower(approx.lower)),
         deff_exact=deff(kl_exact, n),
         deff_approx=deff(kl_approx, n),
         n=n,

@@ -20,6 +20,9 @@ from .errors import (
 # Relative asymmetry accepted before a matrix is rejected outright.
 SYMMETRY_RTOL = 1e-12
 
+# Rows up to which ``invert_lower`` solves against the identity directly.
+INVERT_LEAF = 32
+
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Copy input to a finite float 2-D array; reject anything else."""
@@ -112,5 +115,42 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b for lower-triangular L; ``solve_lower(L, I)`` inverts L."""
+    """Solve L x = b for lower-triangular L and a dense right-hand side b."""
     return np.linalg.solve(lower, b)
+
+
+def invert_lower(lower: np.ndarray) -> np.ndarray:
+    """L^{-1} for a nonsingular lower-triangular L, by recursive blocking.
+
+    With L = [[L11, 0], [L21, L22]], the inverse is [[X11, 0], [X21, X22]],
+    X11 = L11^{-1} and X22 = L22^{-1} inverted the same way, and
+    X21 = -X22 (L21 X11) (Higham, Accuracy and Stability of Numerical
+    Algorithms, §14.2). The known zero block is never computed: about 2n³/3
+    flops in general products, against about 8n³/3 for an LU of L followed
+    by n solves. Up to INVERT_LEAF rows the result is
+    ``np.linalg.solve(L, I)``, bit for bit. A zero pivot raises
+    ``LinAlgError`` from the leaf that holds it. If the recursion leaves a
+    non-finite entry (an inverse beyond the float range), that solve of the
+    whole factor decides: inf entries, or ``LinAlgError``.
+    """
+    n = lower.shape[0]
+    inverse = np.zeros((n, n))
+    with np.errstate(all="ignore"):
+        _invert_blocks(lower, inverse)
+    if np.isfinite(inverse).all():
+        return inverse
+    return np.linalg.solve(lower, np.eye(n))
+
+
+def _invert_blocks(lower: np.ndarray, out: np.ndarray) -> None:
+    """Write L^{-1} into the zeroed ``out``, halving L down to INVERT_LEAF rows."""
+    n = lower.shape[0]
+    if n <= INVERT_LEAF:
+        out[...] = np.linalg.solve(lower, np.eye(n))
+        return
+    k = n // 2
+    _invert_blocks(lower[:k, :k], out[:k, :k])
+    _invert_blocks(lower[k:, k:], out[k:, k:])
+    lower_left = out[k:, :k]
+    np.matmul(out[k:, k:], lower[k:, :k] @ out[:k, :k], out=lower_left)
+    np.negative(lower_left, out=lower_left)

@@ -321,18 +321,22 @@ class TestAuditApproximation:
                                      cov=random_covariance(rng, 4, eig_low=0.1, eig_high=0.5))
         approx = GaussianDistribution(mean=exact.mean, cov=random_covariance(rng, 4))
         prior = random_covariance(rng, 4)
-        calls = []
-        original = linalg.solve_lower
+        calls, solves = [], []
+        original = linalg.invert_lower
+        solve_lower = linalg.solve_lower
 
-        def recording(lower, b):
+        def recording(lower):
             calls.append(lower)
-            return original(lower, b)
+            return original(lower)
 
-        monkeypatch.setattr(linalg, "solve_lower", recording)
+        monkeypatch.setattr(linalg, "invert_lower", recording)
+        monkeypatch.setattr(linalg, "solve_lower",
+                            lambda lower, b: solves.append(lower) or solve_lower(lower, b))
         audit_approximation(exact, approx, prior, 100)
         # the prior's factor serves both KLs and the envelope test, the
-        # approximation's the Loewner flag
+        # approximation's the Loewner flag; no dense solve is left
         assert len(calls) == 2
+        assert solves == []
         np.testing.assert_array_equal(calls[0], np.linalg.cholesky(prior))
         assert calls[1] is approx.lower
         gaussian_kl(exact, np.eye(4))
