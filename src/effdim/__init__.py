@@ -45,7 +45,6 @@ _OWNERS = {
     "deff": "dimension",
     "deff_rank_bound": "dimension",
     "design_spectrum": "dimension",
-    "dominating_diagonal": "approx",
     "estimate_channel_mi": "oracle",
     "estimate_gaussian_kl": "oracle",
     "estimate_mixture_marginal_mi": "oracle",
@@ -55,8 +54,6 @@ _OWNERS = {
     "info_effective_rank": "dimension",
     "jensen_bound": "shrinkage",
     "location_mi": "dimension",
-    "loewner_dominates": "approx",
-    "mi_df_sandwich": "dimension",
     "mutual_information": "channel",
     "random_deff": "shrinkage",
     "random_deff_distribution": "shrinkage",

@@ -19,6 +19,12 @@ conjugate Gaussian model always satisfy the envelope condition.
 The audit below computes both sides and reports whether the hypotheses hold;
 it never assumes them. It inverts each dominating Cholesky factor once, by
 ``linalg.invert_lower``, and every KL term and Loewner test reads that inverse.
+
+Both Loewner flags follow one rule, ``_dominates``: every dominating
+covariance is PD, the difference is whitened by its Cholesky factor, and the
+order holds when the whitened difference's smallest eigenvalue is at least
+-LOEWNER_TOL * (max |eigenvalue| + 1), a tolerance relative in every direction
+and at every scale.
 """
 
 import math
@@ -161,31 +167,6 @@ def conjugate_regression_info(model: RidgeModel) -> float:
     return max(0.5 * linalg.logdet_from_cholesky(lower), 0.0)
 
 
-def loewner_dominates(sigma_tilde, sigma) -> bool:
-    """True iff sigma_tilde - sigma is PSD up to a signed relative tolerance.
-
-    When sigma_tilde is PD the test runs in the coordinates where it is the
-    identity (see ``_dominates``), so it means the same at every scale and in
-    every direction. A singular sigma_tilde has no such coordinates: then the
-    minimum eigenvalue of the difference itself may dip to -LOEWNER_TOL times
-    its largest |eigenvalue|, plus the rounding of the matrices' largest entry,
-    before the order is declared violated.
-    """
-    sigma_tilde = linalg.symmetrize(sigma_tilde, "dominating covariance")
-    sigma = linalg.symmetrize(sigma, "dominated covariance")
-    if sigma_tilde.shape != sigma.shape:
-        raise DimensionMismatch(
-            f"covariances have shapes {sigma_tilde.shape} and {sigma.shape}"
-        )
-    try:
-        lower = np.linalg.cholesky(sigma_tilde)
-    except np.linalg.LinAlgError:  # singular: test the difference as it stands
-        eigs = np.linalg.eigvalsh(sigma_tilde - sigma)
-        floor = np.finfo(float).eps * max(np.abs(sigma_tilde).max(), np.abs(sigma).max())
-        return bool(eigs[0] >= -(LOEWNER_TOL * np.abs(eigs).max() + floor))
-    return _dominates(sigma_tilde, sigma, linalg.invert_lower(lower))
-
-
 def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray, inverse: np.ndarray) -> bool:
     """Loewner test of validated covariances; ``inverse`` is L^{-1}, sigma_tilde = L L^T.
 
@@ -199,7 +180,7 @@ def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray, inverse: np.ndarray) 
     ||dE||_2 <= n gamma_{n+1} ||E||_2, gamma_k = k u / (1 - k u), u the unit
     roundoff (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3),
     so E's smallest eigenvalue is at least about -n (n + 1) u ||E||_2. That is
-    within ``_order_holds``'s tolerance -LOEWNER_TOL * (||E||_2 + 1) while
+    within the eigenvalue rule's tolerance -LOEWNER_TOL * (||E||_2 + 1) while
     n (n + 1) u <= LOEWNER_TOL, i.e. for n up to 948. A factorization that
     fails, as it does on an exactly singular E, and any larger n fall back to
     the eigenvalues.
@@ -217,16 +198,9 @@ def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray, inverse: np.ndarray) 
             return True
         except np.linalg.LinAlgError:
             pass
-    return _order_holds(np.linalg.eigvalsh(whitened))
-
-
-def _order_holds(whitened_eigs: np.ndarray) -> bool:
-    """Whether a whitened difference, given by its eigenvalues, is PSD within tolerance.
-
-    The smallest may dip to -LOEWNER_TOL * (max |eigenvalue| + 1), the 1 being
-    the whitened dominating matrix, before the order is declared violated.
-    """
-    return bool(whitened_eigs.min() >= -LOEWNER_TOL * (np.abs(whitened_eigs).max() + 1.0))
+    # the 1 is the whitened dominating matrix, the identity
+    eigs = np.linalg.eigvalsh(whitened)
+    return bool(eigs.min() >= -LOEWNER_TOL * (np.abs(eigs).max() + 1.0))
 
 
 def audit_approximation(
@@ -266,21 +240,3 @@ def audit_approximation(
         means_equal=bool(np.array_equal(exact.mean, approx.mean)),
         prior_dominates_approx=_dominates(prior_cov, approx.cov, prior_inverse),
     )
-
-
-def dominating_diagonal(sigma) -> np.ndarray:
-    """Smallest power-of-two multiple of diag(S) that dominates S (Loewner).
-
-    Starts at c = 1 and doubles until c * diag(S) >= S, certifying each step
-    with the audit's Loewner test. Whitened by c * diag(S), the
-    difference is I - R / c, R the correlation matrix of S, so one eigensolve
-    of R serves every step, and any c at least R's largest eigenvalue works.
-    """
-    sigma, _ = linalg.factor_covariance(sigma)
-    diag = np.diag(sigma)
-    root = np.sqrt(diag)
-    correlation_eigs = np.linalg.eigvalsh(sigma / np.outer(root, root))
-    c = 1.0
-    while not _order_holds(1.0 - correlation_eigs / c):
-        c *= 2.0
-    return np.diag(c * diag)

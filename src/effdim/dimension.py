@@ -189,6 +189,14 @@ def regression_channel(m: RidgeModel) -> GaussianChannel:
     )
 
 
+def _squared_singular_values(values) -> np.ndarray:
+    """``values`` as a float array; a NaN, infinite or negative entry is an InputError."""
+    s_sq = np.array(values, dtype=float, ndmin=1)
+    if not (np.isfinite(s_sq) & (s_sq >= 0)).all():
+        raise InputError("squared singular values must be finite and nonnegative")
+    return s_sq
+
+
 def info_effective_rank(singular_values_sq, snr: float) -> float:
     """Information effective rank: sum_j log1p(snr s_j^2) / log1p(snr s_1^2).
 
@@ -196,7 +204,7 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
     for a flat spectrum and 1 for a single mode. The identity
     MI = 1/2 log1p(snr s_1^2) * r_info reconstructs the information.
     """
-    s_sq = ChannelSpectrum(eigenvalues=singular_values_sq).nonzero
+    s_sq = ChannelSpectrum(eigenvalues=_squared_singular_values(singular_values_sq)).nonzero
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
     require_positive(snr=snr)
@@ -214,25 +222,13 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
 def ridge_df(singular_values_sq, penalty: float) -> float:
     """Ridge degrees of freedom sum_j s_j^2 / (s_j^2 + alpha)."""
     require_positive(penalty=penalty)
-    s_sq = np.array(singular_values_sq, dtype=float, ndmin=1)
-    if not (np.isfinite(s_sq) & (s_sq >= 0)).all():
-        raise InputError("squared singular values must be finite and nonnegative")
+    s_sq = _squared_singular_values(singular_values_sq)
     with np.errstate(over="ignore"):
         total = s_sq + penalty
     ratios = s_sq / total
     big = np.isinf(total)  # halving both operands is exact where the sum overflows
     ratios[big] = 0.5 * s_sq[big] / (0.5 * s_sq[big] + 0.5 * penalty)
     return float(np.sum(ratios))
-
-
-def mi_df_sandwich(m: RidgeModel) -> tuple[float, float, float]:
-    """(df(alpha), 2*MI, snr * tr(X^T X)) with lower <= mid <= upper.
-
-    Mode by mode this is u/(1+u) <= log(1+u) <= u at u = snr * s_j^2.
-    """
-    require_positive(prior_var=m.prior_var)
-    report = ridge_report(m, 3)  # n enters d_eff only
-    return report.sandwich_lower, report.two_mi, report.sandwich_upper
 
 
 # Modes with snr * j^(-2a) at or below this take the series route; see
@@ -342,6 +338,7 @@ def spectrum_sequence_mi(s: SpectrumSequence) -> tuple[float, float, int]:
     return 0.5 * total, bound, terms
 
 
+# kept because the benchmark's spectral workload calls it; read report.rank_bound
 def deff_rank_bound(m: RidgeModel, n: int) -> float:
     """Rank-based ceiling max(r * log1p(snr * s_1^2), 2 I) / log(n) on d_eff(n)."""
     return ridge_report(m, n).rank_bound
@@ -355,8 +352,9 @@ def ridge_report(m: RidgeModel, n: int | None = None) -> InfoReport:
     to study d_eff(n) curves. When no mode carries signal (a zero prior
     variance, or an SNR that underflows) the report is all-zeros apart from
     the design rank. The spectrum is the model's ``spectrum``, so a model's
-    design is decomposed once however many reports are built from it;
-    ``mi_df_sandwich`` and ``deff_rank_bound`` read their values from here.
+    design is decomposed once however many reports are built from it. The
+    sandwich df <= 2 I <= snr * tr(X^T X) is ``sandwich_lower <= two_mi <=
+    sandwich_upper``; ``deff_rank_bound`` reads ``rank_bound`` from here.
     """
     if n is None:
         n = m.n_obs

@@ -16,7 +16,6 @@ from effdim import (
     design_spectrum,
     info_effective_rank,
     location_mi,
-    mi_df_sandwich,
     mutual_information,
     regression_channel,
     regression_mi,
@@ -281,13 +280,18 @@ class TestRidgeDf:
             np.testing.assert_allclose(df, trace, rtol=1e-9, atol=1e-12)
 
 
+def _sandwich(model):
+    report = ridge_report(model, 3)  # n enters d_eff only
+    return report.sandwich_lower, report.two_mi, report.sandwich_upper
+
+
 class TestSandwich:
     def test_zero_design(self):
-        assert mi_df_sandwich(RidgeModel(design=np.zeros((2, 2)), noise_var=1.0,
-                                         prior_var=1.0)) == (0.0, 0.0, 0.0)
+        assert _sandwich(RidgeModel(design=np.zeros((2, 2)), noise_var=1.0,
+                                    prior_var=1.0)) == (0.0, 0.0, 0.0)
 
     def test_single_unit_mode(self):
-        lower, mid, upper = mi_df_sandwich(
+        lower, mid, upper = _sandwich(
             RidgeModel(design=np.array([[1.0]]), noise_var=1.0, prior_var=1.0)
         )
         assert lower == pytest.approx(0.5, abs=1e-15)
@@ -297,7 +301,7 @@ class TestSandwich:
     def test_random_design_strict_ordering(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((5, 5))
-        lower, mid, upper = mi_df_sandwich(RidgeModel(design=x, noise_var=1.0, prior_var=1.0))
+        lower, mid, upper = _sandwich(RidgeModel(design=x, noise_var=1.0, prior_var=1.0))
         assert lower < mid < upper
 
     def test_thousand_random_spectra(self):
@@ -359,7 +363,6 @@ class TestSandwich:
         report = ridge_report(model, 10)
         assert report.sandwich_lower <= report.two_mi <= report.sandwich_upper
         assert report.mi_nats == 0.5 * report.two_mi > 0.0
-        assert mi_df_sandwich(model)[1] == report.two_mi
 
     @pytest.mark.parametrize("tau2", [1e-310, 1e-320])
     def test_subnormal_snr_random_designs_never_raise(self, tau2):
@@ -576,7 +579,6 @@ class TestRidgeReport:
         assert calls == []  # taken on first use, not at construction
         report = ridge_report(model)
         assert deff_rank_bound(model, report.n) == report.rank_bound
-        assert mi_df_sandwich(model)[1] == 2.0 * report.mi_nats
         assert regression_mi(model) == report.mi_nats
         assert calls == [(9, 4)]
 
@@ -632,7 +634,6 @@ class TestFaultClasses:
         lambda: deff(-1.0, 10),
         lambda: info_effective_rank([1.0], 0.0),
         lambda: ridge_df([1.0], 0.0),
-        lambda: mi_df_sandwich(RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)),
         lambda: conjugate_regression_info(
             RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)),
         lambda: mutual_information(
@@ -659,6 +660,8 @@ class TestFaultClasses:
         lambda: ridge_df([math.nan], 1.0),
         lambda: info_effective_rank([math.nan, 1.0], 1.0),
         lambda: info_effective_rank([1.0, 2.0], math.inf),
+        lambda: info_effective_rank([-1.0, 1.0], 1.0),
+        lambda: info_effective_rank([1.0, -1e-300], 1.0),
     ])
     def test_input_checks_raise_input_error(self, call):
         with pytest.raises(InputError):

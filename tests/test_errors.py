@@ -20,7 +20,6 @@ from effdim import (
     deff,
     heavy_tail_bound,
     info_effective_rank,
-    mi_df_sandwich,
     random_deff,
     ridge_df,
 )
@@ -66,7 +65,6 @@ SITES = [
     ("deff", "mi_nats", "nonnegative", lambda v: deff(v, 10)),
     ("info_effective_rank", "snr", "positive", lambda v: info_effective_rank([1.0, 2.0], v)),
     ("ridge_df", "penalty", "positive", lambda v: ridge_df([1.0, 2.0], v)),
-    ("mi_df_sandwich", "prior_var", "positive", lambda v: mi_df_sandwich(_ridge(prior_var=v))),
     ("TailCertificate", "c_const", "positive", lambda v: TailCertificate(c_const=v, alpha_exp=1.0)),
     ("TailCertificate", "alpha_exp", "positive",
      lambda v: TailCertificate(c_const=1.0, alpha_exp=v)),
