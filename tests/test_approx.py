@@ -148,6 +148,16 @@ class TestLoewnerDominates:
         s = random_covariance(np.random.default_rng(1), 3)
         assert _loewner_flag(s + np.eye(3), s)
 
+    def test_mismatched_shapes(self):
+        # both pairs the audit orders refuse covariances of different shapes:
+        # approximate against exact posterior, and prior against approximate
+        two = GaussianDistribution(mean=np.zeros(2), cov=np.eye(2))
+        three = GaussianDistribution(mean=np.zeros(3), cov=np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            audit_approximation(two, three, np.eye(2), 100)
+        with pytest.raises(DimensionMismatch):
+            audit_approximation(two, two, np.eye(3), 100)
+
     def test_rank_one_deficit_detected(self):
         u = np.zeros((3, 1))
         u[0, 0] = 1.0
