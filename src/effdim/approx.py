@@ -47,8 +47,8 @@ UNIT_ROUNDOFF = np.finfo(float).eps / 2
 class GaussianDistribution:
     """Mean vector and PD covariance of a Gaussian; validated at construction.
 
-    The covariance's lower Cholesky factor is kept as ``lower``. A covariance
-    that is not PD raises ``NotPositiveDefinite``.
+    The mean is a vector (``linalg.as_array``); the covariance's lower Cholesky
+    factor is kept as ``lower``. A non-PD covariance raises ``NotPositiveDefinite``.
     """
 
     mean: np.ndarray
@@ -56,7 +56,7 @@ class GaussianDistribution:
     lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = linalg.as_matrix(np.reshape(self.mean, (1, -1)), "mean")[0]
+        mean = linalg.as_array(self.mean, "mean", ndim=1)
         cov, lower = linalg.factor_covariance(self.cov)
         if mean.size != cov.shape[0]:
             raise DimensionMismatch(
@@ -101,7 +101,7 @@ class ApproxAuditReport:
 def gaussian_kl(q: GaussianDistribution, prior_cov) -> float:
     """KL(N(m, S) || N(0, S0)) in nats, from one triangular inverse; always >= 0."""
     prior_lower = _factor_prior(prior_cov, q.dim)[1]
-    (kl,) = _kl_to_prior(prior_lower, linalg.invert_lower(prior_lower), q)
+    ((kl, _),) = _kl_to_prior(prior_lower, linalg.invert_lower(prior_lower), q)
     return kl
 
 
@@ -116,8 +116,8 @@ def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _kl_to_prior(
     l0: np.ndarray, l0_inverse: np.ndarray, *posteriors: GaussianDistribution
-) -> list[float]:
-    """``gaussian_kl`` of each posterior, given the prior's Cholesky factor L0 and L0^{-1}.
+) -> list[tuple[float, float]]:
+    """``gaussian_kl`` and log det(S0^{-1} S) of each posterior, given L0 and L0^{-1}.
 
     L0^{-1} (from ``linalg.invert_lower``) applied to the stacked columns
     [L_q | m] of every posterior gives both data terms as sums of squares,
@@ -127,7 +127,7 @@ def _kl_to_prior(
     times the prior) is a ``NumericalError`` here, not an inf in a report.
     """
     prior_logdet = linalg.logdet_from_cholesky(l0)
-    kls = []
+    terms = []
     with np.errstate(over="ignore", invalid="ignore"):
         whitened = l0_inverse @ np.column_stack(
             [col for q in posteriors for col in (q.lower, q.mean)])
@@ -140,8 +140,9 @@ def _kl_to_prior(
                     f"quadratic term {quad_term!r}"
                 )
             logdet_ratio = linalg.logdet_from_cholesky(q.lower) - prior_logdet
-            kls.append(max(0.5 * (trace_term + quad_term - logdet_ratio - q.dim), 0.0))
-    return kls
+            kl = max(0.5 * (trace_term + quad_term - logdet_ratio - q.dim), 0.0)
+            terms.append((kl, logdet_ratio))
+    return terms
 
 
 def conjugate_regression_info(model: RidgeModel) -> float:
@@ -224,14 +225,13 @@ def audit_approximation(
         raise DimensionMismatch("exact and approximate posteriors differ in dimension")
     prior_cov, prior_lower = _factor_prior(prior_cov, exact.dim)
     prior_inverse = linalg.invert_lower(prior_lower)
-    kl_exact, kl_approx = _kl_to_prior(prior_lower, prior_inverse, exact, approx)
-    # log det(S0^{-1} S) from the two Cholesky factors
-    prior_logdet = linalg.logdet_from_cholesky(prior_lower)
+    (kl_exact, logdet_exact), (kl_approx, logdet_approx) = _kl_to_prior(
+        prior_lower, prior_inverse, exact, approx)
     return ApproxAuditReport(
         kl_exact=kl_exact,
         kl_approx=kl_approx,
-        logdet_exact=linalg.logdet_from_cholesky(exact.lower) - prior_logdet,
-        logdet_approx=linalg.logdet_from_cholesky(approx.lower) - prior_logdet,
+        logdet_exact=logdet_exact,
+        logdet_approx=logdet_approx,
         loewner_dominates=_dominates(
             approx.cov, exact.cov, linalg.invert_lower(approx.lower)),
         deff_exact=deff(kl_exact, n),

@@ -67,7 +67,7 @@ class GaussianChannel:
     noise_lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = linalg.as_matrix(self.a, "forward map")
+        a = linalg.as_array(self.a, "forward map")
         prior = linalg.symmetrize(self.prior_cov, "prior covariance")
         noise, noise_lower = linalg.factor_covariance(self.noise_cov, "noise covariance")
         if a.shape[1] != prior.shape[0]:
@@ -128,17 +128,15 @@ class ChannelSpectrum:
 
     The library's one spectrum normal form: sorted nonincreasing, negatives
     clipped to zero, read-only; rank counts the positive entries. It cuts
-    nothing: each producer zeroes what its own solver cannot resolve. A NaN
-    or infinite eigenvalue is refused with InputError.
+    nothing: each producer zeroes what its own solver cannot resolve. The
+    eigenvalues are a vector of finite entries (``linalg.as_array``).
     """
 
     eigenvalues: np.ndarray
     rank: int = field(init=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float)
-        if not np.isfinite(vals).all():
-            raise InputError("spectrum eigenvalues must be finite")
+        vals = linalg.as_array(self.eigenvalues, "spectrum eigenvalues", ndim=1)
         vals = np.clip(np.sort(vals)[::-1], 0.0, None)
         vals.flags.writeable = False
         object.__setattr__(self, "eigenvalues", vals)
@@ -232,7 +230,7 @@ def coarsen(ch: GaussianChannel, b) -> GaussianChannel:
     that the summarized noise covariance stays PD; mutual information never
     increases under this operation.
     """
-    b = linalg.as_matrix(b, "coarsening map")
+    b = linalg.as_array(b, "coarsening map")
     if b.shape[1] != ch.n_obs:
         raise DimensionMismatch(
             f"coarsening map has {b.shape[1]} columns but the channel has "
@@ -256,7 +254,7 @@ def reparameterize(ch: GaussianChannel, t) -> GaussianChannel:
     precision; mutual information is invariant under this operation. An
     A T^{-1} or T S T^T beyond the float range raises NumericalError.
     """
-    t = linalg.as_matrix(t, "reparameterization")
+    t = linalg.as_array(t, "reparameterization")
     if t.shape[0] != t.shape[1] or t.shape[0] != ch.dim:
         raise DimensionMismatch(
             f"reparameterization must be {ch.dim}x{ch.dim}, got {t.shape}"

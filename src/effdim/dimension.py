@@ -65,7 +65,7 @@ class RidgeModel:
     prior_var: float
 
     def __post_init__(self):
-        design = linalg.as_matrix(self.design, "design")
+        design = linalg.as_array(self.design, "design")
         require_positive(noise_var=self.noise_var)
         require_nonnegative(prior_var=self.prior_var)
         # bounds every per-mode SNR and the sandwich's upper end, sum_j snr * s_j^2
@@ -164,7 +164,7 @@ def design_spectrum(design: np.ndarray) -> ChannelSpectrum:
     depend on the machine's core count.
     """
     with _one_blas_thread():
-        s = np.linalg.svd(np.asarray(design, dtype=float), compute_uv=False)
+        s = np.linalg.svd(linalg.as_array(design, "design"), compute_uv=False)
     s[s <= max(np.shape(design)) * np.finfo(float).eps * s.max(initial=0.0)] = 0.0
     return ChannelSpectrum(eigenvalues=s * s)
 
@@ -189,22 +189,15 @@ def regression_channel(m: RidgeModel) -> GaussianChannel:
     )
 
 
-def _squared_singular_values(values) -> np.ndarray:
-    """``values`` as a float array; a NaN, infinite or negative entry is an InputError."""
-    s_sq = np.array(values, dtype=float, ndmin=1)
-    if not (np.isfinite(s_sq) & (s_sq >= 0)).all():
-        raise InputError("squared singular values must be finite and nonnegative")
-    return s_sq
-
-
 def info_effective_rank(singular_values_sq, snr: float) -> float:
     """Information effective rank: sum_j log1p(snr s_j^2) / log1p(snr s_1^2).
 
-    s_1^2 is the largest entry, in any input order. Lies in [1, r]; equals r
-    for a flat spectrum and 1 for a single mode. The identity
+    s_1^2 is the largest of the vector s_j^2 >= 0, in any order. Lies in
+    [1, r]; equals r for a flat spectrum and 1 for a single mode. The identity
     MI = 1/2 log1p(snr s_1^2) * r_info reconstructs the information.
     """
-    s_sq = ChannelSpectrum(eigenvalues=_squared_singular_values(singular_values_sq)).nonzero
+    s_sq = linalg.as_array(singular_values_sq, "squared singular values", ndim=1, nonnegative=True)
+    s_sq = ChannelSpectrum(eigenvalues=s_sq).nonzero
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
     require_positive(snr=snr)
@@ -220,9 +213,9 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
 
 
 def ridge_df(singular_values_sq, penalty: float) -> float:
-    """Ridge degrees of freedom sum_j s_j^2 / (s_j^2 + alpha)."""
+    """Ridge degrees of freedom sum_j s_j^2 / (s_j^2 + alpha) over a nonnegative vector."""
     require_positive(penalty=penalty)
-    s_sq = _squared_singular_values(singular_values_sq)
+    s_sq = linalg.as_array(singular_values_sq, "squared singular values", ndim=1, nonnegative=True)
     with np.errstate(over="ignore"):
         total = s_sq + penalty
     ratios = s_sq / total

@@ -7,12 +7,13 @@ that fails its PD or PSD check (``NotPositiveDefinite``). ``NumericalError``
 (exit 3): a computation on valid input could not complete, such as the
 factorization of an intermediate matrix. Any other exception is a bug.
 
-Scalar inputs are checked by ``require_finite``, ``require_positive``,
-``require_nonnegative``, ``require_count``, ``require_sample_size`` and
-``require_samples``: a refused scalar is named with its value. No numpy here.
+Scalars are checked by the ``require_*`` functions below, each refused one
+named with its value; arrays, matrix or vector, are ingested by
+``linalg.as_array``. No numpy here.
 """
 
 import math
+import numbers
 import sys
 
 
@@ -124,3 +125,9 @@ def require_samples(what: str, minimum: int, **counts: int) -> None:
                 f"{name} is too large for an array index ({len(str(value))} digits, "
                 f"limit {sys.maxsize})"
             )
+
+
+def require_seed(seed: int) -> None:
+    """Raise InputError unless the Monte Carlo ``seed`` is a nonnegative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")

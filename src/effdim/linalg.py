@@ -1,10 +1,11 @@
-"""Numerically careful helpers for symmetric matrices.
+"""Array ingestion and numerically careful helpers for symmetric matrices.
 
-All covariance handling goes through this module: symmetry is enforced (or
-rejected) once at ingestion, factorizations use Cholesky, and log-determinants
-are read off triangular factors. No densities or determinants are ever formed
-in non-log space. Everything runs on ``numpy.linalg``; non-finite entries are
-rejected before they reach LAPACK, which would otherwise pass them through.
+Every array a caller supplies (a scalar is a vector of one entry) enters
+through ``as_array``; all covariance handling goes through this module, which
+enforces (or rejects) symmetry once, factors by Cholesky and reads
+log-determinants off triangular factors, never forming a density or
+determinant in non-log space. Everything runs on ``numpy.linalg``; non-finite
+entries are rejected before they reach LAPACK, which would pass them through.
 """
 
 import numpy as np
@@ -24,13 +25,15 @@ SYMMETRY_RTOL = 1e-12
 INVERT_LEAF = 32
 
 
-def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Copy input to a finite float 2-D array; reject anything else."""
-    arr = np.array(m, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got ndim={arr.ndim}")
+def as_array(m, name: str = "matrix", ndim: int = 2, nonnegative: bool = False) -> np.ndarray:
+    """Copy input to a finite float array with ``ndim`` axes, >= 0 if ``nonnegative``."""
+    arr = np.array(m, dtype=float, ndmin=1 if ndim == 1 else 0)
+    if arr.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-D, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise InputError(f"{name} has non-finite entries")
+    if nonnegative and (arr < 0).any():
+        raise InputError(f"{name} must be finite and nonnegative")
     return arr
 
 
@@ -41,7 +44,7 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
     An exactly zero matrix passes trivially. Besides the copy it returns, one
     matrix-sized buffer holds |M|, then |M - M^T|, then M^T / 2.
     """
-    arr = as_matrix(m, name)
+    arr = as_array(m, name)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {arr.shape}")
     work = np.abs(arr)

@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .approx import GaussianDistribution, _factor_prior
 from .channel import GaussianChannel
-from .errors import NumericalError, require_samples
+from .errors import NumericalError, require_samples, require_seed
 from .priors import ScalarShrinkageModel
 from .sampling import (
     FLAT_BLOCK,
@@ -86,6 +86,7 @@ def seeded_blocks(work, n_samples: int, block: int, seed: int, stream: int,
     its own slice ``dest`` of it and fills that slice in place, so the whole
     sample is held once, never also as a list of blocks.
     """
+    require_seed(seed)
     sizes = block_sizes(n_samples, block)
 
     def run(b):

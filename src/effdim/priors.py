@@ -120,17 +120,15 @@ class HalfCauchy(ShrinkagePrior):
 class TabulatedPrior(ShrinkagePrior):
     """Empirical mixing law: uniform draws (with replacement) from a table.
 
-    Zero entries are allowed; a zero scale simply contributes no information.
+    A nonempty vector of nonnegative scales; a zero scale contributes nothing.
     """
 
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=float).reshape(-1)
+        table = linalg.as_array(self.table, "tabulated prior table", ndim=1, nonnegative=True)
         if table.size == 0:
             raise InputError("tabulated prior requires a nonempty table")
-        if np.any(table < 0) or not np.all(np.isfinite(table)):
-            raise InputError("tabulated prior entries must be finite and nonnegative")
         object.__setattr__(self, "table", table)
 
     @property
@@ -179,7 +177,7 @@ class GlobalLocalRegression:
     noise_var: float
 
     def __post_init__(self):
-        design = linalg.as_matrix(self.design, "design")
+        design = linalg.as_array(self.design, "design")
         require_positive(noise_var=self.noise_var)
         object.__setattr__(self, "design", design)
 

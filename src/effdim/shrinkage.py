@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .dimension import regression_mi, RidgeModel
 from .errors import (
     DimensionMismatch,
@@ -29,6 +30,7 @@ from .errors import (
     require_nonnegative,
     require_sample_size,
     require_samples,
+    require_seed,
 )
 from .oracle import McEstimate, _nested_mixture_pass, block_mean, seeded_blocks
 from .priors import (
@@ -120,6 +122,7 @@ def expected_conditional_mi(
     with zero standard error.
     """
     require_samples("expected conditional MI", MIN_EXPECTED_MI_SAMPLES, samples=samples)
+    require_seed(seed)
     if isinstance(m.prior, FixedScale):
         exact = conditional_mi(m, m.prior.tau)
         return McEstimate(estimate=exact, std_error=0.0, n_samples=samples, seed=seed)
@@ -194,15 +197,14 @@ def regression_conditional_mi(m: GlobalLocalRegression, lambdas) -> float:
     design X diag(lam / lam_max) with prior variance lam_max^2, so this is
     ``regression_mi`` of that model: one design SVD, no n x n matrix. A
     constant scale vector leaves X unchanged, so the reduction to the ridge
-    experiment is exact, not merely within tolerance.
+    experiment is exact, not merely within tolerance. ``lambdas`` is a vector
+    (``linalg.as_array``) of one nonnegative scale per column.
     """
-    lam = np.asarray(lambdas, dtype=float).reshape(-1)
+    lam = linalg.as_array(lambdas, "latent scales", ndim=1, nonnegative=True)
     if lam.size != m.dim:
         raise DimensionMismatch(
             f"{lam.size} scales for a design with {m.dim} columns"
         )
-    if not np.all(np.isfinite(lam)) or np.any(lam < 0):
-        raise InputError("latent scales must be finite and nonnegative")
     top = float(lam.max(initial=0.0))
     if top == 0.0:
         return 0.0
@@ -228,6 +230,7 @@ def random_deff_distribution(
     """
     require_samples("distribution summary", MIN_DISTRIBUTION_SAMPLES, samples=samples)
     require_sample_size(m.n)
+    require_seed(seed)
     if isinstance(m.prior, FixedScale):
         point = random_deff(m, m.prior.tau)
         return DeffDistributionSummary(

@@ -62,6 +62,8 @@ class TestGaussianKl:
         q = GaussianDistribution(mean=[0.0], cov=[[1.0]])
         with pytest.raises(DimensionMismatch):
             gaussian_kl(q, np.eye(2))
+        with pytest.raises(DimensionMismatch):
+            GaussianDistribution(mean=[[1.0, 2.0], [3.0, 4.0]], cov=np.eye(4))
 
     def test_prior_must_be_pd(self):
         q = GaussianDistribution(mean=[0.0], cov=[[1.0]])

@@ -258,18 +258,24 @@ class TestWhitenedSpectrum:
         ([], [], 0),
         ([-1.0, -0.0, 0.0], [0.0, 0.0, 0.0], 0),
         ([1e-13, -1e-3, 1.0, 1e-11], [1.0, 1e-11, 1e-13, 0.0], 3),
-    ], ids=["empty", "no-signal", "sort-clip-cut"])
+        (3.0, [3.0], 1),
+    ], ids=["empty", "no-signal", "sort-clip-cut", "scalar"])
     def test_normal_form(self, values, normal, rank):
         spec = ChannelSpectrum(eigenvalues=values)
         assert spec.eigenvalues.tobytes() == np.array(normal).tobytes()
         assert spec.rank == rank
 
-    @pytest.mark.parametrize("values", [
-        [math.nan, 1.0, -math.inf, math.inf], [math.nan], [2.0, math.inf], [-math.inf, 0.0],
-    ], ids=["mixed", "nan", "inf", "minus-inf"])
-    def test_non_finite_eigenvalues_rejected(self, values):
-        # NaN once counted as a positive mode and -inf was clipped to 0
-        with pytest.raises(InputError, match="must be finite"):
+    @pytest.mark.parametrize("values, error, match", [
+        ([math.nan, 1.0, -math.inf, math.inf], InputError, "non-finite"),
+        ([math.nan], InputError, "non-finite"),
+        ([2.0, math.inf], InputError, "non-finite"),
+        ([-math.inf, 0.0], InputError, "non-finite"),
+        ([[1.0, 2.0], [3.0, 4.0]], DimensionMismatch, "must be 1-D"),
+    ], ids=["mixed", "nan", "inf", "minus-inf", "two-d"])
+    def test_non_finite_eigenvalues_rejected(self, values, error, match):
+        # NaN once counted as a positive mode and -inf was clipped to 0; a
+        # 2-D array was once kept as a 2-D "spectrum"
+        with pytest.raises(error, match=match):
             ChannelSpectrum(eigenvalues=values)
 
 

@@ -26,6 +26,7 @@ from effdim import (
 from effdim import conjugate_regression_info, dimension, shrinkage
 from effdim.channel import GaussianChannel
 from effdim.errors import (
+    DimensionMismatch,
     DivergentSpectrum,
     EmptySpectrum,
     InputError,
@@ -622,6 +623,16 @@ class TestRidgeReport:
             assert report.sandwich_lower <= 2.0 * report.mi_nats <= report.sandwich_upper
 
 
+def _refused_as(error, function, *args):
+    """``function(*args)``, failing the test if it raises anything but ``error``."""
+    try:
+        function(*args)
+    except error:
+        raise
+    except Exception as exc:
+        pytest.fail(f"{function.__name__} raised {exc!r}, not {error.__name__}")
+
+
 class TestFaultClasses:
     @pytest.mark.parametrize("call", [
         lambda: LocationModel(dim=0, prior_var=1.0, noise_var=1.0, n=1),
@@ -662,6 +673,11 @@ class TestFaultClasses:
         lambda: info_effective_rank([1.0, 2.0], math.inf),
         lambda: info_effective_rank([-1.0, 1.0], 1.0),
         lambda: info_effective_rank([1.0, -1e-300], 1.0),
+        lambda: _refused_as(DimensionMismatch, info_effective_rank, [[1.0, 2.0], [3.0, 4.0]], 1.0),
+        lambda: _refused_as(DimensionMismatch, ridge_df, [[1.0, 2.0], [3.0, 4.0]], 1.0),
+        lambda: _refused_as(DimensionMismatch, design_spectrum, [1.0, 2.0]),
+        lambda: _refused_as(DimensionMismatch, design_spectrum, 3.0),
+        lambda: design_spectrum([[math.nan]]),
     ])
     def test_input_checks_raise_input_error(self, call):
         with pytest.raises(InputError):

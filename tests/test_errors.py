@@ -7,6 +7,7 @@ import pytest
 
 from effdim import (
     FixedScale,
+    GaussianChannel,
     GlobalLocalRegression,
     HalfCauchy,
     InverseGammaMixture,
@@ -18,9 +19,12 @@ from effdim import (
     conditional_mi,
     conjugate_regression_info,
     deff,
+    estimate_channel_mi,
+    expected_conditional_mi,
     heavy_tail_bound,
     info_effective_rank,
     random_deff,
+    random_deff_distribution,
     ridge_df,
 )
 from effdim import errors
@@ -98,12 +102,29 @@ def _refused(rule, value) -> bool:
     return value < rule or value == 10**400
 
 
+# Monte Carlo estimates, whose seed must be a nonnegative integer; a fixed
+# scale draws nothing, and its seed is refused all the same
+SEEDED = [
+    ("estimate_channel_mi", lambda v: estimate_channel_mi(
+        GaussianChannel(a=[[1.0]], prior_cov=[[1.0]], noise_cov=[[1.0]]), 10_000, seed=v)),
+    ("random_deff_distribution", lambda v: random_deff_distribution(
+        ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=10), 10_000, seed=v)),
+    ("random_deff_distribution-FixedScale", lambda v: random_deff_distribution(
+        MODEL, 10_000, seed=v)),
+    ("expected_conditional_mi-FixedScale", lambda v: expected_conditional_mi(
+        MODEL, 10_000, seed=v)),
+]
+
 REFUSALS = [
     pytest.param(build, parameter, value,
                  id=f"{site}-{parameter}-{'10**400' if value == 10**400 else repr(value)}")
     for site, parameter, rule, build in SITES
     for value in (BOUNDARY if isinstance(rule, str) else COUNT_BOUNDARY)
     if _refused(rule, value)
+] + [
+    pytest.param(build, "seed", value, id=f"{site}-seed-{value!r}")
+    for site, build in SEEDED
+    for value in (-1, 1.5)
 ]
 
 

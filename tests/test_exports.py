@@ -1,6 +1,11 @@
-"""The export table of ``effdim``: each public name is imported on first use."""
+"""The export table of ``effdim``: each public name is imported on first use.
 
+Also: no module of the package imports a name it never reads.
+"""
+
+import ast
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,3 +73,28 @@ class TestExportTable:
 
     def test_missing_numpy_surfaces_as_itself(self):
         assert run_fresh(WITHOUT_NUMPY) == "numpy\n"
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports and never reads; a ``# noqa: F401`` line is exempt."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in "\n".join(lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # a stdlib stand-in for pyflakes' F401 over the package sources
+    sources = sorted(Path(effdim.__file__).parent.glob("*.py"))
+    assert sources
+    assert [hit for path in sources for hit in _unread_imports(path)] == []

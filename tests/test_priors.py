@@ -114,6 +114,8 @@ class TestTabulatedPrior:
             TabulatedPrior(table=[-1.0])
         with pytest.raises(InputError):
             TabulatedPrior(table=[np.inf])
+        with pytest.raises(DimensionMismatch):
+            TabulatedPrior(table=[[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestTailCertificate:

@@ -373,6 +373,9 @@ class TestRegressionConditionalMi:
         m = GlobalLocalRegression(design=np.ones((3, 2)), noise_var=1.0)
         with pytest.raises(DimensionMismatch):
             regression_conditional_mi(m, [1.0])
+        m4 = GlobalLocalRegression(design=np.eye(4), noise_var=1.0)
+        with pytest.raises(DimensionMismatch):
+            regression_conditional_mi(m4, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestRandomDeffDistribution:
