@@ -30,6 +30,7 @@ from .dimension import (
 )
 from .errors import EffdimError, InputError, NumericalError
 from .oracle import (
+    McEstimate,
     estimate_channel_mi,
     estimate_gaussian_kl,
     estimate_mixture_marginal_mi,
@@ -202,8 +203,26 @@ def _build_prior(args):
     return build(args)
 
 
+def _given(args, *dests) -> dict:
+    """The parsed arguments ``dests``, as config entries under their own names."""
+    return {dest: getattr(args, dest) for dest in dests}
+
+
+def _fields(result, path, *names) -> dict:
+    """The fields ``names`` of a library result, as results under their own names.
+
+    Each is tagged with ``path``, a Monte Carlo estimate with its uncertainty;
+    with ``path`` None (the flags) each is recorded as it is.
+    """
+    values = {name: getattr(result, name) for name in names}
+    if path is None:
+        return values
+    return {name: tagged_mc(value) if isinstance(value, McEstimate) else tagged(value, path)
+            for name, value in values.items()}
+
+
 def _prior_config(args) -> dict:
-    return {"prior": args.prior, **{dest: getattr(args, dest) for dest in PRIORS[args.prior][0]}}
+    return _given(args, "prior", *PRIORS[args.prior][0])
 
 
 def _report(args, config: dict, results: dict, code: int = EXIT_OK) -> tuple[str, int]:
@@ -219,7 +238,7 @@ def _cmd_location(args) -> tuple[str, int]:
         "mi_nats": tagged(mi, "closed-form"),
         "d_eff": tagged(deff(mi, args.n), "closed-form"),
     }
-    config = {"d": args.d, "tau2": args.tau2, "sigma2": args.sigma2, "n": args.n}
+    config = _given(args, "d", "tau2", "sigma2", "n")
     if args.oracle:
         seed = _resolve_seed(args)
         # the sufficient-statistic channel: identity map, isotropic prior,
@@ -231,8 +250,7 @@ def _cmd_location(args) -> tuple[str, int]:
         )
         est = estimate_channel_mi(channel, args.samples, seed, n_threads=args.threads)
         results["oracle_mi"] = tagged_mc(est)
-        config["samples"] = args.samples
-        config["seed"] = seed
+        config.update(_given(args, "samples"), seed=seed)
     return _report(args, config, results)
 
 
@@ -241,19 +259,12 @@ def _cmd_regression(args) -> tuple[str, int]:
     model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
     report_data = ridge_report(model, args.n)
     results = {
-        "mi_nats": tagged(report_data.mi_nats, "closed-form"),
-        "d_eff": tagged(report_data.d_eff, "closed-form"),
-        "df": None if report_data.df is None else tagged(report_data.df, "closed-form"),
-        "r_info": None if report_data.r_info is None
-        else tagged(report_data.r_info, "closed-form"),
-        "sandwich_lower": tagged(report_data.sandwich_lower, "bound"),
-        "sandwich_upper": tagged(report_data.sandwich_upper, "bound"),
+        **_fields(report_data, "closed-form", "mi_nats", "d_eff", "df", "r_info"),
+        **_fields(report_data, "bound", "sandwich_lower", "sandwich_upper"),
         "deff_rank_bound": tagged(report_data.rank_bound, "bound"),
-        "rank": tagged(report_data.rank, "closed-form"),
-        "singular_values_sq": tagged(report_data.singular_values_sq, "closed-form"),
+        **_fields(report_data, "closed-form", "rank", "singular_values_sq"),
     }
-    config = {"design": args.design, "tau2": args.tau2, "sigma2": args.sigma2,
-              "n": report_data.n}
+    config = {**_given(args, "design", "tau2", "sigma2"), "n": report_data.n}
     return _report(args, config, results)
 
 
@@ -274,6 +285,10 @@ def _parse_grid(text: str) -> list[int]:
 def _cmd_curve(args) -> tuple[str, int]:
     grid = _parse_grid(args.n_grid)
     d = 1 if args.d is None else args.d  # recorded as 1 for a design curve too
+
+    def location(n):
+        return location_mi(LocationModel(dim=d, prior_var=args.tau2, noise_var=args.sigma2, n=n))
+
     if args.design is not None:
         # both shape only the location curve; a design curve would ignore them
         if args.d is not None:
@@ -281,37 +296,23 @@ def _cmd_curve(args) -> tuple[str, int]:
         if args.tau2_schedule == "inverse-n":
             raise InputError("--design takes no --tau2-schedule inverse-n")
         design = read_matrix_csv(args.design)
-        model = RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2)
-        mi_fixed = regression_mi(model)
+        mi = regression_mi(RidgeModel(design=design, noise_var=args.sigma2, prior_var=args.tau2))
     elif args.tau2_schedule == "inverse-n":
         # n * (tau2 / n) misses tau2 by an ulp, more than a step in log n: one MI
-        model = LocationModel(dim=d, prior_var=args.tau2, noise_var=args.sigma2, n=1)
-        mi_fixed = location_mi(model)
+        mi = location(1)
     else:
-        mi_fixed = None
-        rows = []
-        for n in grid:
-            model = LocationModel(dim=d, prior_var=args.tau2, noise_var=args.sigma2, n=n)
-            rows.append((n, deff(location_mi(model), n)))
-    if mi_fixed is not None:  # then d_eff = 2 I / log(n) cannot increase
-        rows = [(n, deff(mi_fixed, n)) for n in grid]
-        values = [v for _, v in rows]
-        if any(b > a for a, b in zip(values, values[1:])):
-            raise NumericalError("d_eff column failed its guaranteed monotonicity check")
+        mi = None  # the fixed-schedule location MI grows with n
+    values = [deff(location(n) if mi is None else mi, n) for n in grid]
+    # at a fixed MI, d_eff = 2 I / log(n) cannot increase
+    if mi is not None and any(b > a for a, b in zip(values, values[1:])):
+        raise NumericalError("d_eff column failed its guaranteed monotonicity check")
     if args.format == "csv":
-        lines = ["n,d_eff"] + [f"{n},{format_float(v)}" for n, v in rows]
+        lines = ["n,d_eff"] + [f"{n},{format_float(v)}" for n, v in zip(grid, values)]
         return "\n".join(lines) + "\n", EXIT_OK
-    config = {
-        "n_grid": grid,
-        "d": d,
-        "tau2": args.tau2,
-        "sigma2": args.sigma2,
-        "tau2_schedule": args.tau2_schedule,
-        "design": args.design,
-    }
+    config = {"n_grid": grid, "d": d, **_given(args, "tau2", "sigma2", "tau2_schedule", "design")}
     return _report(args, config, {
-        "n": tagged([n for n, _ in rows], "closed-form"),
-        "d_eff": tagged(np.array([v for _, v in rows]), "closed-form"),
+        "n": tagged(grid, "closed-form"),
+        "d_eff": tagged(values, "closed-form"),
     })
 
 
@@ -325,26 +326,13 @@ def _cmd_approx(args) -> tuple[str, int]:
     exact = GaussianDistribution(mean=exact_mean, cov=exact_cov)
     approx = GaussianDistribution(mean=approx_mean, cov=approx_cov)
     audit = audit_approximation(exact, approx, prior_cov, args.n)
-    config = {
-        "exact_cov": args.exact_cov,
-        "approx_cov": args.approx_cov,
-        "prior_cov": args.prior_cov,
-        "exact_mean": args.exact_mean,
-        "approx_mean": args.approx_mean,
-        "n": args.n,
-        "require_domination": bool(args.require_domination),
-    }
+    config = _given(args, "exact_cov", "approx_cov", "prior_cov", "exact_mean", "approx_mean",
+                    "n", "require_domination")
     results = {
-        "kl_exact": tagged(audit.kl_exact, "closed-form"),
-        "kl_approx": tagged(audit.kl_approx, "closed-form"),
-        "logdet_exact": tagged(audit.logdet_exact, "closed-form"),
-        "logdet_approx": tagged(audit.logdet_approx, "closed-form"),
-        "loewner_dominates": audit.loewner_dominates,
-        "means_equal": audit.means_equal,
-        "prior_dominates_approx": audit.prior_dominates_approx,
-        "truncation_certified": audit.truncation_certified,
-        "deff_exact": tagged(audit.deff_exact, "closed-form"),
-        "deff_approx": tagged(audit.deff_approx, "closed-form"),
+        **_fields(audit, "closed-form", "kl_exact", "kl_approx", "logdet_exact", "logdet_approx"),
+        **_fields(audit, None, "loewner_dominates", "means_equal", "prior_dominates_approx",
+                  "truncation_certified"),
+        **_fields(audit, "closed-form", "deff_exact", "deff_approx"),
     }
     failed = args.require_domination and not audit.loewner_dominates
     return _report(args, config, results, EXIT_CONTRACT if failed else EXIT_OK)
@@ -356,44 +344,31 @@ def _cmd_shrinkage(args) -> tuple[str, int]:
     model = ScalarShrinkageModel(prior=prior, noise_var=args.sigma2, n=args.n)
     summary = random_deff_distribution(model, args.samples, seed, n_threads=args.threads)
     cond = expected_conditional_mi(model, args.samples, seed, n_threads=args.threads)
-    jensen = jensen_bound(model)
     results = {
         "deff_distribution": {
-            "mean": tagged(summary.mean, "mc"),
-            "sd": tagged(summary.sd, "mc"),
+            **_fields(summary, "mc", "mean", "sd"),
             **{
                 f"q{int(round(q * 100)):02d}": tagged(v, "mc")
                 for q, v in summary.quantiles.items()
             },
-            "n_samples": summary.n_samples,
-            "seed": summary.seed,
+            **_fields(summary, None, "n_samples", "seed"),
         },
         "expected_conditional_mi": tagged_mc(cond),
-        "jensen_bound": None if jensen is None else tagged(jensen, "bound"),
+        "jensen_bound": tagged(jensen_bound(model), "bound"),
         "heavy_tail_bound": (
             tagged(heavy_tail_bound(prior.tail_certificate, model.c_snr), "bound")
             if prior.tail_certificate is not None
             else None
         ),
     }
-    config = {
-        **_prior_config(args),
-        "sigma2": args.sigma2,
-        "n": args.n,
-        "samples": args.samples,
-        "seed": seed,
-    }
+    config = {**_prior_config(args), **_given(args, "sigma2", "n", "samples"), "seed": seed}
     if args.decompose:
         chain = chain_decomposition(
             model, args.samples, args.inner_samples, seed, n_threads=args.threads
         )
-        results["chain"] = {
-            "i_theta_y": tagged_mc(chain.i_theta_y),
-            "i_lambda_y": tagged_mc(chain.i_lambda_y),
-            "e_cond_mi": tagged_mc(chain.e_cond_mi),
-            "bound_satisfied": chain.bound_satisfied,
-        }
-        config["inner_samples"] = args.inner_samples
+        results["chain"] = {**_fields(chain, "mc", "i_theta_y", "i_lambda_y", "e_cond_mi"),
+                            **_fields(chain, None, "bound_satisfied")}
+        config.update(_given(args, "inner_samples"))
     return _report(args, config, results)
 
 
@@ -407,16 +382,14 @@ def _cmd_oracle(args) -> tuple[str, int]:
             noise_cov=read_matrix_csv(args.noise_cov),
         )
         est = estimate_channel_mi(channel, args.samples, seed, n_threads=args.threads)
-        config = {"kind": args.kind, "a": args.a, "prior_cov": args.prior_cov,
-                  "noise_cov": args.noise_cov, "samples": args.samples, "seed": seed}
+        config = _given(args, "kind", "a", "prior_cov", "noise_cov", "samples")
     elif args.kind == "gaussian-kl":
         _require(args, "--kind gaussian-kl", ("mean", "cov", "prior_cov"))
         q = GaussianDistribution(mean=read_vector_csv(args.mean), cov=read_matrix_csv(args.cov))
         est = estimate_gaussian_kl(
             q, read_matrix_csv(args.prior_cov), args.samples, seed, n_threads=args.threads
         )
-        config = {"kind": args.kind, "mean": args.mean, "cov": args.cov,
-                  "prior_cov": args.prior_cov, "samples": args.samples, "seed": seed}
+        config = _given(args, "kind", "mean", "cov", "prior_cov", "samples")
     else:
         _require(args, "--kind mixture-mi", ("prior",))
         model = ScalarShrinkageModel(
@@ -425,10 +398,9 @@ def _cmd_oracle(args) -> tuple[str, int]:
         est = estimate_mixture_marginal_mi(
             model, args.samples, args.inner_samples, seed, n_threads=args.threads
         )
-        config = {"kind": args.kind, **_prior_config(args), "sigma2": args.sigma2,
-                  "n": args.n, "samples": args.samples,
-                  "inner_samples": args.inner_samples, "seed": seed}
-    return _report(args, config, {"estimate": tagged_mc(est)})
+        config = {**_given(args, "kind"), **_prior_config(args),
+                  **_given(args, "sigma2", "n", "samples", "inner_samples")}
+    return _report(args, {**config, "seed": seed}, {"estimate": tagged_mc(est)})
 
 
 COMMANDS = {

@@ -125,10 +125,6 @@ def _csv_lines(matrix: np.ndarray):
     return (row % tuple(values.tolist()) for values in matrix)
 
 
-def matrix_to_csv(matrix: np.ndarray) -> str:
-    return "".join(_csv_lines(matrix))
-
-
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     lines = _csv_lines(matrix)  # a non-finite entry raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
@@ -181,12 +177,14 @@ def render_report(report: dict) -> str:
 
 
 def tagged(value, path: str):
-    """Wrap a numeric result with its computation-path tag.
+    """Wrap a numeric result with its computation-path tag; None stays None.
 
     ``path`` is one of "closed-form", "mc", or "bound".
     """
     if path not in ("closed-form", "mc", "bound"):
         raise ValueError(f"unknown computation path {path!r}")
+    if value is None:
+        return None
     if isinstance(value, np.ndarray):
         value = [float(v) for v in value]
     return {"value": value, "path": path}

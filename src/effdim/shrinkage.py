@@ -41,7 +41,9 @@ from .priors import (
 )
 from .sampling import FLAT_BLOCK, STREAM_COND_MI, STREAM_DEFF_DIST, MomentAccumulator
 
-# not called here: bench/tracing.py patches these names on this module
+# not called here: bench/tracing.py patches these names on this module, but
+# this module's Monte Carlo runs through oracle.seeded_blocks and block_mean,
+# which look them up in oracle, so the spans patched here never fire
 from .sampling import block_rng, map_blocks, reduce_moments  # noqa: F401
 
 #: Documented bias allowance (nats) for nested log-of-average estimators.

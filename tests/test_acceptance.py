@@ -305,13 +305,16 @@ def test_14_determinism(tmp_path):
 
 
 def test_15_golden_files(tmp_path, monkeypatch):
-    with criterion(15, "four committed fixture configs reproduce committed reports bit-for-bit"):
+    with criterion(15, "every committed fixture config reproduces its committed report "
+                       "bit-for-bit"):
         monkeypatch.chdir(ROOT)
-        for name in ("location", "regression", "shrinkage", "location_oracle"):
-            args = json.loads((GOLDEN / f"{name}.args.json").read_text())
-            expected = (GOLDEN / f"{name}.report.json").read_bytes()
-            actual = _run_cli_bytes(args, tmp_path / f"{name}.json")
-            assert actual == expected, f"golden report {name} drifted"
+        configs = sorted(GOLDEN.glob("*.args.json"))
+        assert len(configs) >= 9
+        for config in configs:
+            name = config.name.removesuffix(".args.json")
+            (report,) = GOLDEN.glob(f"{name}.report.*")
+            actual = _run_cli_bytes(json.loads(config.read_text()), tmp_path / report.name)
+            assert actual == report.read_bytes(), f"golden report {name} drifted"
 
 
 def _nearest_double_bracket(d: float) -> tuple[Fraction, Fraction]:

@@ -115,6 +115,15 @@ SEEDED = [
         MODEL, 10_000, seed=v)),
 ]
 
+# arrays numpy cannot read as real numbers, each refused naming the array
+UNREADABLE = {"ragged": [[1.0, 2.0], [3.0]], "string": ["x"], "dict": {"a": 1.0},
+              "complex": 1j, "object": object()}
+ARRAYS = [
+    ("GaussianChannel", "forward map",
+     lambda v: GaussianChannel(a=v, prior_cov=[[1.0]], noise_cov=[[1.0]])),
+    ("ridge_df", "squared singular values", lambda v: ridge_df(v, 1.0)),
+]
+
 REFUSALS = [
     pytest.param(build, parameter, value,
                  id=f"{site}-{parameter}-{'10**400' if value == 10**400 else repr(value)}")
@@ -125,6 +134,10 @@ REFUSALS = [
     pytest.param(build, "seed", value, id=f"{site}-seed-{value!r}")
     for site, build in SEEDED
     for value in (-1, 1.5)
+] + [
+    pytest.param(build, name, value, id=f"{site}-{kind}")
+    for site, name, build in ARRAYS
+    for kind, value in UNREADABLE.items()
 ]
 
 

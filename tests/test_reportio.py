@@ -11,7 +11,6 @@ from effdim import reportio
 from effdim.errors import CsvFormatError, NumericalError
 from effdim.reportio import (
     format_float,
-    matrix_to_csv,
     parse_matrix_csv,
     read_matrix_csv,
     render_report,
@@ -39,11 +38,11 @@ class TestFloatRendering:
 
 
 class TestMatrixCsv:
-    def test_round_trip_identity(self):
+    def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(1)
         m = rng.standard_normal((5, 3)) * 10.0 ** rng.integers(-8, 8, size=(5, 3))
-        again = parse_matrix_csv(matrix_to_csv(m))
-        np.testing.assert_array_equal(again, m)
+        write_matrix_csv(tmp_path / "m.csv", m)
+        np.testing.assert_array_equal(read_matrix_csv(tmp_path / "m.csv"), m)
 
     def test_header_detection(self):
         text = "x1,x2\n1.0,2.0\n3.0,4.0\n"
@@ -87,35 +86,37 @@ class TestMatrixCsv:
             parse_matrix_csv("only,header\n")
 
 
+def _written(tmp_path, matrix) -> bytes:
+    write_matrix_csv(tmp_path / "m.csv", matrix)
+    return (tmp_path / "m.csv").read_bytes()
+
+
 class TestMatrixCsvWriter:
-    def test_rows_match_per_cell_rendering(self):
+    def test_rows_match_per_cell_rendering(self, tmp_path):
         rng = np.random.default_rng(4)
         extremes = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e17, 1 / 3]
         m = rng.standard_normal(4000) * 10.0 ** rng.integers(-300, 301, size=4000)
         m = np.concatenate([m, extremes * 4]).reshape(-1, 8)
         expected = "\n".join(",".join(format_float(x) for x in row) for row in m) + "\n"
-        assert matrix_to_csv(m) == expected
+        assert _written(tmp_path, m) == expected.encode()
 
     @pytest.mark.parametrize("matrix, first", [
         (np.array([[1.0, np.inf], [np.nan, 2.0]]), np.inf),
         (np.asfortranarray([[1.0, -np.inf], [np.nan, 2.0]]), -np.inf),
         (np.array([3.0, np.nan, np.inf]), np.nan),
     ])
-    def test_first_non_finite_in_row_major_order_is_named(self, matrix, first):
+    def test_first_non_finite_in_row_major_order_is_named(self, tmp_path, matrix, first):
         with pytest.raises(NumericalError) as expected:
             format_float(np.float64(first))
         with pytest.raises(NumericalError) as info:
-            matrix_to_csv(matrix)
+            write_matrix_csv(tmp_path / "m.csv", matrix)
         assert str(info.value) == str(expected.value)
 
-    def test_empty_shapes(self):
-        assert matrix_to_csv(np.zeros((0, 3))) == ""
-        assert matrix_to_csv(np.zeros((2, 0))) == "\n\n"
+    def test_empty_shapes(self, tmp_path):
+        assert _written(tmp_path, np.zeros((0, 3))) == b""
+        assert _written(tmp_path, np.zeros((2, 0))) == b"\n\n"
 
-    def test_file_equals_text_and_non_finite_leaves_no_file(self, tmp_path):
-        m = np.random.default_rng(5).standard_normal((30, 7))
-        write_matrix_csv(tmp_path / "m.csv", m)
-        assert (tmp_path / "m.csv").read_bytes() == matrix_to_csv(m).encode()
+    def test_non_finite_leaves_no_file(self, tmp_path):
         with pytest.raises(NumericalError):
             write_matrix_csv(tmp_path / "bad.csv", [[1.0, np.nan]])
         assert not (tmp_path / "bad.csv").exists()
@@ -236,8 +237,12 @@ class TestRenderReport:
         assert parsed["s"]["value"] == [1.5, 2.5]
 
     def test_unknown_path_rejected(self):
-        with pytest.raises(ValueError):
-            tagged(1.0, "guesswork")
+        for value in (1.0, None):
+            with pytest.raises(ValueError):
+                tagged(value, "guesswork")
+
+    def test_none_stays_none(self):
+        assert tagged(None, "bound") is None
 
     def test_unrenderable_type_rejected(self):
         with pytest.raises(TypeError):
