@@ -30,7 +30,6 @@ from .dimension import (
 )
 from .errors import EffdimError, InputError, NumericalError
 from .oracle import (
-    McEstimate,
     estimate_channel_mi,
     estimate_gaussian_kl,
     estimate_mixture_marginal_mi,
@@ -203,22 +202,14 @@ def _build_prior(args):
     return build(args)
 
 
-def _given(args, *dests) -> dict:
-    """The parsed arguments ``dests``, as config entries under their own names."""
-    return {dest: getattr(args, dest) for dest in dests}
+def _given(obj, *names) -> dict:
+    """The attributes ``names`` of parsed arguments or a library result, under their own names."""
+    return {name: getattr(obj, name) for name in names}
 
 
 def _fields(result, path, *names) -> dict:
-    """The fields ``names`` of a library result, as results under their own names.
-
-    Each is tagged with ``path``, a Monte Carlo estimate with its uncertainty;
-    with ``path`` None (the flags) each is recorded as it is.
-    """
-    values = {name: getattr(result, name) for name in names}
-    if path is None:
-        return values
-    return {name: tagged_mc(value) if isinstance(value, McEstimate) else tagged(value, path)
-            for name, value in values.items()}
+    """The fields ``names`` of a library result, tagged with ``path``, under their own names."""
+    return {name: tagged(value, path) for name, value in _given(result, *names).items()}
 
 
 def _prior_config(args) -> dict:
@@ -330,8 +321,8 @@ def _cmd_approx(args) -> tuple[str, int]:
                     "n", "require_domination")
     results = {
         **_fields(audit, "closed-form", "kl_exact", "kl_approx", "logdet_exact", "logdet_approx"),
-        **_fields(audit, None, "loewner_dominates", "means_equal", "prior_dominates_approx",
-                  "truncation_certified"),
+        **_given(audit, "loewner_dominates", "means_equal", "prior_dominates_approx",
+                 "truncation_certified"),
         **_fields(audit, "closed-form", "deff_exact", "deff_approx"),
     }
     failed = args.require_domination and not audit.loewner_dominates
@@ -351,7 +342,7 @@ def _cmd_shrinkage(args) -> tuple[str, int]:
                 f"q{int(round(q * 100)):02d}": tagged(v, "mc")
                 for q, v in summary.quantiles.items()
             },
-            **_fields(summary, None, "n_samples", "seed"),
+            **_given(summary, "n_samples", "seed"),
         },
         "expected_conditional_mi": tagged_mc(cond),
         "jensen_bound": tagged(jensen_bound(model), "bound"),
@@ -366,8 +357,11 @@ def _cmd_shrinkage(args) -> tuple[str, int]:
         chain = chain_decomposition(
             model, args.samples, args.inner_samples, seed, n_threads=args.threads
         )
-        results["chain"] = {**_fields(chain, "mc", "i_theta_y", "i_lambda_y", "e_cond_mi"),
-                            **_fields(chain, None, "bound_satisfied")}
+        results["chain"] = {
+            **{name: tagged_mc(getattr(chain, name))
+               for name in ("i_theta_y", "i_lambda_y", "e_cond_mi")},
+            "bound_satisfied": chain.bound_satisfied,
+        }
         config.update(_given(args, "inner_samples"))
     return _report(args, config, results)
 

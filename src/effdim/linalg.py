@@ -28,7 +28,10 @@ INVERT_LEAF = 32
 def as_array(m, name: str = "matrix", ndim: int = 2, nonnegative: bool = False) -> np.ndarray:
     """Copy input to a finite float array with ``ndim`` axes, >= 0 if ``nonnegative``."""
     try:
-        arr = np.array(m, dtype=float, ndmin=1 if ndim == 1 else 0)
+        arr = np.asarray(m)
+        if arr.dtype.kind in "cSU":  # numpy would drop an imaginary part or parse text
+            raise TypeError(f"dtype {arr.dtype}")
+        arr = np.array(arr, dtype=float, ndmin=1 if ndim == 1 else 0)
     except (TypeError, ValueError) as exc:  # ragged, or an entry that is no real number
         raise InputError(f"{name} is not an array of real numbers: {exc}") from None
     if arr.ndim != ndim:

@@ -117,7 +117,8 @@ SEEDED = [
 
 # arrays numpy cannot read as real numbers, each refused naming the array
 UNREADABLE = {"ragged": [[1.0, 2.0], [3.0]], "string": ["x"], "dict": {"a": 1.0},
-              "complex": 1j, "object": object()}
+              "complex": 1j, "object": object(), "numeric-string": ["3.5"],
+              "numpy-complex": np.array([[1 + 5j]])}
 ARRAYS = [
     ("GaussianChannel", "forward map",
      lambda v: GaussianChannel(a=v, prior_cov=[[1.0]], noise_cov=[[1.0]])),
