@@ -42,7 +42,7 @@ class ShrinkagePrior:
     second_moment: float = math.inf
     tail_certificate: TailCertificate | None = None
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    def sample(self, rng: "np.random.Generator", size: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -85,7 +85,8 @@ class InverseGammaMixture(ShrinkagePrior):
     def sample(self, rng, size):
         g = rng.gamma(shape=0.5 * self.dof, scale=1.0, size=size)
         with np.errstate(over="ignore"):
-            lam = np.sqrt(0.5 * self.dof * self.scale_sq / g)
+            lam = np.divide(0.5 * self.dof * self.scale_sq, g)
+            np.sqrt(lam, out=lam)
         if math.isinf(lam.max(initial=0.0)):  # the square overflowed; its root may not
             big = np.isinf(lam)
             lam[big] = math.sqrt(0.5 * self.dof * self.scale_sq) / np.sqrt(g[big])

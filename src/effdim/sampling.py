@@ -17,13 +17,12 @@ in one place, ``oracle.seeded_blocks``, which alone calls ``block_sizes``,
 Each block reduces to (count, mean, M2) in two passes: the mean, then the
 centered sum of squares about it. Both sums run in one fixed pairwise-tree
 order written in this module (see ``_tree_sum``), not in the order of numpy's
-reduce kernel, which may change with its build and SIMD width. A block of n
-values takes n/2 extra floats: both trees work in one half-length buffer, and
-the squares enter M2's tree already added in pairs, so no n-sized array of
-squares exists. Blocks combine
-with the standard parallel-variance merge, again in block order, so the
-single-threaded and multi-threaded paths execute the identical float sequence
-on every thread count and platform.
+reduce kernel, which may change with its build and SIMD width. The tree is
+built depth first (see ``_tree_level``), so a block of n values takes
+O(MOMENT_CHUNK * log2(n / MOMENT_CHUNK)) floats of scratch, never a share of
+n. Blocks combine with the standard parallel-variance merge, again in block
+order, so the single-threaded and multi-threaded paths execute the identical
+float sequence on every thread count and platform.
 """
 
 import contextlib
@@ -64,12 +63,12 @@ NESTED_OUTER_BLOCK = 512
 NESTED_TILE_ROWS = 16
 NESTED_INNER_CHUNK = 8192
 
-# Pairs of squares per chunk while ``from_block`` builds M2's first tree
-# level; it bounds that pass's scratch and never changes a result.
+# Widest strip of the depth-first moment tree (``_strip_tree_sum``); it bounds
+# the block reduction's scratch and never changes a result.
 MOMENT_CHUNK = 16384
 
 
-def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
+def block_rng(seed: int, stream: int, block: int) -> "np.random.Generator":
     """Generator for one (stream, block) cell of the master seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, block)))
 
@@ -102,6 +101,40 @@ def _tree_sum(x: np.ndarray, work: np.ndarray) -> float:
     return float(x[0])
 
 
+def _tree_level(leaf, sizes: list[int], k: int, a: int, b: int) -> np.ndarray:
+    """Entries [a, b) of level k of ``_tree_sum``'s tree, evaluated depth first.
+
+    Level 0 is ``leaf(a, b)``; level k has ``sizes[k]`` entries. The adds are
+    ``_tree_sum``'s, operand for operand, but only the ranges on the current
+    path exist, each of at most ``b - a`` floats. It may return a leaf's array.
+    """
+    if k == 0:
+        return leaf(a, b)
+    n = sizes[k - 1]
+    m = n // 2
+    p = min(b, m)
+    if a == p:  # only the odd carry: level k - 1's last entry
+        return _tree_level(leaf, sizes, k - 1, n - 1, n)
+    pairs = np.add(_tree_level(leaf, sizes, k - 1, a, p),
+                   _tree_level(leaf, sizes, k - 1, a + m, p + m))
+    if p == b:
+        return pairs
+    return np.append(pairs, _tree_level(leaf, sizes, k - 1, n - 1, n))
+
+
+def _strip_tree_sum(leaf, n: int) -> float:
+    """``_tree_sum`` of ``leaf(0, n)``, bit for bit, from strips of the leaf.
+
+    Levels are built depth first up to the first of at most ``MOMENT_CHUNK``
+    entries, which ``_tree_sum`` finishes.
+    """
+    sizes = [n]
+    while sizes[-1] > MOMENT_CHUNK:
+        sizes.append((sizes[-1] + 1) // 2)
+    top = _tree_level(leaf, sizes, len(sizes) - 1, 0, sizes[-1])
+    return _tree_sum(top, np.empty((top.size + 1) // 2))
+
+
 @dataclass
 class MomentAccumulator:
     """Count, mean and centered sum of squares (M2) of a sample.
@@ -117,37 +150,27 @@ class MomentAccumulator:
     def from_block(cls, values: np.ndarray) -> "MomentAccumulator":
         """Two-pass block reduction (mean + centered sum of squares).
 
-        Both sums use ``_tree_sum``, so the result is fixed by the values
-        alone, not by numpy's reduction order. Both work in one buffer of
-        ``(n + 1) // 2`` floats, the only scratch of size n/2: M2's first
-        level, ``(v[j] - mean)^2 + (v[j + m] - mean)^2`` plus the odd carry,
-        is written into it chunk by chunk, so the n squares never exist at
-        once. A mean or M2 that is not finite raises NumericalError here,
-        where every Monte Carlo estimate is formed.
+        Both sums follow ``_tree_sum``'s order, so the result is fixed by the
+        values alone, not by numpy's reduction order. ``_strip_tree_sum``
+        builds both trees from strips of the block, ``values[a:b]`` for the
+        mean and ``(values[a:b] - mean)^2`` for M2, so the scratch is a few
+        strips of at most ``MOMENT_CHUNK`` floats per tree level, whatever n
+        is. A mean or M2 that is not finite raises NumericalError here, where
+        every Monte Carlo estimate is formed.
         """
         values = np.asarray(values, dtype=float).ravel()
         n = int(values.size)
         if n == 0:
             return cls()
-        work = np.empty((n + 1) // 2)
-        mean = _tree_sum(values, work) / n
+        mean = _strip_tree_sum(lambda a, b: values[a:b], n) / n
         if not math.isfinite(mean):
             raise NumericalError(f"a Monte Carlo block of {n} values has mean {mean}")
-        m, odd = divmod(n, 2)
-        head = np.empty(min(m, MOMENT_CHUNK))
-        for lo in range(0, m, MOMENT_CHUNK):
-            hi = min(lo + MOMENT_CHUNK, m)
-            first, pair = head[:hi - lo], work[lo:hi]
-            np.subtract(values[m + lo:m + hi], mean, out=pair)
-            pair *= pair
-            np.subtract(values[lo:hi], mean, out=first)
-            first *= first
-            np.add(first, pair, out=pair)
-        if odd:
-            carry = work[m:]
-            np.subtract(values[n - 1:], mean, out=carry)
-            carry *= carry
-        m2 = _tree_sum(work, work)
+
+        def squares(a, b):
+            deviation = values[a:b] - mean
+            return np.multiply(deviation, deviation, out=deviation)
+
+        m2 = _strip_tree_sum(squares, n)
         if not math.isfinite(m2):
             raise NumericalError(f"a Monte Carlo block of {n} values has M2 {m2}")
         return cls(count=n, mean=mean, m2=m2)

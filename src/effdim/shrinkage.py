@@ -227,8 +227,8 @@ def random_deff_distribution(
     with the mean, standard deviation, and nearest-rank quantiles (rank
     ceil(q*N) of the sorted sample, a deterministic convention). The sample
     lives in one buffer of ``samples`` floats: each seeded block fills its own
-    slice, the moments take n/2 floats of scratch on top, and the quantiles
-    come from sorting the buffer in place.
+    slice, the moments take a few strips of scratch per tree level on top,
+    and the quantiles come from sorting the buffer in place.
     """
     require_samples("distribution summary", MIN_DISTRIBUTION_SAMPLES, samples=samples)
     require_sample_size(m.n)

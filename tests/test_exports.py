@@ -36,6 +36,16 @@ except ModuleNotFoundError as exc:
     print(exc.name)
 """
 
+# the CLI's import leaves numpy's random package unloaded; sampling loads it
+CLI_WITHOUT_RANDOM = """
+import sys
+import effdim.cli
+assert "numpy.random" not in sys.modules
+from effdim import GaussianChannel, estimate_channel_mi
+channel = GaussianChannel(a=[[1.0, 0.5]], prior_cov=[[1.0, 0.0], [0.0, 2.0]], noise_cov=[[0.5]])
+print(estimate_channel_mi(channel, 10_000, seed=3).estimate.hex())
+"""
+
 
 class TestExportTable:
     def test_all_is_the_sorted_table(self):
@@ -73,6 +83,12 @@ class TestExportTable:
 
     def test_missing_numpy_surfaces_as_itself(self):
         assert run_fresh(WITHOUT_NUMPY) == "numpy\n"
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        channel = effdim.GaussianChannel(a=[[1.0, 0.5]], prior_cov=[[1.0, 0.0], [0.0, 2.0]],
+                                         noise_cov=[[0.5]])
+        expected = effdim.estimate_channel_mi(channel, 10_000, seed=3).estimate.hex()
+        assert run_fresh(CLI_WITHOUT_RANDOM) == expected + "\n"
 
 
 def _unread_imports(path: Path) -> list[str]:

@@ -14,6 +14,7 @@ from effdim.sampling import (
     FLAT_BLOCK,
     MOMENT_CHUNK,
     MomentAccumulator,
+    _strip_tree_sum,
     _tree_sum,
     block_rng,
     block_sizes,
@@ -304,3 +305,48 @@ class TestHalfBufferM2:
             tracemalloc.stop()
         # the two-pass reference peaks at 1.00x
         assert peak <= 0.65 * values.nbytes
+
+
+def value_families(n: int):
+    """``TestHalfBufferM2``'s three families of n values, made one at a time."""
+    rng = np.random.default_rng(n)
+    wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-60.0, 60.0, n)
+    yield rng.standard_normal(n) + 1e3
+    yield wide
+    yield np.abs(wide)
+
+
+class TestDepthFirstTree:
+    """The depth-first tree of ``from_block`` against the in-place ``_tree_sum``."""
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_every_short_length_at_narrow_strips(self, chunk):
+        rng = np.random.default_rng(chunk)
+        with mock.patch.object(sampling, "MOMENT_CHUNK", chunk):
+            for n in range(1, 301):
+                values = rng.standard_normal(n) * 10.0 ** rng.uniform(-20.0, 20.0, n)
+                got = _strip_tree_sum(lambda a, b: values[a:b], n)
+                assert got.hex() == _tree_sum(values.copy(), values.copy()).hex(), n
+
+    @pytest.mark.parametrize("n", [
+        *(MOMENT_CHUNK * 2**k + d for k in range(4) for d in (-1, 1)),
+        3 * MOMENT_CHUNK + 1,
+        10_000_019,
+    ])
+    def test_strip_levels_and_odd_carries(self, n):
+        for values in value_families(n):
+            got = outcome(MomentAccumulator.from_block, values)
+            assert got == outcome(two_pass_from_block, values)
+            assert got[0] == n
+
+    @pytest.mark.parametrize("n", [2_000_000, 8_000_000])
+    def test_scratch_does_not_grow_with_the_block(self, n):
+        values = np.random.default_rng(9).standard_normal(n)
+        tracemalloc.start()
+        try:
+            MomentAccumulator.from_block(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a few strips of MOMENT_CHUNK floats per tree level, not a share of n
+        assert peak < 4 * 2**20

@@ -489,3 +489,16 @@ class TestRandomDeffDistribution:
             tracemalloc.stop()
         # joined blocks, an array of squares and a sorted copy peak at 2.00x
         assert peak <= 1.65 * 8 * samples
+
+    def test_peak_memory_is_the_sample(self):
+        m = ScalarShrinkageModel(prior=InverseGammaMixture(dof=3.0), noise_var=1.0, n=100)
+        samples = 2_000_000
+        tracemalloc.start()
+        try:
+            random_deff_distribution(m, samples, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the moments' scratch is strip-sized (a half-length buffer read 1.51x);
+        # two threads read up to 1.14x, with two blocks' prior draws alive at once
+        assert peak <= 1.1 * 8 * samples
