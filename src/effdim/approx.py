@@ -164,7 +164,7 @@ def conjugate_regression_info(model: RidgeModel) -> float:
     require_positive(prior_var=model.prior_var)
     x = model.design
     precision = np.eye(x.shape[1]) + model.snr_ratio * (x.T @ x)
-    lower = linalg.cholesky_lower(0.5 * (precision + precision.T), "posterior precision")
+    lower = linalg.cholesky_lower(linalg.average_transpose(precision), "posterior precision")
     return max(0.5 * linalg.logdet_from_cholesky(lower), 0.0)
 
 

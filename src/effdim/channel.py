@@ -100,8 +100,7 @@ class GaussianChannel:
         with np.errstate(over="ignore", invalid="ignore"):  # cholesky_lower refuses inf
             total = self.a @ self.prior_cov @ self.a.T
             total += self.noise_cov
-            total = total + total.T
-            total *= 0.5
+            linalg.average_transpose(total)
         lower = linalg.cholesky_lower(total, "output covariance")
         lower.flags.writeable = False
         return lower
@@ -209,7 +208,7 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
             f"parameter form cannot resolve the unit directions: eps*|W|_F^2 = "
             f"{rounding:.3e} exceeds {PARAMETER_ROUTE_TOL:g}"
         )
-    m = np.eye(ch.dim) + 0.5 * (gram + gram.T)
+    m = np.eye(ch.dim) + linalg.average_transpose(gram)
     sign, logdet = np.linalg.slogdet(m)
     if sign <= 0:
         raise NumericalError("parameter-form determinant is not positive")
@@ -270,8 +269,7 @@ def reparameterize(ch: GaussianChannel, t) -> GaussianChannel:
         # GaussianChannel refuses asymmetry above 1e-12 of the largest entry, and
         # the product's rounding asymmetry grows with T's condition number
         # (whitening an ill-conditioned S gives about eps * cond(S))
-        prior_new = t @ ch.prior_cov @ t.T
-        prior_new = 0.5 * (prior_new + prior_new.T)
+        prior_new = linalg.average_transpose(t @ ch.prior_cov @ t.T)
     for name, m in (("forward map A T^-1", a_new), ("prior covariance T S T^T", prior_new)):
         if not np.isfinite(m).all():
             raise NumericalError(f"reparameterized {name} overflows the float range")

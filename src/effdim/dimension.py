@@ -201,11 +201,7 @@ def info_effective_rank(singular_values_sq, snr: float) -> float:
     if s_sq.size == 0:
         raise EmptySpectrum("information effective rank needs at least one positive mode")
     require_positive(snr=snr)
-    with np.errstate(over="ignore"):
-        weights = np.log1p(snr * s_sq)
-    if math.isinf(weights[0]):  # log snr + log s_j^2 where the product overflows
-        big = np.isinf(weights)
-        weights[big] = math.log(snr) + np.log(s_sq[big])
+    weights = linalg.log1p_product(snr, s_sq)
     if weights[0] == 0.0:
         # snr * s_1^2 underflows to 0: the ratio's small-SNR limit
         return float(np.sum(s_sq) / s_sq[0])

@@ -6,7 +6,14 @@ enforces (or rejects) symmetry once, factors by Cholesky and reads
 log-determinants off triangular factors, never forming a density or
 determinant in non-log space. Everything runs on ``numpy.linalg``; non-finite
 entries are rejected before they reach LAPACK, which would pass them through.
+
+The module also owns the library's two float-range rules, each written once:
+every symmetric average (M + M^T)/2 is ``average_transpose``, which halves
+before it adds, and every log1p of a product that may overflow is
+``log1p_product``.
 """
+
+import math
 
 import numpy as np
 
@@ -48,7 +55,8 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
 
     The tolerance is relative: max|M - M^T| <= SYMMETRY_RTOL * max|M|.
     An exactly zero matrix passes trivially. Besides the copy it returns, one
-    matrix-sized buffer holds |M|, then |M - M^T|, then M^T / 2.
+    matrix-sized buffer holds |M|, then |M - M^T|; it is released before
+    ``average_transpose`` takes its own.
     """
     arr = as_array(m, name)
     if arr.shape[0] != arr.shape[1]:
@@ -60,11 +68,42 @@ def symmetrize(m, name: str = "matrix") -> np.ndarray:
         raise AsymmetricMatrix(
             f"{name} asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:g} * {scale:.3e}"
         )
-    # halved before the add, so finite entries near the float maximum stay finite
-    np.multiply(arr.T, 0.5, out=work)
-    arr *= 0.5
-    arr += work
-    return arr
+    del work
+    return average_transpose(arr)
+
+
+def average_transpose(m: np.ndarray) -> np.ndarray:
+    """Overwrite the square ``m`` with (M + M^T)/2 and return it.
+
+    Each half is taken before the add, so finite entries near the float
+    maximum stay finite; this equals 0.5 * (M + M^T) bit for bit wherever
+    that sum is finite and no entry is below 2^-1021. One matrix-sized
+    buffer holds M^T / 2.
+    """
+    half_t = np.multiply(m.T, 0.5, out=np.empty_like(m))
+    m *= 0.5
+    m += half_t
+    return m
+
+
+def log1p_product(scale: float, *factors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """log1p(scale * prod factors), or log scale + sum log factors where the product overflows.
+
+    ``scale`` is a finite float and the factors are arrays of one shape with
+    finite entries, multiplied left to right (into ``out`` if given). Every
+    finite product keeps the bits of ``np.log1p`` of it. Where it overflows,
+    the logs of the factors are summed from zero and then added to
+    ``math.log(scale)``, so two equal factors give exactly 2 log f.
+    """
+    with np.errstate(over="ignore"):
+        u = np.multiply(scale, factors[0], out=out)
+        for f in factors[1:]:
+            u *= f
+        np.log1p(u, out=u)
+    if math.isinf(u.max(initial=0.0)):  # no mask is built for a block without overflow
+        big = np.isinf(u)
+        u[big] = math.log(scale) + sum(np.log(f[big]) for f in factors)
+    return u
 
 
 def cholesky_lower(m: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -119,8 +158,7 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """
     w, v = np.linalg.eigh(m)
     w = np.clip(w, 0.0, None)
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    return average_transpose((v * np.sqrt(w)) @ v.T)
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -264,6 +264,11 @@ def _nested_mixture_pass(
       t2 = log p(y | lam)   - log phat(y)   -> information about the scale
       t3 = 1/2 log1p(c lam^2)               -> conditional information
 
+    y = theta + sqrt(noise_var / n) z, and p(y | theta) is read off the drawn
+    noise normal z as its own whitened draw, log p(y | theta) =
+    -1/2 log(2 pi noise_var / n) - z^2 / 2, as in ``_gaussian_log_ratio``;
+    recomputing the noise as y - theta would cancel once |theta| is far above
+    the noise scale. t3 is ``linalg.log1p_product``, so c lam^2 may overflow.
     phat is the same inner mixture average in t1 and t2, so the estimators
     share its bias and the chain-rule comparison cancels it exactly. The
     inner scales are sorted once after their draw, which only speeds up the
@@ -273,7 +278,6 @@ def _nested_mixture_pass(
     require_samples("nested estimator", MIN_ORACLE_SAMPLES,
                     samples=outer_samples, inner_samples=inner_samples)
     obs_var = m.obs_var
-    c_snr = m.c_snr
     inner_lam = np.empty(inner_samples)
 
     def draw_scales(rng, dest):
@@ -292,17 +296,17 @@ def _nested_mixture_pass(
     def worker(rng, nb):
         lam = m.prior.sample(rng, nb)
         theta = lam * rng.standard_normal(nb)
-        y = theta + obs_sd * rng.standard_normal(nb)
-        log_cond_theta = log_norm_cond - 0.5 * (y - theta) ** 2 / obs_var
+        z = rng.standard_normal(nb)
+        y = theta + obs_sd * z
         # same expression shape as the mixture components, so that a
         # deterministic scale yields log_cond_lam == log_marginal bit for bit
         lam_var = lam * lam + obs_var
         log_cond_lam = y * y * (-0.5 / lam_var) + (-0.5 * np.log(2.0 * math.pi * lam_var))
         log_marginal = _log_mixture_marginal(y, neg_half_prec, log_norm)
         return (
-            MomentAccumulator.from_block(log_cond_theta - log_marginal),
+            MomentAccumulator.from_block(log_norm_cond - 0.5 * z * z - log_marginal),
             MomentAccumulator.from_block(log_cond_lam - log_marginal),
-            MomentAccumulator.from_block(0.5 * np.log1p(c_snr * lam * lam)),
+            MomentAccumulator.from_block(0.5 * linalg.log1p_product(m.c_snr, lam, lam)),
         )
 
     with _one_blas_thread():

@@ -104,17 +104,6 @@ def _log1p_product(*factors: float) -> float:
     return math.fsum(map(math.log, factors)) if math.isinf(product) else math.log1p(product)
 
 
-def _log1p_c_lam_sq(c: float, lam: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """log1p(c * lam * lam), or log c + 2 log lam where the product overflows."""
-    u = np.multiply(c, lam, out=out)  # the seeded blocks' error state hides an overflow
-    u *= lam
-    np.log1p(u, out=u)
-    if math.isinf(u.max(initial=0.0)):  # no mask is built for a block without overflow
-        big = np.isinf(u)
-        u[big] = math.log(c) + 2.0 * np.log(lam[big])  # every finite product keeps its bits
-    return u
-
-
 def expected_conditional_mi(
     m: ScalarShrinkageModel, samples: int, seed: int, n_threads: int = 1
 ) -> McEstimate:
@@ -130,7 +119,8 @@ def expected_conditional_mi(
         return McEstimate(estimate=exact, std_error=0.0, n_samples=samples, seed=seed)
 
     def values(rng, size):
-        return 0.5 * _log1p_c_lam_sq(m.c_snr, m.prior.sample(rng, size))
+        lam = m.prior.sample(rng, size)
+        return 0.5 * linalg.log1p_product(m.c_snr, lam, lam)
 
     return block_mean(values, samples, seed, STREAM_COND_MI, n_threads)
 
@@ -245,7 +235,8 @@ def random_deff_distribution(
     log_n = math.log(m.n)
 
     def fill(rng, dest):
-        _log1p_c_lam_sq(m.c_snr, m.prior.sample(rng, dest.size), out=dest)
+        lam = m.prior.sample(rng, dest.size)
+        linalg.log1p_product(m.c_snr, lam, lam, out=dest)
         dest /= log_n
 
     values = np.empty(samples)
