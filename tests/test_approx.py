@@ -119,6 +119,11 @@ class TestConjugateRegressionInfo:
         assert math.isfinite(info)
         assert info == pytest.approx(regression_mi(model), abs=1e-12)
 
+    def test_precision_near_the_float_maximum(self):
+        # X^T X = 1e308 + 1 is a float; twice it, the sum with its transpose, is not
+        model = RidgeModel(design=np.array([[1e154], [1.0]]), noise_var=1.0, prior_var=1.0)
+        assert conjugate_regression_info(model) == pytest.approx(regression_mi(model), rel=1e-15)
+
     def test_zero_prior_rejected(self):
         model = RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)
         with pytest.raises(ValueError):

@@ -167,8 +167,11 @@ class TestSymmetrize:
         assert not np.array_equal(m, m.T)
         assert linalg.symmetrize(m).tobytes() == (0.5 * m + 0.5 * m.T).tobytes()
 
-    def test_peak_memory_is_one_buffer_besides_the_result(self):
-        m = self.nearly_symmetric(500)
+    @pytest.mark.parametrize("size", [500, 2000])
+    def test_peak_memory_is_one_buffer_besides_the_result(self, size):
+        # the check's buffer is released before the average takes its own;
+        # 128 KiB covers the reductions' scratch
+        m = self.nearly_symmetric(size)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -177,7 +180,7 @@ class TestSymmetrize:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - before <= 2.2 * m.nbytes
+        assert peak - before <= 2 * m.nbytes + 2**17
 
 
 class TestWhitenedSpectrum:
@@ -343,6 +346,31 @@ class TestMutualInformation:
             np.testing.assert_allclose(
                 mutual_information(ch), 0.5 * logdet, rtol=1e-9, atol=1e-12
             )
+
+
+class TestNearTheFloatMaximum:
+    """S = diag(1.5e308, 1): A S A^T + N is a float, its sum with its own transpose is not."""
+
+    CLOSED_FORM = 0.5 * (math.log1p(1.5e308) + math.log(2.0))
+
+    @staticmethod
+    def channel() -> GaussianChannel:
+        return GaussianChannel(a=np.eye(2), prior_cov=np.diag([1.5e308, 1.0]),
+                               noise_cov=np.eye(2))
+
+    def test_observation_route_matches_the_closed_form(self):
+        assert mutual_information(self.channel(), "observation") == pytest.approx(
+            self.CLOSED_FORM, rel=1e-15)
+
+    def test_channel_oracle_covers_the_closed_form(self):
+        est = estimate_channel_mi(self.channel(), 20_000, seed=1)
+        assert abs(est.estimate - self.CLOSED_FORM) <= 3.0 * est.std_error
+
+    def test_reparameterize_by_the_identity_keeps_the_channel(self):
+        ch = self.channel()
+        out = reparameterize(ch, np.eye(2))
+        np.testing.assert_array_equal(out.prior_cov, ch.prior_cov)
+        assert mutual_information(out, "observation") == mutual_information(ch, "observation")
 
 
 class TestSylvesterIdentity:

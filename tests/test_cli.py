@@ -400,6 +400,20 @@ class TestShrinkage:
         standard_error = summary["sd"]["value"] / math.sqrt(summary["n_samples"])
         assert abs(summary["mean"]["value"] - mean) <= 5.0 * standard_error
 
+    def test_nested_runs_where_snr_times_scale_squared_overflows(self, capsys):
+        # c = 1e8: c lam^2 overflows on about 5% of draws; lam^2 itself, which
+        # the nested kernel cannot yet take past the float range, stays finite
+        # on every draw of this seed
+        common = ["--prior", "half-cauchy", "--tau-g", "1e149", "--sigma2", "1e-6",
+                  "--n", "100", "--samples", "10000", "--inner-samples", "10000", "--seed", "1"]
+        code, out, err = run_cli(["shrinkage", *common, "--decompose"], capsys)
+        assert (code, err) == (0, "")
+        chain = json.loads(out)["results"]["chain"]
+        assert chain["bound_satisfied"] is True
+        code, out, err = run_cli(["oracle", "--kind", "mixture-mi", *common], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["estimate"] == chain["i_theta_y"]
+
     def test_missing_prior_parameter_exits_two(self, capsys):
         code, _, _ = run_cli(
             ["shrinkage", "--prior", "fixed", "--sigma2", "1", "--n", "100",

@@ -1,6 +1,9 @@
-"""``effdim.linalg.solve_lower`` and ``invert_lower`` against scipy's triangular solve."""
+"""``effdim.linalg``: the triangular solves against scipy's, and the two float-range rules."""
 
+import ast
+import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,3 +144,115 @@ class TestInvertLower:
             expected = np.linalg.solve(lower, np.eye(n))
             assert not np.isfinite(expected).all()
             np.testing.assert_array_equal(linalg.invert_lower(lower), expected)
+
+
+class TestAverageTranspose:
+    def test_equals_the_halved_sum_on_normal_range_matrices(self):
+        rng = np.random.default_rng(27)
+        for k in range(200):
+            n = int(rng.integers(1, 40))
+            # entries between about 1e-296 and 1e295: every sum is finite and normal
+            m = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-290, 290)
+            m = np.asfortranarray(m) if k % 2 else m
+            expected = 0.5 * (m + m.T)
+            out = linalg.average_transpose(m)
+            assert out is m
+            assert out.tobytes() == expected.tobytes()
+
+    def test_entries_near_the_float_maximum_stay_finite(self):
+        m = np.array([[1.5e308, 1.7e308], [1.6e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = linalg.average_transpose(m)
+        off = 0.5 * 1.7e308 + 0.5 * 1.6e308
+        np.testing.assert_array_equal(out, [[1.5e308, off], [off, 1.0]])
+
+
+class TestLog1pProduct:
+    """Bit for bit the two array rules it replaced, overflowing entries included."""
+
+    @staticmethod
+    def scale_square_rule(c, lam):
+        # the d_eff summary's and the conditional-MI pass's rule, as it stood
+        with np.errstate(over="ignore"):
+            u = np.multiply(c, lam)
+            u *= lam
+            np.log1p(u, out=u)
+        if math.isinf(u.max(initial=0.0)):
+            big = np.isinf(u)
+            u[big] = math.log(c) + 2.0 * np.log(lam[big])
+        return u
+
+    @staticmethod
+    def effective_rank_rule(snr, s_sq):
+        # info_effective_rank's weights, as they stood; s_sq is nonincreasing
+        with np.errstate(over="ignore"):
+            weights = np.log1p(snr * s_sq)
+        if math.isinf(weights[0]):
+            big = np.isinf(weights)
+            weights[big] = math.log(snr) + np.log(s_sq[big])
+        return weights
+
+    def test_equals_the_scale_square_rule(self):
+        rng = np.random.default_rng(31)
+        overflowed = 0
+        for _ in range(200):
+            c = 10.0 ** rng.uniform(-10, 300)
+            lam = np.abs(rng.standard_cauchy(1000)) * 10.0 ** rng.uniform(-5, 160)
+            expected = self.scale_square_rule(c, lam)
+            assert linalg.log1p_product(c, lam, lam).tobytes() == expected.tobytes()
+            out = np.empty_like(lam)
+            assert linalg.log1p_product(c, lam, lam, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+            with np.errstate(over="ignore"):
+                overflowed += int(np.isinf(c * lam * lam).sum())
+        assert 0 < overflowed < 200 * 1000
+
+    def test_equals_the_effective_rank_rule(self):
+        rng = np.random.default_rng(37)
+        overflowed = 0
+        for _ in range(200):
+            snr = 10.0 ** rng.uniform(-10, 300)
+            s_sq = np.sort(rng.exponential(size=50) * 10.0 ** rng.uniform(-5, 300))[::-1]
+            expected = self.effective_rank_rule(snr, s_sq)
+            assert linalg.log1p_product(snr, s_sq).tobytes() == expected.tobytes()
+            with np.errstate(over="ignore"):
+                overflowed += int(np.isinf(snr * s_sq).sum())
+        assert 0 < overflowed < 200 * 50
+
+
+SRC = Path(linalg.__file__).resolve().parent
+
+
+def _transpose_averages(source: str) -> list[int]:
+    """Lines of ``source`` that add an expression to its own transpose."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            pairs = ((node.left, node.right), (node.right, node.left))
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
+            pairs = ((node.target, node.value),)
+        else:
+            continue
+        if any(isinstance(t, ast.Attribute) and t.attr == "T"
+               and ast.unparse(t.value) == ast.unparse(x) for x, t in pairs):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOneTransposeAverage:
+    """(M + M^T)/2 is written once, in ``linalg.average_transpose``."""
+
+    @pytest.mark.parametrize("source", ["m = 0.5 * (m + m.T)", "m = g.T + g",
+                                        "s = 0.5 * (ch.a @ ch.a.T + (ch.a @ ch.a.T).T)",
+                                        "m += m.T"])
+    def test_the_guard_finds_a_hand_written_average(self, source):
+        assert _transpose_averages(source) == [1]
+
+    def test_the_guard_passes_other_sums(self):
+        assert _transpose_averages("w = a @ b.T + c\nx = m - m.T\ny = m.T @ m") == []
+
+    def test_no_module_writes_its_own(self):
+        found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 for line in _transpose_averages(path.read_text())]
+        assert found == []

@@ -33,7 +33,7 @@ from effdim import (
 from effdim.errors import InputError, InsufficientSamples, NumericalError, SampleSizeTooSmall
 from effdim.oracle import seeded_blocks
 from effdim.sampling import FLAT_BLOCK, STREAM_DEFF_DIST, MomentAccumulator
-from effdim.shrinkage import QUANTILE_LEVELS
+from effdim.shrinkage import NESTED_BIAS_ALLOWANCE, QUANTILE_LEVELS
 
 
 def half_cauchy_log_moment_oracle() -> float:
@@ -288,6 +288,17 @@ class TestChainDecomposition:
         m = ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=10)
         out = chain_decomposition(m, 20_000, 20_000, seed=23, n_threads=2)
         assert out.bound_satisfied
+
+    def test_scales_far_above_the_noise_keep_the_chain_rule(self):
+        # |theta| ~ 1e16 against a noise sd of 0.1: y - theta is lost to
+        # cancellation, so log p(y | theta) must come from the drawn noise
+        m = ScalarShrinkageModel(prior=HalfCauchy(1e16), noise_var=1.0, n=100)
+        out = chain_decomposition(m, 10_000, 10_000, seed=1)
+        pieces = (out.i_theta_y, out.i_lambda_y, out.e_cond_mi)
+        pooled_se = math.sqrt(sum(e.std_error ** 2 for e in pieces))
+        gap = out.i_theta_y.estimate - out.i_lambda_y.estimate - out.e_cond_mi.estimate
+        assert out.bound_satisfied
+        assert abs(gap) <= 3.0 * pooled_se + NESTED_BIAS_ALLOWANCE
 
     def test_minimum_samples(self):
         m = ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=1)
