@@ -107,11 +107,10 @@ def gaussian_kl(q: GaussianDistribution, prior_cov) -> float:
 
 def _factor_prior(prior_cov, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Validated prior covariance of a ``dim``-dimensional posterior, and its factor."""
-    if np.shape(prior_cov) != (dim, dim):
-        raise DimensionMismatch(
-            f"prior covariance has shape {np.shape(prior_cov)}, expected ({dim}, {dim})"
-        )
-    return linalg.factor_covariance(prior_cov, "prior covariance")
+    cov, lower = linalg.factor_covariance(prior_cov, "prior covariance")
+    if cov.shape != (dim, dim):
+        raise DimensionMismatch(f"prior covariance has shape {cov.shape}, expected ({dim}, {dim})")
+    return cov, lower
 
 
 def _kl_to_prior(
@@ -195,12 +194,12 @@ def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray, inverse: np.ndarray) 
     n = whitened.shape[0]
     if n * (n + 1) * UNIT_ROUNDOFF <= LOEWNER_TOL:
         try:  # reads E's lower triangle, as eigvalsh does
-            np.linalg.cholesky(whitened)
+            linalg.cholesky(whitened)
             return True
-        except np.linalg.LinAlgError:
+        except NumericalError:
             pass
     # the 1 is the whitened dominating matrix, the identity
-    eigs = np.linalg.eigvalsh(whitened)
+    eigs = linalg.eigvalsh(whitened)
     return bool(eigs.min() >= -LOEWNER_TOL * (np.abs(eigs).max() + 1.0))
 
 

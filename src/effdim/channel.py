@@ -158,7 +158,7 @@ def whitened_spectrum(ch: GaussianChannel) -> ChannelSpectrum:
         gram = g @ ch.prior_cov @ g.T  # eigvalsh reads one triangle
     if not np.isfinite(gram).all():
         raise NumericalError("whitened signal Gram overflows the float range")
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = linalg.eigvalsh(gram)
     eigs[eigs <= ch.n_obs * np.finfo(float).eps * eigs.max(initial=0.0)] = 0.0
     return ChannelSpectrum(eigenvalues=eigs)
 
@@ -209,7 +209,7 @@ def mutual_information(ch: GaussianChannel, mode: str = "spectral") -> float:
             f"{rounding:.3e} exceeds {PARAMETER_ROUTE_TOL:g}"
         )
     m = np.eye(ch.dim) + linalg.average_transpose(gram)
-    sign, logdet = np.linalg.slogdet(m)
+    sign, logdet = linalg.slogdet(m)
     if sign <= 0:
         raise NumericalError("parameter-form determinant is not positive")
     return max(float(0.5 * logdet), 0.0)
@@ -258,14 +258,14 @@ def reparameterize(ch: GaussianChannel, t) -> GaussianChannel:
         raise DimensionMismatch(
             f"reparameterization must be {ch.dim}x{ch.dim}, got {t.shape}"
         )
-    singular_values = np.linalg.svd(t, compute_uv=False)
+    singular_values = linalg.svd(t, compute_uv=False)
     if singular_values[-1] <= t.shape[0] * np.finfo(float).eps * singular_values[0]:
         raise SingularReparameterization(
             f"transform is singular to working precision "
             f"(smin={singular_values[-1]:.3e}, smax={singular_values[0]:.3e})"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        a_new = np.linalg.solve(t.T, ch.a.T).T  # A T^{-1}, solved as T^T x^T = A^T
+        a_new = linalg.solve(t.T, ch.a.T).T  # A T^{-1}, solved as T^T x^T = A^T
         # GaussianChannel refuses asymmetry above 1e-12 of the largest entry, and
         # the product's rounding asymmetry grows with T's condition number
         # (whitening an ill-conditioned S gives about eps * cond(S))

@@ -436,7 +436,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"effdim: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EffdimError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    except EffdimError as exc:
         print(f"effdim: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     return code

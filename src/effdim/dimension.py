@@ -164,7 +164,7 @@ def design_spectrum(design: np.ndarray) -> ChannelSpectrum:
     depend on the machine's core count.
     """
     with _one_blas_thread():
-        s = np.linalg.svd(linalg.as_array(design, "design"), compute_uv=False)
+        s = linalg.svd(linalg.as_array(design, "design"), compute_uv=False)
     s[s <= max(np.shape(design)) * np.finfo(float).eps * s.max(initial=0.0)] = 0.0
     return ChannelSpectrum(eigenvalues=s * s)
 

@@ -5,11 +5,14 @@ the CLI maps to exit codes. ``InputError`` (exit 2; also a ``ValueError``):
 the caller's input is invalid, including a covariance the caller supplied
 that fails its PD or PSD check (``NotPositiveDefinite``). ``NumericalError``
 (exit 3): a computation on valid input could not complete, such as the
-factorization of an intermediate matrix. Any other exception is a bug.
+factorization of an intermediate matrix; numpy's ``LinAlgError`` is raised
+as one by ``linalg``, the only module that calls ``numpy.linalg``. Any other
+exception is a bug.
 
 Scalars are checked by the ``require_*`` functions below, each refused one
-named with its value; arrays, matrix or vector, are ingested by
-``linalg.as_array``. No numpy here.
+named with its value: a value of the wrong type (a string, a complex number,
+a float count) is refused as an out-of-range one is. Arrays, matrix or
+vector, are ingested by ``linalg.as_array``. No numpy here.
 """
 
 import math
@@ -70,9 +73,9 @@ class CsvFormatError(InputError):
 
 
 def _require(rule: str, holds, values: dict) -> None:
-    """Raise InputError naming the first of ``values`` that is not finite or fails ``holds``."""
+    """Raise InputError naming the first of ``values`` that is no finite real or fails ``holds``."""
     for name, value in values.items():
-        if not (math.isfinite(value) and holds(value)):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)):
             raise InputError(f"{name} must be {rule}, got {value!r}")
 
 
@@ -92,8 +95,9 @@ def require_nonnegative(**values: float) -> None:
 
 
 def require_count(minimum: int, **counts: int) -> None:
-    """Raise InputError naming the first of ``counts`` below ``minimum`` or past float range."""
+    """Raise InputError naming the first count that is no integer >= ``minimum`` in float range."""
     for name, value in counts.items():
+        _require_integer(name, value)
         if value < minimum:
             raise InputError(f"{name} must be >= {minimum}, got {value!r}")
         try:
@@ -104,8 +108,14 @@ def require_count(minimum: int, **counts: int) -> None:
             ) from None
 
 
-def require_sample_size(n: int) -> None:
-    """Raise SampleSizeTooSmall unless n >= 3, as d_eff = 2 * I / log(n) requires."""
+def require_sample_size(n: float) -> None:
+    """Raise SampleSizeTooSmall unless the real n >= 3, as d_eff = 2 * I / log(n) requires.
+
+    n is an effective sample size, so it need not be an integer; a value that
+    is no real number raises InputError.
+    """
+    if not isinstance(n, numbers.Real):
+        raise InputError(f"sample size must be a real number, got {n!r}")
     if n < 3:
         raise SampleSizeTooSmall(f"sample size {n} < 3")
 
@@ -113,10 +123,12 @@ def require_sample_size(n: int) -> None:
 def require_samples(what: str, minimum: int, **counts: int) -> None:
     """Check the sample ``counts`` of the Monte Carlo routine ``what``.
 
-    Raises InsufficientSamples naming the first count below ``minimum``, then
-    InputError naming the first count too large for an array index.
+    Each count in turn raises InputError if it is no integer and
+    InsufficientSamples if it is below ``minimum``; then the first count too
+    large for an array index raises InputError.
     """
     for name, value in counts.items():
+        _require_integer(name, value)
         if value < minimum:
             raise InsufficientSamples(f"{what} needs >= {minimum} {name}, got {value}")
     for name, value in counts.items():
@@ -125,6 +137,12 @@ def require_samples(what: str, minimum: int, **counts: int) -> None:
                 f"{name} is too large for an array index ({len(str(value))} digits, "
                 f"limit {sys.maxsize})"
             )
+
+
+def _require_integer(name: str, value) -> None:
+    """Raise InputError naming ``value`` unless it is an integer (a float count is refused)."""
+    if not isinstance(value, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def require_seed(seed: int) -> None:

@@ -4,8 +4,14 @@ Every array a caller supplies (a scalar is a vector of one entry) enters
 through ``as_array``; all covariance handling goes through this module, which
 enforces (or rejects) symmetry once, factors by Cholesky and reads
 log-determinants off triangular factors, never forming a density or
-determinant in non-log space. Everything runs on ``numpy.linalg``; non-finite
-entries are rejected before they reach LAPACK, which would pass them through.
+determinant in non-log space. Non-finite entries are rejected before they
+reach LAPACK, which would pass them through.
+
+This is the one module that calls ``numpy.linalg``. The rest of the library
+calls its ``cholesky``, ``eigh``, ``eigvalsh``, ``slogdet``, ``solve`` and
+``svd``: numpy's function of that name, looked up on each call, which raises
+NumericalError with numpy's message where numpy raises ``LinAlgError``. No
+``LinAlgError`` leaves this module.
 
 The module also owns the library's two float-range rules, each written once:
 every symmetric average (M + M^T)/2 is ``average_transpose``, which halves
@@ -106,6 +112,20 @@ def log1p_product(scale: float, *factors: np.ndarray, out: np.ndarray | None = N
     return u
 
 
+def _lapack(name: str):
+    """``numpy.linalg.<name>``, looked up per call; its LinAlgError becomes NumericalError."""
+    def call(*args, **kwargs):
+        try:
+            return getattr(np.linalg, name)(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(str(exc)) from exc
+    return call
+
+
+cholesky, eigh, eigvalsh, slogdet, solve, svd = map(
+    _lapack, ("cholesky", "eigh", "eigvalsh", "slogdet", "solve", "svd"))
+
+
 def cholesky_lower(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """Lower Cholesky factor of a matrix the library formed.
 
@@ -115,8 +135,8 @@ def cholesky_lower(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericalError(f"{name} has non-finite entries")
     try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
+        return cholesky(m)
+    except NumericalError as exc:
         raise NumericalError(f"{name} is not positive definite: {exc}") from exc
 
 
@@ -143,7 +163,7 @@ def validate_psd(m: np.ndarray, name: str = "matrix") -> None:
     Eigenvalues more negative than -1e-8 * max_eig are rejected; smaller
     negative values are floating-point noise.
     """
-    eigs = np.linalg.eigvalsh(m)
+    eigs = eigvalsh(m)
     if float(eigs[0]) < -1e-8 * max(float(eigs[-1]), 0.0):
         raise NotPositiveDefinite(
             f"{name} has eigenvalue {eigs[0]:.3e} below the PSD tolerance"
@@ -156,14 +176,14 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     Slightly negative eigenvalues (within the PSD tolerance) are clipped to
     zero, so a zero matrix maps to an exactly zero square root.
     """
-    w, v = np.linalg.eigh(m)
+    w, v = eigh(m)
     w = np.clip(w, 0.0, None)
     return average_transpose((v * np.sqrt(w)) @ v.T)
 
 
 def solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b for lower-triangular L and a dense right-hand side b."""
-    return np.linalg.solve(lower, b)
+    return solve(lower, b)
 
 
 def invert_lower(lower: np.ndarray) -> np.ndarray:
@@ -174,26 +194,24 @@ def invert_lower(lower: np.ndarray) -> np.ndarray:
     X21 = -X22 (L21 X11) (Higham, Accuracy and Stability of Numerical
     Algorithms, §14.2). The known zero block is never computed: about 2n³/3
     flops in general products, against about 8n³/3 for an LU of L followed
-    by n solves. Up to INVERT_LEAF rows the result is
-    ``np.linalg.solve(L, I)``, bit for bit. A zero pivot raises
-    ``LinAlgError`` from the leaf that holds it. If the recursion leaves a
-    non-finite entry (an inverse beyond the float range), that solve of the
-    whole factor decides: inf entries, or ``LinAlgError``.
+    by n solves. Up to INVERT_LEAF rows the result is ``solve(L, I)``, bit
+    for bit. A zero pivot raises NumericalError from the leaf that holds it,
+    and so does an inverse beyond the float range (a non-finite entry).
     """
     n = lower.shape[0]
     inverse = np.zeros((n, n))
     with np.errstate(all="ignore"):
         _invert_blocks(lower, inverse)
-    if np.isfinite(inverse).all():
-        return inverse
-    return np.linalg.solve(lower, np.eye(n))
+    if not np.isfinite(inverse).all():
+        raise NumericalError("inverse of a triangular factor overflows the float range")
+    return inverse
 
 
 def _invert_blocks(lower: np.ndarray, out: np.ndarray) -> None:
     """Write L^{-1} into the zeroed ``out``, halving L down to INVERT_LEAF rows."""
     n = lower.shape[0]
     if n <= INVERT_LEAF:
-        out[...] = np.linalg.solve(lower, np.eye(n))
+        out[...] = solve(lower, np.eye(n))
         return
     k = n // 2
     _invert_blocks(lower[:k, :k], out[:k, :k])

@@ -11,6 +11,7 @@ from effdim import (
     RidgeModel,
     audit_approximation,
     conjugate_regression_info,
+    estimate_gaussian_kl,
     gaussian_kl,
     regression_mi,
 )
@@ -69,6 +70,32 @@ class TestGaussianKl:
         q = GaussianDistribution(mean=[0.0], cov=[[1.0]])
         with pytest.raises(NotPositiveDefinite):
             gaussian_kl(q, [[0.0]])
+
+    @pytest.mark.parametrize("prior", [[[1.0, 2.0], [3.0]], "1.0", [["1", "0"], ["0", "1"]]],
+                             ids=["ragged", "string", "strings"])
+    def test_unreadable_prior_is_named(self, prior):
+        # read as an array before its shape is compared, so numpy's
+        # "inhomogeneous shape" ValueError and a string's shape () never show
+        q = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))
+        for refuse in (lambda: gaussian_kl(q, prior),
+                       lambda: audit_approximation(q, q, prior, 10),
+                       lambda: estimate_gaussian_kl(q, prior, 10_000, 1)):
+            with pytest.raises(InputError) as info:
+                refuse()
+            assert type(info.value) is InputError
+            assert str(info.value).startswith("prior covariance is not an array of real numbers")
+
+    def test_prior_whose_inverse_overflows_is_numerical_error(self):
+        # L = I - 1e6 (sub-diagonal) factors a valid prior, but entry (64, 0)
+        # of L^-1 is 1e384; the leaves' LU solves once read that as singular
+        n = 65
+        lower = np.eye(n) - 1e6 * np.eye(n, k=-1)
+        q = GaussianDistribution(mean=np.zeros(n), cov=np.eye(n))
+        for refuse in (lambda: gaussian_kl(q, lower @ lower.T),
+                       lambda: audit_approximation(q, q, lower @ lower.T, 10)):
+            with pytest.raises(NumericalError, match="^inverse of a triangular factor "
+                                                     "overflows the float range$"):
+                refuse()
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

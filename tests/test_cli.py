@@ -599,10 +599,12 @@ class TestExitCodes:
         assert "finite" in err
 
     def test_linalg_error_exits_three(self, tmp_path, capsys, monkeypatch):
-        def failing(model, n=None):
+        # numpy's own failure, raised where effdim.linalg calls numpy, reaches
+        # the CLI as a NumericalError
+        def failing(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(cli, "ridge_report", failing)
+        monkeypatch.setattr(np.linalg, "svd", failing)
         design = tmp_path / "eye2.csv"
         write_matrix_csv(design, np.eye(2))
         code, _, err = run_cli(
@@ -616,14 +618,17 @@ class TestExitCodes:
         assert issubclass(NotPositiveDefinite, InputError)
         assert not issubclass(NumericalError, InputError)
 
-    def test_unexpected_exception_is_a_bug(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+    def test_unexpected_exception_is_a_bug(self, error, tmp_path, monkeypatch):
+        # only effdim.linalg classifies numpy's LinAlgError; raised anywhere
+        # else, it is a bug like any other exception
         def failing(model, n=None):
-            raise ValueError("a defect, not bad input")
+            raise error("a defect, not bad input")
 
         monkeypatch.setattr(cli, "ridge_report", failing)
         design = tmp_path / "eye2.csv"
         write_matrix_csv(design, np.eye(2))
-        with pytest.raises(ValueError, match="a defect"):
+        with pytest.raises(error, match="a defect"):
             main(["regression", "--design", str(design), "--tau2", "1", "--sigma2", "1"])
 
     @pytest.mark.parametrize("args, message", [

@@ -18,14 +18,18 @@ from effdim import (
     TailCertificate,
     conditional_mi,
     conjugate_regression_info,
+    audit_approximation,
     deff,
     estimate_channel_mi,
+    estimate_mixture_marginal_mi,
     expected_conditional_mi,
+    GaussianDistribution,
     heavy_tail_bound,
     info_effective_rank,
     random_deff,
     random_deff_distribution,
     ridge_df,
+    ridge_report,
 )
 from effdim import errors
 from effdim.errors import InputError
@@ -92,6 +96,10 @@ SITES = [
 
 BOUNDARY = (-1.0, -0.0, 0.0, 5e-324, math.inf, math.nan)
 COUNT_BOUNDARY = (-1, -0.0, 0, 5e-324, 10**400)
+# values of the wrong type: a real parameter refuses text, a complex number
+# and None; a count refuses a float, even an integral one, and text
+NOT_REAL = ("1", 1j, None)
+NOT_INTEGER = (1.5, 3.0, "10")
 
 
 def _refused(rule, value) -> bool:
@@ -113,6 +121,20 @@ SEEDED = [
         MODEL, 10_000, seed=v)),
     ("expected_conditional_mi-FixedScale", lambda v: expected_conditional_mi(
         MODEL, 10_000, seed=v)),
+]
+
+HEAVY = ScalarShrinkageModel(prior=HalfCauchy(1.0), noise_var=1.0, n=10)
+CHANNEL = GaussianChannel(a=[[1.0]], prior_cov=[[1.0]], noise_cov=[[1.0]])
+# Monte Carlo sample counts: (site, parameter, build(value))
+COUNTED = [
+    ("expected_conditional_mi", "samples", lambda v: expected_conditional_mi(HEAVY, v, seed=1)),
+    ("random_deff_distribution", "samples",
+     lambda v: random_deff_distribution(HEAVY, v, seed=1)),
+    ("estimate_channel_mi", "samples", lambda v: estimate_channel_mi(CHANNEL, v, seed=1)),
+    ("estimate_mixture_marginal_mi", "samples",
+     lambda v: estimate_mixture_marginal_mi(HEAVY, v, 10_000, seed=1)),
+    ("estimate_mixture_marginal_mi", "inner_samples",
+     lambda v: estimate_mixture_marginal_mi(HEAVY, 10_000, v, seed=1)),
 ]
 
 # arrays numpy cannot read as real numbers, each refused naming the array
@@ -139,7 +161,23 @@ REFUSALS = [
     pytest.param(build, name, value, id=f"{site}-{kind}")
     for site, name, build in ARRAYS
     for kind, value in UNREADABLE.items()
+] + [
+    pytest.param(build, parameter, value, id=f"{site}-{parameter}-{value!r}")
+    for site, parameter, rule, build in SITES
+    for value in (NOT_REAL if isinstance(rule, str) else NOT_INTEGER)
+] + [
+    pytest.param(build, parameter, value, id=f"{site}-{parameter}-{value!r}")
+    for site, parameter, build in COUNTED
+    for value in NOT_INTEGER
 ]
+
+POSTERIOR = GaussianDistribution(mean=[0.0], cov=[[0.5]])
+# sites of the effective sample size n, which need not be an integer
+SAMPLE_SIZED = {
+    "deff": lambda n: deff(1.0, n),
+    "ridge_report": lambda n: ridge_report(_ridge(), n),
+    "audit_approximation": lambda n: audit_approximation(POSTERIOR, POSTERIOR, [[1.0]], n),
+}
 
 
 class TestBoundaries:
@@ -159,6 +197,16 @@ class TestBoundaries:
     def test_zero_is_accepted_where_nonnegative(self, build, value):
         build(value)
 
+    @pytest.mark.parametrize("site", SAMPLE_SIZED)
+    @pytest.mark.parametrize("n", ["10", 10j])
+    def test_sample_size_that_is_no_real_number_is_refused(self, site, n):
+        with pytest.raises(InputError, match=r"^sample size must be a real number, got "):
+            SAMPLE_SIZED[site](n)
+
+    @pytest.mark.parametrize("site", SAMPLE_SIZED)
+    def test_real_sample_size_is_accepted(self, site):
+        SAMPLE_SIZED[site](10.5)
+
     def test_messages_carry_the_value(self):
         with pytest.raises(InputError, match=r"^noise_var must be finite and positive, got 0\.0$"):
             errors.require_positive(noise_var=0.0)
@@ -168,6 +216,11 @@ class TestBoundaries:
             errors.require_count(1, dim=0)
         with pytest.raises(InputError, match=r"^n is too large for a float \(401 digits\)$"):
             errors.require_count(1, n=10**400)
+        with pytest.raises(InputError, match=r"^dim must be an integer, got 1\.5$"):
+            errors.require_count(1, dim=1.5)
+        with pytest.raises(InputError, match=r"^prior_var must be finite and nonnegative, "
+                                             r"got '1'$"):
+            errors.require_nonnegative(prior_var="1")
 
     def test_first_bad_value_is_named(self):
         with pytest.raises(InputError, match="^b "):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from effdim import linalg
+from effdim.errors import NumericalError
 
 from conftest import random_covariance, random_orthogonal
 
@@ -59,7 +60,7 @@ class TestSolveLower:
     def test_singular_factor_raises(self, n, zero):
         lower = _lower(np.random.default_rng(n), n)
         lower[zero, zero] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NumericalError, match="^Singular matrix$"):
             linalg.solve_lower(lower, np.ones(n))
 
 
@@ -118,32 +119,32 @@ class TestInvertLower:
     def test_zero_pivot_raises(self, n, zero):
         lower = _lower(np.random.default_rng(n), n)
         lower[zero, zero] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NumericalError, match="^Singular matrix$"):
             linalg.invert_lower(lower)
 
-    def test_overflowing_inverse_raises_as_the_lu_does(self):
-        # above the leaf, the recursion finishes with inf and NaN entries, and
-        # the whole factor's LU solve decides: it meets NaN and raises, quietly
-        n = 2 * LEAF + 1
-        lower = np.eye(n) - 1e10 * np.eye(n, k=-1)
+    @pytest.mark.parametrize("n, step, message", [
+        (2 * LEAF + 1, 1e10, "inverse of a triangular factor overflows the float range"),
+        (LEAF - 1, 1e12, "Singular matrix"),
+        (2 * LEAF + 1, 1e12, "Singular matrix"),
+    ])
+    def test_overflowing_inverse_raises_numerical_error(self, n, step, message):
+        # entry (i, j) of the inverse is step^(i - j), past the float range;
+        # a leaf whose LU meets the resulting NaN reports a singular matrix
+        lower = np.eye(n) - step * np.eye(n, k=-1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.solve(lower, np.eye(n))
-            with pytest.raises(np.linalg.LinAlgError):
+            with pytest.raises(NumericalError, match=f"^{message}$"):
                 linalg.invert_lower(lower)
 
-    def test_subnormal_pivot_gives_the_lu_result(self):
-        # 1 / 1e-310 is inf: the LU solve returns inf and NaN entries, and so
-        # does the inverse, bit for bit and without a warning
+    def test_subnormal_pivot_raises_numerical_error(self):
+        # 1 / 1e-310 is 1e310, which no float holds
         n = 2 * LEAF + 1
         lower = np.eye(n)
         lower[n - 10, n - 10] = 1e-310
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            expected = np.linalg.solve(lower, np.eye(n))
-            assert not np.isfinite(expected).all()
-            np.testing.assert_array_equal(linalg.invert_lower(lower), expected)
+            with pytest.raises(NumericalError, match="overflows the float range"):
+                linalg.invert_lower(lower)
 
 
 class TestAverageTranspose:
@@ -255,4 +256,48 @@ class TestOneTransposeAverage:
     def test_no_module_writes_its_own(self):
         found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
                  for line in _transpose_averages(path.read_text())]
+        assert found == []
+
+
+def _linalg_escapes(source: str) -> list[int]:
+    """Lines of ``source`` that reach ``numpy.linalg`` or name its ``LinAlgError``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found = node.attr == "linalg" and ast.unparse(node.value) in ("np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            found = node.module == "numpy.linalg" or (
+                node.module == "numpy" and any(a.name == "linalg" for a in node.names))
+        elif isinstance(node, ast.Import):
+            found = any(a.name.startswith("numpy.linalg") for a in node.names)
+        elif isinstance(node, ast.ExceptHandler):
+            found = node.type is not None and "LinAlgError" in ast.unparse(node.type)
+        else:
+            continue
+        if found:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+class TestOneExceptionFamily:
+    """Only ``linalg`` calls numpy's linear algebra and classifies its failures."""
+
+    @pytest.mark.parametrize("source", [
+        "s = np.linalg.svd(x)", "w = numpy.linalg.eigvalsh(m)", "from numpy import linalg",
+        "from numpy.linalg import solve", "import numpy.linalg",
+        "try:\n    f()\nexcept LinAlgError:\n    pass",
+        "try:\n    f()\nexcept (ValueError, la.LinAlgError):\n    pass",
+    ])
+    def test_the_guard_finds_numpy_linalg(self, source):
+        assert _linalg_escapes(source) == [3 if source.startswith("try") else 1]
+
+    def test_the_guard_passes_the_library_wrappers(self):
+        source = ("from . import linalg\ns = linalg.svd(x)\n"
+                  "try:\n    linalg.cholesky(m)\nexcept NumericalError:\n    pass")
+        assert _linalg_escapes(source) == []
+
+    def test_no_other_module_reaches_numpy_linalg(self):
+        found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                 if path.name != "linalg.py"
+                 for line in _linalg_escapes(path.read_text())]
         assert found == []
