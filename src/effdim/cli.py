@@ -8,8 +8,10 @@ produce byte-identical output files: ``--threads`` only sizes the worker pool,
 and every command runs with OpenBLAS held at one thread.
 
 Exit codes: 0 success, 2 invalid configuration or input (an InputError), 3
-numerical failure, 4 contract violation under a strict flag
-(--require-domination). See ``errors`` for how faults are classified.
+numerical failure (any other EffdimError; numpy's LinAlgError arrives as a
+NumericalError from ``linalg``), 4 contract violation under a strict flag
+(--require-domination). Any other exception is a bug and surfaces as a
+traceback. See ``errors`` for how faults are classified.
 """
 
 import argparse

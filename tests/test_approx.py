@@ -74,8 +74,7 @@ class TestGaussianKl:
     @pytest.mark.parametrize("prior", [[[1.0, 2.0], [3.0]], "1.0", [["1", "0"], ["0", "1"]]],
                              ids=["ragged", "string", "strings"])
     def test_unreadable_prior_is_named(self, prior):
-        # read as an array before its shape is compared, so numpy's
-        # "inhomogeneous shape" ValueError and a string's shape () never show
+        # the prior is read as an array before its shape is compared
         q = GaussianDistribution(mean=[0.0, 0.0], cov=np.eye(2))
         for refuse in (lambda: gaussian_kl(q, prior),
                        lambda: audit_approximation(q, q, prior, 10),
@@ -87,7 +86,7 @@ class TestGaussianKl:
 
     def test_prior_whose_inverse_overflows_is_numerical_error(self):
         # L = I - 1e6 (sub-diagonal) factors a valid prior, but entry (64, 0)
-        # of L^-1 is 1e384; the leaves' LU solves once read that as singular
+        # of L^-1 is 1e384, past the float range
         n = 65
         lower = np.eye(n) - 1e6 * np.eye(n, k=-1)
         q = GaussianDistribution(mean=np.zeros(n), cov=np.eye(n))
@@ -96,6 +95,9 @@ class TestGaussianKl:
             with pytest.raises(NumericalError, match="^inverse of a triangular factor "
                                                      "overflows the float range$"):
                 refuse()
+        # the oracle solves against L by LU, which meets the overflow's NaN
+        with pytest.raises(NumericalError, match="^Singular matrix$"):
+            estimate_gaussian_kl(q, lower @ lower.T, 10_000, 1)
 
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])

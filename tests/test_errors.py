@@ -8,6 +8,7 @@ import pytest
 from effdim import (
     FixedScale,
     GaussianChannel,
+    GaussianDistribution,
     GlobalLocalRegression,
     HalfCauchy,
     InverseGammaMixture,
@@ -16,14 +17,13 @@ from effdim import (
     ScalarShrinkageModel,
     SpectrumSequence,
     TailCertificate,
+    audit_approximation,
     conditional_mi,
     conjugate_regression_info,
-    audit_approximation,
     deff,
     estimate_channel_mi,
     estimate_mixture_marginal_mi,
     expected_conditional_mi,
-    GaussianDistribution,
     heavy_tail_bound,
     info_effective_rank,
     random_deff,
