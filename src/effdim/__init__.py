@@ -8,8 +8,9 @@ global-local shrinkage functionals, each closed form paired with an
 independent, seeded Monte Carlo oracle.
 
 Each public name is imported from its module on first use (PEP 562), so
-``import effdim`` loads neither numpy nor a submodule, and
-``import effdim.errors`` loads no numpy.
+``import effdim`` loads neither numpy nor a submodule. ``errors``,
+``location``, ``reportio`` and ``cli`` load no numpy either: the CLI imports
+the numpy-backed modules inside the commands that use them.
 """
 
 import importlib
@@ -29,7 +30,7 @@ _OWNERS = {
     "HalfCauchy": "priors",
     "InfoReport": "dimension",
     "InverseGammaMixture": "priors",
-    "LocationModel": "dimension",
+    "LocationModel": "location",
     "McEstimate": "oracle",
     "RidgeModel": "dimension",
     "ScalarShrinkageModel": "priors",
@@ -42,7 +43,7 @@ _OWNERS = {
     "coarsen": "channel",
     "conditional_mi": "shrinkage",
     "conjugate_regression_info": "approx",
-    "deff": "dimension",
+    "deff": "location",
     "deff_rank_bound": "dimension",
     "design_spectrum": "dimension",
     "estimate_channel_mi": "oracle",
@@ -53,7 +54,7 @@ _OWNERS = {
     "heavy_tail_bound": "shrinkage",
     "info_effective_rank": "dimension",
     "jensen_bound": "shrinkage",
-    "location_mi": "dimension",
+    "location_mi": "location",
     "mutual_information": "channel",
     "random_deff": "shrinkage",
     "random_deff_distribution": "shrinkage",

@@ -31,29 +31,12 @@ from .errors import (
     EmptySpectrum,
     InputError,
     NumericalError,
-    require_count,
     require_finite,
     require_nonnegative,
     require_positive,
-    require_sample_size,
 )
+from .location import LocationModel, deff, location_mi  # noqa: F401 (bench/workloads.py)
 from .sampling import _one_blas_thread
-
-
-@dataclass(frozen=True)
-class LocationModel:
-    """d-dimensional Gaussian mean estimation with isotropic prior and noise."""
-
-    dim: int
-    prior_var: float
-    noise_var: float
-    n: int
-
-    def __post_init__(self):
-        require_count(1, dim=self.dim, n=self.n)
-        require_positive(noise_var=self.noise_var)
-        require_nonnegative(prior_var=self.prior_var)
-        require_finite(snr=self.n * self.prior_var / self.noise_var)
 
 
 @dataclass(frozen=True)
@@ -141,18 +124,6 @@ class InfoReport:
             raise NumericalError("sandwich bounds must bracket 2*mi")
         if self.rank_bound < self.d_eff:
             raise NumericalError("the rank bound must not read below d_eff")
-
-
-def deff(mi_nats: float, n: int) -> float:
-    """Effective dimension 2 * mi / log(n); requires n >= 3."""
-    require_sample_size(n)
-    require_nonnegative(mi_nats=mi_nats)
-    return 2.0 * mi_nats / math.log(n)
-
-
-def location_mi(m: LocationModel) -> float:
-    """(d/2) log(1 + n tau^2 / sigma^2) for the location model."""
-    return 0.5 * m.dim * math.log1p(m.n * m.prior_var / m.noise_var)
 
 
 def design_spectrum(design: np.ndarray) -> ChannelSpectrum:

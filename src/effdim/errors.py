@@ -75,8 +75,19 @@ class CsvFormatError(InputError):
 def _require(rule: str, holds, values: dict) -> None:
     """Raise InputError naming the first of ``values`` that is no finite real or fails ``holds``."""
     for name, value in values.items():
+        if isinstance(value, numbers.Real):
+            _require_float(name, value)
         if not (isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)):
             raise InputError(f"{name} must be {rule}, got {value!r}")
+
+
+def _require_float(name: str, value) -> None:
+    """Raise InputError naming the real ``value`` if it is an integer past the float range."""
+    try:
+        float(value)
+    except OverflowError:
+        digits = len(str(value))
+        raise InputError(f"{name} is too large for a float ({digits} digits)") from None
 
 
 def require_finite(**values: float) -> None:
@@ -100,22 +111,19 @@ def require_count(minimum: int, **counts: int) -> None:
         _require_integer(name, value)
         if value < minimum:
             raise InputError(f"{name} must be >= {minimum}, got {value!r}")
-        try:
-            float(value)
-        except OverflowError:
-            raise InputError(
-                f"{name} is too large for a float ({len(str(value))} digits)"
-            ) from None
+        _require_float(name, value)
 
 
 def require_sample_size(n: float) -> None:
     """Raise SampleSizeTooSmall unless the real n >= 3, as d_eff = 2 * I / log(n) requires.
 
     n is an effective sample size, so it need not be an integer; a value that
-    is no real number raises InputError.
+    is no real number, NaN or infinite raises InputError.
     """
     if not isinstance(n, numbers.Real):
         raise InputError(f"sample size must be a real number, got {n!r}")
+    if not isinstance(n, numbers.Integral) and not math.isfinite(n):
+        raise InputError(f"sample size must be finite, got {n!r}")
     if n < 3:
         raise SampleSizeTooSmall(f"sample size {n} < 3")
 

@@ -14,15 +14,19 @@ error still names the line and column of the first bad cell.
 JSON reports are rendered by a small emitter rather than ``json.dumps`` so
 that float formatting (17 significant digits) and key order (insertion
 order) are pinned down; identical inputs produce byte-identical files.
+
+Only the matrix CSV functions import numpy; reports render without it.
 """
 
 import json
 import math
-
-import numpy as np
+import sys
+from typing import TYPE_CHECKING
 
 from .errors import CsvFormatError, InputError, NumericalError
 
+if TYPE_CHECKING:
+    import numpy as np
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal rendering; exact double round-trip."""
@@ -60,8 +64,9 @@ def _body_lines(text: str) -> list[tuple[int, str]]:
     return lines
 
 
-def _walk_cells(lines: list[tuple[int, str]]) -> np.ndarray:
+def _walk_cells(lines: list[tuple[int, str]]) -> "np.ndarray":
     """Parse body lines cell by cell; the first bad row or cell raises CsvFormatError."""
+    import numpy as np
     width = None
     rows: list[list[float]] = []
     for line_no, line in lines:
@@ -76,12 +81,13 @@ def _walk_cells(lines: list[tuple[int, str]]) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def parse_matrix_csv(text: str) -> np.ndarray:
+def parse_matrix_csv(text: str) -> "np.ndarray":
     """Parse matrix CSV text; raises CsvFormatError with line/column context.
 
     Blank lines are skipped; line numbers in errors count them, so they name
     the line of the file.
     """
+    import numpy as np
     lines = _body_lines(text)
     try:
         # comments=None: "1,2 # x" is a bad cell, not a row with a comment
@@ -93,7 +99,7 @@ def parse_matrix_csv(text: str) -> np.ndarray:
         return _walk_cells(lines)
 
 
-def read_matrix_csv(path) -> np.ndarray:
+def read_matrix_csv(path) -> "np.ndarray":
     """Read a matrix CSV file; a file that cannot be read raises InputError."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -103,7 +109,7 @@ def read_matrix_csv(path) -> np.ndarray:
     return parse_matrix_csv(text)
 
 
-def read_vector_csv(path) -> np.ndarray:
+def read_vector_csv(path) -> "np.ndarray":
     """Read a vector stored as a single CSV row or column."""
     m = read_matrix_csv(path)
     if 1 not in m.shape:
@@ -111,12 +117,13 @@ def read_vector_csv(path) -> np.ndarray:
     return m.reshape(-1)
 
 
-def _csv_lines(matrix: np.ndarray):
+def _csv_lines(matrix: "np.ndarray"):
     """Newline-terminated matrix CSV rows, made one at a time.
 
     Each cell is rendered as ``format_float`` renders it. A non-finite entry
     raises here, before any row is made, naming the first in row-major order.
     """
+    import numpy as np
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     finite = np.isfinite(matrix)
     if not finite.all():
@@ -125,7 +132,7 @@ def _csv_lines(matrix: np.ndarray):
     return (row % tuple(values.tolist()) for values in matrix)
 
 
-def write_matrix_csv(path, matrix: np.ndarray) -> None:
+def write_matrix_csv(path, matrix: "np.ndarray") -> None:
     lines = _csv_lines(matrix)  # a non-finite entry raises before the file is opened
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)
@@ -133,6 +140,8 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def _render(node, indent: int, parts: list[str]) -> None:
     pad = "  " * indent
+    np = sys.modules.get("numpy")  # no numpy scalar exists before numpy is loaded
+    bools, ints, floats = (np.bool_, np.integer, np.floating) if np else ((), (), ())
     if isinstance(node, dict):
         if not node:
             parts.append("{}")
@@ -154,13 +163,13 @@ def _render(node, indent: int, parts: list[str]) -> None:
             _render(value, indent + 1, parts)
             parts.append(",\n" if i < len(seq) - 1 else "\n")
         parts.append(pad + "]")
-    elif isinstance(node, bool) or isinstance(node, np.bool_):
+    elif isinstance(node, (bool, bools)):
         parts.append("true" if node else "false")
     elif node is None:
         parts.append("null")
-    elif isinstance(node, (int, np.integer)):
+    elif isinstance(node, (int, ints)):
         parts.append(str(int(node)))
-    elif isinstance(node, (float, np.floating)):
+    elif isinstance(node, (float, floats)):
         parts.append(format_float(float(node)))
     elif isinstance(node, str):
         parts.append(json.dumps(node))
@@ -185,7 +194,8 @@ def tagged(value, path: str):
         raise ValueError(f"unknown computation path {path!r}")
     if value is None:
         return None
-    if isinstance(value, np.ndarray):
+    np = sys.modules.get("numpy")  # an array exists only once numpy is loaded
+    if np and isinstance(value, np.ndarray):
         value = [float(v) for v in value]
     return {"value": value, "path": path}
 

@@ -242,15 +242,15 @@ _blas_saved = None
 def _one_blas_thread():
     """Hold the loaded OpenBLAS at one thread while any holder runs.
 
-    Holders are every CLI command (``cli.main``), so that no report's bits
+    Holders are every CLI command that finds numpy loaded (``cli.main``; a
+    fresh CLI process starts OpenBLAS at one thread), so that no report's bits
     depend on the BLAS thread count, and three library callers: the worker
     pools, so that workers start no BLAS threads of their own; the design
     SVD, so that ``ridge_report``'s bits do not depend on it either; and the
     nested mixture pass, whose small kernel products only lose time to BLAS
-    threads.
-    The count read when the first of any concurrent or nested holders starts
-    is restored when the last one ends, also when one raises. Without an
-    OpenBLAS setter this does nothing.
+    threads. The count read when the first of any concurrent or nested
+    holders starts is restored when the last one ends, also when one raises.
+    Without an OpenBLAS setter this does nothing.
     """
     global _blas_pools, _blas_saved
     with _blas_lock:

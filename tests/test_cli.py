@@ -553,17 +553,18 @@ class TestDeterminism:
         assert code1 == code2 == 0
         assert bytes1 == bytes2
 
-    @staticmethod
-    def reports_at_one_and_two_blas_threads(args):
-        src = str(Path(effdim.__file__).resolve().parents[1])
-        reports = []
-        for count in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": count}
-            proc = subprocess.run([sys.executable, "-m", "effdim.cli", *args], env=env,
-                                  capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            reports.append(proc.stdout)
-        return reports
+    # numpy is loaded with OpenBLAS at the environment's count before main runs;
+    # prints that count, the count after main returns, and main's exit code
+    AFTER_NUMPY = """
+import sys
+import numpy
+from effdim import cli, sampling
+hooks = sampling._openblas_threads()
+count = (lambda: hooks[0]()) if hooks else (lambda: None)
+before = count()
+code = cli.main(sys.argv[1:])
+print(before, count(), code)
+"""
 
     @pytest.mark.parametrize("argv", [
         _regression_argv, _approx_argv, _channel_mi_argv, _gaussian_kl_argv, _decompose_argv,
@@ -571,8 +572,24 @@ class TestDeterminism:
     ], ids=["regression", "approx", "oracle-channel-mi", "oracle-gaussian-kl",
             "shrinkage-decompose", "oracle-mixture-mi"])
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, argv, tmp_path):
-        one, two = self.reports_at_one_and_two_blas_threads(argv(tmp_path))
-        assert one == two
+        # a fresh CLI process sets OpenBLAS to one thread before numpy loads it;
+        # where numpy came first, main holds the loaded OpenBLAS at one thread
+        # and gives the caller's count back when it returns
+        src = str(Path(effdim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        args = argv(tmp_path)
+        fresh, after_numpy = tmp_path / "fresh.out", tmp_path / "after_numpy.out"
+        proc = subprocess.run([sys.executable, "-m", "effdim.cli", *args, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        proc = subprocess.run(
+            [sys.executable, "-c", self.AFTER_NUMPY, *args, "--out", str(after_numpy)],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        if proc.stdout.startswith("None"):
+            pytest.skip("no OpenBLAS thread-count setter in this process")
+        assert proc.stdout == "2 2 0\n"
+        assert fresh.read_bytes() == after_numpy.read_bytes()
 
     def test_matrix_round_trip_through_tool_format(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -169,6 +169,10 @@ REFUSALS = [
     pytest.param(build, parameter, value, id=f"{site}-{parameter}-{value!r}")
     for site, parameter, build in COUNTED
     for value in NOT_INTEGER
+] + [
+    # a real parameter given as an int past the float range
+    pytest.param(lambda v: LocationModel(dim=1, prior_var=v, noise_var=1.0, n=10),
+                 "prior_var", 10**400, id="LocationModel-prior_var-10**400"),
 ]
 
 POSTERIOR = GaussianDistribution(mean=[0.0], cov=[[0.5]])
@@ -204,8 +208,18 @@ class TestBoundaries:
             SAMPLE_SIZED[site](n)
 
     @pytest.mark.parametrize("site", SAMPLE_SIZED)
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_sample_size_that_is_not_finite_is_refused(self, site, n):
+        with pytest.raises(InputError, match=rf"^sample size must be finite, got {n!r}$"):
+            SAMPLE_SIZED[site](n)
+
+    @pytest.mark.parametrize("site", SAMPLE_SIZED)
     def test_real_sample_size_is_accepted(self, site):
         SAMPLE_SIZED[site](10.5)
+
+    @pytest.mark.parametrize("site", SAMPLE_SIZED)
+    def test_integer_sample_size_past_the_float_range_is_accepted(self, site):
+        SAMPLE_SIZED[site](10**400)  # log(n) of an int is a float
 
     def test_messages_carry_the_value(self):
         with pytest.raises(InputError, match=r"^noise_var must be finite and positive, got 0\.0$"):

@@ -1,20 +1,24 @@
 """The export table of ``effdim``: each public name is imported on first use.
 
-Also: no module of the package imports a name it never reads.
+Also: the CLI's closed-form location commands run without numpy, and no
+module of the package imports a name it never reads.
 """
 
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 import effdim
+from effdim import cli
 
 from conftest import run_fresh
 
-SUBMODULES = ("approx", "channel", "dimension", "errors", "linalg", "oracle", "priors",
-              "sampling", "shrinkage")
+SUBMODULES = ("approx", "channel", "dimension", "errors", "linalg", "location", "oracle",
+              "priors", "sampling", "shrinkage")
 
 FRESH_IMPORT = """
 import sys
@@ -89,6 +93,51 @@ class TestExportTable:
                                          noise_cov=[[0.5]])
         expected = effdim.estimate_channel_mi(channel, 10_000, seed=3).estimate.hex()
         assert run_fresh(CLI_WITHOUT_RANDOM) == expected + "\n"
+
+
+# runs the CLI with ``argv`` (none: only imports it), then prints every numpy
+# and effdim module loaded
+NUMPY_FREE_RUN = """
+import contextlib, io, sys
+import effdim.cli
+if {argv!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert effdim.cli.main({argv!r}) == 0
+    assert out.getvalue()
+print(sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "effdim")))
+"""
+
+# the modules that ``location`` and the location ``curve`` load
+NUMPY_FREE = ["effdim", "effdim.cli", "effdim.errors", "effdim.location", "effdim.reportio"]
+
+CURVE = ["curve", "--n-grid", "3,10,100", "--d", "2", "--tau2", "1"]
+
+# the names the benchmark's traced replay wraps on cli, and their targets' modules
+STAND_INS = {"ridge_report": "dimension", "estimate_channel_mi": "oracle",
+             "random_deff_distribution": "shrinkage", "expected_conditional_mi": "shrinkage",
+             "chain_decomposition": "shrinkage"}
+
+
+class TestNumpyFreeCli:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["location", "--d", "3", "--tau2", "1", "--sigma2", "2", "--n", "1000"],
+        [*CURVE, "--format", "csv"],
+        [*CURVE, "--format", "json"],
+        [*CURVE, "--tau2-schedule", "inverse-n"],
+    ], ids=["import", "location", "curve-csv", "curve-json", "curve-inverse-n"])
+    def test_loads_no_numpy(self, argv):
+        assert run_fresh(NUMPY_FREE_RUN.format(argv=argv)) == f"{NUMPY_FREE}\n"
+
+    @pytest.mark.parametrize("name", STAND_INS)
+    def test_stand_in_has_its_targets_signature(self, name):
+        target = inspect.signature(
+            getattr(importlib.import_module(f"effdim.{STAND_INS[name]}"), name))
+        # the stand-in is unannotated, so that cli names no numpy-backed type
+        bare = target.replace(
+            parameters=[p.replace(annotation=p.empty) for p in target.parameters.values()],
+            return_annotation=target.empty)
+        assert inspect.signature(getattr(cli, name)) == bare
 
 
 def _unread_imports(path: Path) -> list[str]:
