@@ -48,7 +48,7 @@ PRIOR_FLAGS = {
     "table": (str, None, "CSV vector of tabulated scales"),
 }
 
-# Mixing law: (flags it reads, in report-config order; its constructor of (priors, args)).
+# Mixing law: (flags it reads, in report-config order; its builder from (priors module, args)).
 PRIORS = {
     "fixed": (("tau",), lambda p, a: p.FixedScale(tau=a.tau)),
     "student-t": (("nu", "s2"), lambda p, a: p.InverseGammaMixture(dof=a.nu, scale_sq=a.s2)),

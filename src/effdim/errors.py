@@ -75,19 +75,17 @@ class CsvFormatError(InputError):
 def _require(rule: str, holds, values: dict) -> None:
     """Raise InputError naming the first of ``values`` that is no finite real or fails ``holds``."""
     for name, value in values.items():
-        if isinstance(value, numbers.Real):
-            _require_float(name, value)
-        if not (isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)):
+        try:
+            valid = isinstance(value, numbers.Real) and math.isfinite(value) and holds(value)
+        except OverflowError:  # an int past the float range
+            raise _too_large(name, value) from None
+        if not valid:
             raise InputError(f"{name} must be {rule}, got {value!r}")
 
 
-def _require_float(name: str, value) -> None:
-    """Raise InputError naming the real ``value`` if it is an integer past the float range."""
-    try:
-        float(value)
-    except OverflowError:
-        digits = len(str(value))
-        raise InputError(f"{name} is too large for a float ({digits} digits)") from None
+def _too_large(name: str, value: int) -> InputError:
+    """The refusal of an integer past the float range, which names its digit count."""
+    return InputError(f"{name} is too large for a float ({len(str(value))} digits)")
 
 
 def require_finite(**values: float) -> None:
@@ -111,7 +109,10 @@ def require_count(minimum: int, **counts: int) -> None:
         _require_integer(name, value)
         if value < minimum:
             raise InputError(f"{name} must be >= {minimum}, got {value!r}")
-        _require_float(name, value)
+        try:
+            float(value)
+        except OverflowError:
+            raise _too_large(name, value) from None
 
 
 def require_sample_size(n: float) -> None:
@@ -122,7 +123,7 @@ def require_sample_size(n: float) -> None:
     """
     if not isinstance(n, numbers.Real):
         raise InputError(f"sample size must be a real number, got {n!r}")
-    if not isinstance(n, numbers.Integral) and not math.isfinite(n):
+    if not -math.inf < n < math.inf:  # NaN fails both; an int of any size passes
         raise InputError(f"sample size must be finite, got {n!r}")
     if n < 3:
         raise SampleSizeTooSmall(f"sample size {n} < 3")

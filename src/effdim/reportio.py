@@ -28,6 +28,7 @@ from .errors import CsvFormatError, InputError, NumericalError
 if TYPE_CHECKING:
     import numpy as np
 
+
 def format_float(x: float) -> str:
     """17-significant-digit decimal rendering; exact double round-trip."""
     if not math.isfinite(x):
