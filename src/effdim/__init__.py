@@ -26,7 +26,6 @@ _OWNERS = {
     "FixedScale": "priors",
     "GaussianChannel": "channel",
     "GaussianDistribution": "approx",
-    "GlobalLocalRegression": "priors",
     "HalfCauchy": "priors",
     "InfoReport": "dimension",
     "InverseGammaMixture": "priors",
@@ -42,7 +41,6 @@ _OWNERS = {
     "chain_decomposition": "shrinkage",
     "coarsen": "channel",
     "conditional_mi": "shrinkage",
-    "conjugate_regression_info": "approx",
     "deff": "location",
     "deff_rank_bound": "dimension",
     "design_spectrum": "dimension",
@@ -59,7 +57,6 @@ _OWNERS = {
     "random_deff": "shrinkage",
     "random_deff_distribution": "shrinkage",
     "regression_channel": "dimension",
-    "regression_conditional_mi": "shrinkage",
     "regression_mi": "dimension",
     "reparameterize": "channel",
     "ridge_df": "dimension",

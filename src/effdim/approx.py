@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .dimension import RidgeModel, deff
-from .errors import DimensionMismatch, NumericalError, require_positive, require_sample_size
+from .errors import DimensionMismatch, NumericalError, require_sample_size
+from .location import deff
 
 #: Signed relative tolerance of the Loewner-order eigenvalue test.
 LOEWNER_TOL = 1e-10
@@ -142,29 +142,6 @@ def _kl_to_prior(
             kl = max(0.5 * (trace_term + quad_term - logdet_ratio - q.dim), 0.0)
             terms.append((kl, logdet_ratio))
     return terms
-
-
-def conjugate_regression_info(model: RidgeModel) -> float:
-    """Expected prior-to-posterior KL in the conjugate linear model.
-
-    Assembles the expectation term by term in the prior-normalized posterior
-    precision M = I + (prior_var / noise_var) X^T X. The posterior covariance
-    is S = prior_var * M^{-1} and the prior S0 = prior_var * I, so
-
-        E tr(S0^{-1} S)      = tr(M^{-1})                   (S nonrandom),
-        E [m^T S0^{-1} m]    = tr(S0^{-1} (S0 - S)) = p - tr(M^{-1}),
-        E log det(S0^{-1} S) = -log det M,
-
-    and 1/2 (trace + quadratic - logdet - p) = 1/2 log det M: the two trace
-    terms sum to p, so no inverse is formed, and log det M is read off M's
-    Cholesky factor. This is an independent derivation route that must agree
-    with the spectral regression formula.
-    """
-    require_positive(prior_var=model.prior_var)
-    x = model.design
-    precision = np.eye(x.shape[1]) + model.snr_ratio * (x.T @ x)
-    lower = linalg.cholesky_lower(linalg.average_transpose(precision), "posterior precision")
-    return max(0.5 * linalg.logdet_from_cholesky(lower), 0.0)
 
 
 def _dominates(sigma_tilde: np.ndarray, sigma: np.ndarray, inverse: np.ndarray) -> bool:

@@ -85,7 +85,14 @@ def _require(rule: str, holds, values: dict) -> None:
 
 def _too_large(name: str, value: int) -> InputError:
     """The refusal of an integer past the float range, which names its digit count."""
-    return InputError(f"{name} is too large for a float ({len(str(value))} digits)")
+    return InputError(f"{name} is too large for a float ({_digits(value)} digits)")
+
+
+def _digits(value: int) -> int:
+    """Decimal digits of ``abs(value)``; str() refuses an int past 4,300 digits."""
+    magnitude = abs(value)
+    low = int((magnitude.bit_length() - 1) * math.log10(2)) + 1  # digits of 2**(bits - 1)
+    return low + (magnitude >= 10**low)
 
 
 def require_finite(**values: float) -> None:
@@ -143,7 +150,7 @@ def require_samples(what: str, minimum: int, **counts: int) -> None:
     for name, value in counts.items():
         if value > sys.maxsize:
             raise InputError(
-                f"{name} is too large for an array index ({len(str(value))} digits, "
+                f"{name} is too large for an array index ({_digits(value)} digits, "
                 f"limit {sys.maxsize})"
             )
 

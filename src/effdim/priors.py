@@ -110,7 +110,7 @@ class HalfCauchy(ShrinkagePrior):
         object.__setattr__(
             self,
             "tail_certificate",
-            TailCertificate(c_const=2.0 * self.global_scale / math.pi, alpha_exp=1.0, t0=1.0),
+            TailCertificate(c_const=self.global_scale / (math.pi / 2), alpha_exp=1.0, t0=1.0),
         )
 
     def sample(self, rng, size):
@@ -165,23 +165,3 @@ class ScalarShrinkageModel:
     def obs_var(self) -> float:
         return self.noise_var / self.n
 
-
-@dataclass(frozen=True)
-class GlobalLocalRegression:
-    """Regression with per-coordinate latent scales on the coefficients.
-
-    Holds the design and the noise variance; the scales themselves are given
-    to ``shrinkage.regression_conditional_mi``, one per design column.
-    """
-
-    design: np.ndarray
-    noise_var: float
-
-    def __post_init__(self):
-        design = linalg.as_array(self.design, "design")
-        require_positive(noise_var=self.noise_var)
-        object.__setattr__(self, "design", design)
-
-    @property
-    def dim(self) -> int:
-        return self.design.shape[1]

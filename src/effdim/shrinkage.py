@@ -23,22 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .dimension import regression_mi, RidgeModel
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    require_nonnegative,
-    require_sample_size,
-    require_samples,
-    require_seed,
-)
+from .errors import require_nonnegative, require_sample_size, require_samples, require_seed
 from .oracle import McEstimate, _nested_mixture_pass, block_mean, seeded_blocks
-from .priors import (
-    FixedScale,
-    GlobalLocalRegression,
-    ScalarShrinkageModel,
-    TailCertificate,
-)
+from .priors import FixedScale, ScalarShrinkageModel, TailCertificate
 from .sampling import FLAT_BLOCK, STREAM_COND_MI, STREAM_DEFF_DIST, MomentAccumulator
 
 # not called here: bench/tracing.py patches these names on this module, but
@@ -180,32 +167,6 @@ def chain_decomposition(
         e_cond_mi=e_cond,
         bound_satisfied=bool(satisfied),
     )
-
-
-def regression_conditional_mi(m: GlobalLocalRegression, lambdas) -> float:
-    """1/2 log det(I_n + sigma^-2 X diag(lam^2) X^T) given the scale vector.
-
-    Given the scales, the experiment is the ridge experiment on the rescaled
-    design X diag(lam / lam_max) with prior variance lam_max^2, so this is
-    ``regression_mi`` of that model: one design SVD, no n x n matrix. A
-    constant scale vector leaves X unchanged, so the reduction to the ridge
-    experiment is exact, not merely within tolerance. ``lambdas`` is a vector
-    (``linalg.as_array``) of one nonnegative scale per column.
-    """
-    lam = linalg.as_array(lambdas, "latent scales", ndim=1, nonnegative=True)
-    if lam.size != m.dim:
-        raise DimensionMismatch(
-            f"{lam.size} scales for a design with {m.dim} columns"
-        )
-    top = float(lam.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    try:
-        prior_var = top ** 2
-    except OverflowError:
-        raise InputError(f"latent scale {top!r} has no finite square") from None
-    return regression_mi(RidgeModel(design=m.design * (lam / top), noise_var=m.noise_var,
-                                    prior_var=prior_var))
 
 
 def random_deff_distribution(

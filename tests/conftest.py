@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 import effdim
-from effdim import GaussianChannel
+from effdim import GaussianChannel, linalg
 
 SRC = str(Path(effdim.__file__).resolve().parents[1])
 
@@ -65,3 +65,25 @@ def random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
     q1 = random_orthogonal(rng, dim)
     q2 = random_orthogonal(rng, dim)
     return (q1 * rng.uniform(0.5, 2.0, size=dim)) @ q2.T
+
+
+def conjugate_regression_info(model) -> float:
+    """Expected prior-to-posterior KL of a ``RidgeModel``: a third route to its information.
+
+    Assembles the expectation term by term in the prior-normalized posterior
+    precision M = I + (prior_var / noise_var) X^T X. The posterior covariance
+    is S = prior_var * M^{-1} and the prior S0 = prior_var * I, so
+
+        E tr(S0^{-1} S)      = tr(M^{-1})                   (S nonrandom),
+        E [m^T S0^{-1} m]    = tr(S0^{-1} (S0 - S)) = p - tr(M^{-1}),
+        E log det(S0^{-1} S) = -log det M,
+
+    and 1/2 (trace + quadratic - logdet - p) = 1/2 log det M: the two trace
+    terms sum to p, so no inverse is formed, and log det M is read off M's
+    Cholesky factor. The derivation is independent of the design spectrum
+    that ``regression_mi`` sums, and of the channel's observation route.
+    """
+    x = model.design
+    precision = np.eye(x.shape[1]) + model.snr_ratio * (x.T @ x)
+    lower = linalg.cholesky_lower(linalg.average_transpose(precision), "posterior precision")
+    return max(0.5 * linalg.logdet_from_cholesky(lower), 0.0)

@@ -7,6 +7,10 @@ Monte Carlo comparisons use fixed seeds, so every run is reproducible.
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -27,7 +31,8 @@ from effdim.sampling import (
     block_sizes,
 )
 
-from conftest import random_channel, random_covariance, random_invertible
+from conftest import (SRC, conjugate_regression_info, random_channel, random_covariance,
+                      random_invertible)
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
@@ -121,7 +126,7 @@ def test_06_conjugate_dual_path():
             )
             mi = ed.regression_mi(model)
             np.testing.assert_allclose(
-                ed.conjugate_regression_info(model), mi, rtol=1e-9, atol=1e-12
+                conjugate_regression_info(model), mi, rtol=1e-9, atol=1e-12
             )
 
 
@@ -375,3 +380,68 @@ def test_15_regression_golden_sandwich_upper_sums_the_snr_modes():
         u = config["tau2"] / config["sigma2"] * spectrum.nonzero
         assert results["sandwich_upper"]["value"] == float(np.sum(u)) == 35.572605776368796
         assert results["sandwich_lower"]["value"] == float(np.sum(u / (u + 1.0)))
+
+
+# renders every golden config through cli.main and prints {name: report text}
+RENDER_GOLDENS = """
+import json, sys, tempfile
+from pathlib import Path
+from effdim.cli import main
+reports = {}
+with tempfile.TemporaryDirectory() as tmp:
+    for config in sorted(Path("tests/fixtures/golden").glob("*.args.json")):
+        name = config.name.removesuffix(".args.json")
+        out = Path(tmp, name)
+        assert main([*json.loads(config.read_text()), "--out", str(out)]) == 0, name
+        reports[name] = out.read_text()
+print(json.dumps(reports))
+"""
+
+# the golden fields that round with OpenBLAS's kernel: the design SVD's LAPACK
+# calls use it, and every field read off the design spectrum moves with it
+KERNEL_BOUND_FIELDS = {
+    "regression": {"mi_nats", "d_eff", "r_info", "sandwich_upper", "singular_values_sq"},
+    "curve_design": {"d_eff"},
+}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        with open("/proc/cpuinfo") as info:
+            return {flag for line in info if line.startswith("flags")
+                    for flag in line.partition(":")[2].split()}
+    except OSError:
+        return set()
+
+
+def _differing_fields(report: str, golden: str) -> set[str]:
+    """Result fields whose text differs; anything else that differs fails the test."""
+    if not golden.startswith("{"):
+        assert report == golden
+        return set()
+    # numbers stay text, so equal leaves are equal bytes
+    actual, expected = (json.loads(text, parse_float=str, parse_int=str)
+                        for text in (report, golden))
+    assert {**actual, "results": None} == {**expected, "results": None}
+    assert actual["results"].keys() == expected["results"].keys()
+    return {key for key, value in expected["results"].items() if actual["results"][key] != value}
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_15_goldens_hold_under_each_openblas_kernel(core):
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS core types are x86-64 kernels")
+    if core == "Haswell" and not {"avx2", "fma"} <= _cpu_flags():
+        pytest.skip("the CPU lacks the Haswell kernel's AVX2 and FMA")
+    with criterion(15, f"under OPENBLAS_CORETYPE={core}, only the documented "
+                       "kernel-bound golden fields move"):
+        proc = subprocess.run([sys.executable, "-c", RENDER_GOLDENS], cwd=ROOT,
+                              env={**os.environ, "PYTHONPATH": SRC, "OPENBLAS_CORETYPE": core},
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        reports = json.loads(proc.stdout)
+        assert len(reports) >= 9
+        for name, report in reports.items():
+            (golden,) = GOLDEN.glob(f"{name}.report.*")
+            moved = _differing_fields(report, golden.read_text())
+            assert moved <= KERNEL_BOUND_FIELDS.get(name, set()), (name, sorted(moved))

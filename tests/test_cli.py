@@ -723,6 +723,8 @@ class TestExitCodes:
           "--samples", "10000", "--seed", "1"], "values has mean inf"),
         (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e307", "--n", "100",
           "--samples", "10000", "--seed", "1"], "values has mean inf"),
+        (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e308", "--n", "10",
+          "--samples", "10000", "--seed", "3"], "values has mean inf"),
         (["oracle", "--kind", "mixture-mi", "--prior", "student-t", "--nu", "0.01",
           "--n", "100", "--samples", "10000", "--inner-samples", "10000", "--seed", "1"],
          "values has mean nan"),
@@ -732,7 +734,8 @@ class TestExitCodes:
         (["shrinkage", "--prior", "half-cauchy", "--tau-g", "1e200", "--n", "100",
           "--samples", "10000", "--inner-samples", "10000", "--seed", "1", "--decompose"],
          "values has mean nan"),
-    ], ids=["student-t-underflow", "half-cauchy-scale-overflow", "mixture-mi-student-t",
+    ], ids=["student-t-underflow", "half-cauchy-scale-overflow",
+            "half-cauchy-scale-at-the-float-maximum", "mixture-mi-student-t",
             "mixture-mi-half-cauchy", "decompose-half-cauchy"])
     def test_non_finite_draws_exit_three_where_formed(self, args, message, capsys):
         # RuntimeWarnings are test errors, so this also checks that the

@@ -23,7 +23,7 @@ from effdim import (
     ridge_report,
     spectrum_sequence_mi,
 )
-from effdim import conjugate_regression_info, dimension, shrinkage
+from effdim import dimension, shrinkage
 from effdim.channel import GaussianChannel
 from effdim.errors import (
     DimensionMismatch,
@@ -34,7 +34,7 @@ from effdim.errors import (
     SampleSizeTooSmall,
 )
 from effdim.oracle import McEstimate
-from effdim.priors import FixedScale, GlobalLocalRegression, ScalarShrinkageModel, TailCertificate
+from effdim.priors import FixedScale, ScalarShrinkageModel, TailCertificate
 
 
 def smoothing_matrix(design: np.ndarray, penalty: float) -> np.ndarray:
@@ -645,8 +645,6 @@ class TestFaultClasses:
         lambda: deff(-1.0, 10),
         lambda: info_effective_rank([1.0], 0.0),
         lambda: ridge_df([1.0], 0.0),
-        lambda: conjugate_regression_info(
-            RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)),
         lambda: mutual_information(
             GaussianChannel(a=[[1.0]], prior_cov=[[1.0]], noise_cov=[[1.0]]), "exact"),
         lambda: shrinkage.conditional_mi(
@@ -655,9 +653,6 @@ class TestFaultClasses:
             ScalarShrinkageModel(prior=FixedScale(tau=1.0), noise_var=1.0, n=10), -1.0),
         lambda: shrinkage.heavy_tail_bound(
             TailCertificate(c_const=1.0, alpha_exp=1.0, t0=1.0), -1.0),
-        lambda: shrinkage.regression_conditional_mi(
-            GlobalLocalRegression(design=np.eye(2), noise_var=1.0),
-            [1.0, -1.0]),
         lambda: deff(math.nan, 10),
         lambda: deff(math.inf, 10),
         lambda: shrinkage.conditional_mi(

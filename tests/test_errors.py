@@ -1,6 +1,7 @@
 """The scalar check vocabulary of ``effdim.errors`` at every site that uses it."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from effdim import (
     FixedScale,
     GaussianChannel,
     GaussianDistribution,
-    GlobalLocalRegression,
     HalfCauchy,
     InverseGammaMixture,
     LocationModel,
@@ -19,7 +19,6 @@ from effdim import (
     TailCertificate,
     audit_approximation,
     conditional_mi,
-    conjugate_regression_info,
     deff,
     estimate_channel_mi,
     estimate_mixture_marginal_mi,
@@ -85,13 +84,9 @@ SITES = [
      lambda v: ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=v, n=10)),
     ("ScalarShrinkageModel", "n", 1,
      lambda v: ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1.0, n=v)),
-    ("GlobalLocalRegression", "noise_var", "positive",
-     lambda v: GlobalLocalRegression(design=np.eye(2), noise_var=v)),
     ("conditional_mi", "lam", "nonnegative", lambda v: conditional_mi(MODEL, v)),
     ("random_deff", "lam", "nonnegative", lambda v: random_deff(MODEL, v)),
     ("heavy_tail_bound", "c_snr", "nonnegative", lambda v: heavy_tail_bound(CERT, v)),
-    ("conjugate_regression_info", "prior_var", "positive",
-     lambda v: conjugate_regression_info(_ridge(prior_var=v))),
 ]
 
 BOUNDARY = (-1.0, -0.0, 0.0, 5e-324, math.inf, math.nan)
@@ -173,6 +168,15 @@ REFUSALS = [
     # a real parameter given as an int past the float range
     pytest.param(lambda v: LocationModel(dim=1, prior_var=v, noise_var=1.0, n=10),
                  "prior_var", 10**400, id="LocationModel-prior_var-10**400"),
+] + [
+    # past 4,300 digits, where str() of an int raises ValueError
+    pytest.param(build, parameter, 10**5000, id=f"{site}-{parameter}-10**5000")
+    for site, parameter, build in [
+        ("LocationModel", "prior_var",
+         lambda v: LocationModel(dim=1, prior_var=v, noise_var=1.0, n=10)),
+        ("require_count", "n", lambda v: errors.require_count(1, n=v)),
+        ("require_samples", "samples", lambda v: errors.require_samples("x", 10, samples=v)),
+    ]
 ]
 
 POSTERIOR = GaussianDistribution(mean=[0.0], cov=[[0.5]])
@@ -230,6 +234,14 @@ class TestBoundaries:
             errors.require_count(1, dim=0)
         with pytest.raises(InputError, match=r"^n is too large for a float \(401 digits\)$"):
             errors.require_count(1, n=10**400)
+        with pytest.raises(InputError, match=r"^n is too large for a float \(5001 digits\)$"):
+            errors.require_count(1, n=10**5000)
+        with pytest.raises(InputError, match=r"^prior_var is too large for a float "
+                                             r"\(400 digits\)$"):
+            errors.require_positive(prior_var=-(10**399))
+        with pytest.raises(InputError, match=rf"^samples is too large for an array index "
+                                             rf"\(5001 digits, limit {sys.maxsize}\)$"):
+            errors.require_samples("x", 10, samples=10**5000)
         with pytest.raises(InputError, match=r"^dim must be an integer, got 1\.5$"):
             errors.require_count(1, dim=1.5)
         with pytest.raises(InputError, match=r"^prior_var must be finite and nonnegative, "

@@ -1,6 +1,7 @@
 """The export table of ``effdim``: each public name is imported on first use.
 
-Also: the CLI's closed-form location commands run without numpy, and no
+Also: the CLI's closed-form location commands run without numpy, the
+modules that need no regression model do not load ``dimension``, and no
 module of the package imports a name it never reads.
 """
 
@@ -53,7 +54,7 @@ print(estimate_channel_mi(channel, 10_000, seed=3).estimate.hex())
 
 class TestExportTable:
     def test_all_is_the_sorted_table(self):
-        assert len(effdim.__all__) == 47
+        assert len(effdim.__all__) == 44
         assert effdim.__all__ == sorted(set(effdim.__all__))
 
     def test_each_name_is_its_modules_object(self):
@@ -72,7 +73,8 @@ class TestExportTable:
     def test_other_names_raise_attribute_error(self):
         assert not hasattr(effdim, "__wrapped__")
         for name in ("spectral_information", "mi_df_sandwich", "loewner_dominates",
-                     "dominating_diagonal"):
+                     "dominating_diagonal", "GlobalLocalRegression",
+                     "regression_conditional_mi", "conjugate_regression_info"):
             with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
                 getattr(effdim, name)
 
@@ -138,6 +140,25 @@ class TestNumpyFreeCli:
             parameters=[p.replace(annotation=p.empty) for p in target.parameters.values()],
             return_annotation=target.empty)
         assert inspect.signature(getattr(cli, name)) == bare
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+APPROX = ["approx", "--exact-cov", str(FIXTURES / "post_cov_3x3_seed21.csv"),
+          "--approx-cov", str(FIXTURES / "inflated_cov_3x3_seed21.csv"),
+          "--prior-cov", str(FIXTURES / "prior_cov_3x3_seed21.csv"), "--n", "100"]
+
+
+class TestNoDimensionImport:
+    @pytest.mark.parametrize("module", ["approx", "oracle", "shrinkage"])
+    def test_module_leaves_dimension_unloaded(self, module):
+        code = f"import sys, effdim.{module}; print('effdim.dimension' in sys.modules)"
+        assert run_fresh(code) == "False\n"
+
+    def test_approx_command_loads_only_its_modules(self):
+        loaded = ast.literal_eval(run_fresh(NUMPY_FREE_RUN.format(argv=APPROX)))
+        assert [name for name in loaded if name.partition(".")[0] == "effdim"] == [
+            "effdim", "effdim.approx", "effdim.cli", "effdim.errors", "effdim.linalg",
+            "effdim.location", "effdim.reportio"]
 
 
 def _unread_imports(path: Path) -> list[str]:

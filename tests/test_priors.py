@@ -1,6 +1,7 @@
 """Mixing laws: moments, tail certificates, and sampler behavior."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from effdim import (
     FixedScale,
     ShrinkagePrior,
-    GlobalLocalRegression,
     HalfCauchy,
     InverseGammaMixture,
     ScalarShrinkageModel,
@@ -85,6 +85,19 @@ class TestHalfCauchy:
                 exact = (2.0 / math.pi) * math.atan(tau_g / t)
                 assert exact <= cert.c_const * t ** (-cert.alpha_exp) + 1e-15
 
+    def test_tail_constant_has_the_bits_of_two_tau_over_pi(self):
+        # tau / (pi / 2) and 2 tau / pi are one rounding of the same real
+        # (pi / 2 and 2 tau are exact), so they agree wherever 2 tau is finite
+        scales = 10.0 ** np.random.default_rng(41).uniform(-323.3, 307.95, 20_000)
+        for tau_g in [*scales.tolist(), 5e-324, 2.2250738585072014e-308, 8.98e307]:
+            assert HalfCauchy(tau_g).tail_certificate.c_const == 2.0 * tau_g / math.pi, tau_g
+
+    @pytest.mark.parametrize("tau_g", [1e308, sys.float_info.max])
+    def test_tail_constant_is_finite_up_to_the_float_maximum(self, tau_g):
+        # 2 tau overflows here; tau / (pi / 2) is below tau
+        c_const = HalfCauchy(tau_g).tail_certificate.c_const
+        assert math.isfinite(c_const) and c_const == tau_g / (math.pi / 2)
+
     def test_certificate_is_not_a_parameter(self):
         with pytest.raises(TypeError):
             HalfCauchy(1.0, tail_certificate=TailCertificate(c_const=9.0, alpha_exp=1.0))
@@ -132,10 +145,6 @@ class TestModels:
         assert m.c_snr == pytest.approx(20.0)
         assert m.obs_var == pytest.approx(0.05)
 
-    def test_global_local_zero_noise_rejected(self):
-        with pytest.raises(InputError, match=r"^noise_var must be finite and positive, got 0\.0$"):
-            GlobalLocalRegression(design=np.eye(2), noise_var=0.0)
-
     def test_scalar_model_validation(self):
         with pytest.raises(InputError):
             ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=0.0, n=10)
@@ -158,16 +167,3 @@ class TestModels:
     def test_overflowing_snr_rejected(self):
         with pytest.raises(InputError, match="c_snr must be finite"):
             ScalarShrinkageModel(prior=FixedScale(1.0), noise_var=1e-320, n=10)
-
-    def test_global_local_dim_is_the_design_width(self):
-        m = GlobalLocalRegression(design=np.ones((3, 4)), noise_var=1.0)
-        assert m.dim == 4 and m.design.shape == (3, 4)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_global_local_rejects_non_finite_design(self, bad):
-        with pytest.raises(InputError, match="design has non-finite entries"):
-            GlobalLocalRegression(design=[[bad, 1.0]], noise_var=1.0)
-
-    def test_global_local_rejects_non_matrix_design(self):
-        with pytest.raises(DimensionMismatch):
-            GlobalLocalRegression(design=[1.0, 2.0], noise_var=1.0)

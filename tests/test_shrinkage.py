@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from scipy.integrate import quad
 from effdim import (
     FixedScale,
     GaussianChannel,
-    GlobalLocalRegression,
     HalfCauchy,
     InverseGammaMixture,
     RidgeModel,
@@ -27,10 +25,9 @@ from effdim import (
     mutual_information,
     random_deff,
     random_deff_distribution,
-    regression_conditional_mi,
     regression_mi,
 )
-from effdim.errors import InputError, InsufficientSamples, NumericalError, SampleSizeTooSmall
+from effdim.errors import InsufficientSamples, NumericalError, SampleSizeTooSmall
 from effdim.oracle import seeded_blocks
 from effdim.sampling import FLAT_BLOCK, STREAM_DEFF_DIST, MomentAccumulator
 from effdim.shrinkage import NESTED_BIAS_ALLOWANCE, QUANTILE_LEVELS
@@ -306,27 +303,14 @@ class TestChainDecomposition:
             chain_decomposition(m, 100, 10_000, seed=0)
 
 
-class TestRegressionConditionalMi:
-    def test_constant_scales_reduce_exactly(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((5, 4))
-        m = GlobalLocalRegression(design=x, noise_var=1.3)
-        tau = 0.85
-        via_scales = regression_conditional_mi(m, np.full(4, tau))
-        via_ridge = regression_mi(RidgeModel(design=x, noise_var=1.3, prior_var=tau**2))
-        assert via_scales == via_ridge
-
-    def test_zero_scales(self):
-        x = np.ones((3, 2))
-        m = GlobalLocalRegression(design=x, noise_var=1.0)
-        assert regression_conditional_mi(m, np.zeros(2)) == 0.0
+class TestRegressionGivenScales:
+    """Given per-column scales lam, the regression is ridge on the design X diag(lam)."""
 
     def test_matches_channel_oracle(self):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((5, 4))
         lam = np.abs(rng.standard_cauchy(4))
-        m = GlobalLocalRegression(design=x, noise_var=1.0)
-        closed = regression_conditional_mi(m, lam)
+        closed = regression_mi(RidgeModel(design=x * lam, noise_var=1.0, prior_var=1.0))
         channel = GaussianChannel(
             a=x, prior_cov=np.diag(lam * lam), noise_cov=np.eye(5)
         )
@@ -342,51 +326,11 @@ class TestRegressionConditionalMi:
             lam = np.abs(rng.standard_cauchy(p))
             lam[rng.random(p) < 0.25] = 0.0
             noise_var = float(rng.uniform(0.2, 3.0))
-            m = GlobalLocalRegression(design=x, noise_var=noise_var)
+            model = RidgeModel(design=x * lam, noise_var=noise_var, prior_var=1.0)
             channel = GaussianChannel(a=x, prior_cov=np.diag(lam * lam),
                                       noise_cov=noise_var * np.eye(n))
-            np.testing.assert_allclose(regression_conditional_mi(m, lam),
+            np.testing.assert_allclose(regression_mi(model),
                                        mutual_information(channel, mode), rtol=1e-10)
-
-    def test_empty_design(self):
-        m = GlobalLocalRegression(design=np.zeros((3, 0)), noise_var=1.0)
-        assert regression_conditional_mi(m, []) == 0.0
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_scales_rejected_without_warning(self, bad):
-        m = GlobalLocalRegression(design=np.ones((3, 2)), noise_var=1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(InputError, match="finite"):
-                regression_conditional_mi(m, [1.0, bad])
-
-    @pytest.mark.parametrize("lam", [[1e200, 1.0], [1e200, 1e200]])
-    def test_scale_without_a_finite_square_is_input_error(self, lam):
-        m = GlobalLocalRegression(design=np.eye(2), noise_var=1.0)
-        with pytest.raises(InputError, match="1e\\+200"):
-            regression_conditional_mi(m, lam)
-
-    def test_memory_stays_near_the_design_size(self):
-        x = np.random.default_rng(5).standard_normal((2000, 200))
-        m = GlobalLocalRegression(design=x, noise_var=1.0)
-        lam = np.abs(np.random.default_rng(6).standard_cauchy(200))
-        tracemalloc.start()
-        try:
-            regression_conditional_mi(m, lam)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * x.nbytes
-
-    def test_wrong_length_rejected(self):
-        from effdim.errors import DimensionMismatch
-
-        m = GlobalLocalRegression(design=np.ones((3, 2)), noise_var=1.0)
-        with pytest.raises(DimensionMismatch):
-            regression_conditional_mi(m, [1.0])
-        m4 = GlobalLocalRegression(design=np.eye(4), noise_var=1.0)
-        with pytest.raises(DimensionMismatch):
-            regression_conditional_mi(m4, [[1.0, 2.0], [3.0, 4.0]])
 
 
 class TestRandomDeffDistribution:
