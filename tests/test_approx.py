@@ -138,6 +138,10 @@ class TestConjugateRegressionInfo:
                 conjugate_regression_info(model), mi, rtol=1e-9, atol=1e-12
             )
 
+    def test_zero_prior_variance(self):
+        model = RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=0.0)
+        assert conjugate_regression_info(model) == regression_mi(model) == 0.0
+
     def test_tiny_prior_variance_stays_finite(self):
         # I / prior_var would overflow; the prior-normalized precision does not
         model = RidgeModel(design=np.eye(2), noise_var=1.0, prior_var=5e-324)

@@ -101,6 +101,19 @@ class TestNonFiniteParameters:
         with pytest.raises(InputError, match="non-finite"):
             RidgeModel(design=[[1.0, math.nan]], noise_var=1.0, prior_var=1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_design_rejected_without_warning(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^design has non-finite entries$"):
+                RidgeModel(design=[[bad, 1.0]], noise_var=1.0, prior_var=1.0)
+
+    def test_shapes_follow_the_design(self):
+        model = RidgeModel(design=np.ones((3, 4)), noise_var=2.0, prior_var=0.5)
+        channel = regression_channel(model)
+        assert model.n_obs == 3 and model.design.shape == (3, 4)
+        assert channel.dim == 4 and channel.n_obs == 3
+
 
 class TestRegressionMi:
     @staticmethod
@@ -121,6 +134,12 @@ class TestRegressionMi:
     def test_zero_prior_variance(self):
         model = RidgeModel(design=np.eye(3), noise_var=1.0, prior_var=0.0)
         assert regression_mi(model) == 0.0 and self._snr_rank(model) == 0
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0)])
+    def test_empty_design(self, shape):
+        model = RidgeModel(design=np.zeros(shape), noise_var=1.0, prior_var=1.0)
+        assert regression_mi(model) == 0.0 and self._snr_rank(model) == 0
+        assert model.n_obs == shape[0]
 
     def test_agrees_with_channel_route(self):
         rng = np.random.default_rng(13)
@@ -673,6 +692,9 @@ class TestFaultClasses:
         lambda: _refused_as(DimensionMismatch, design_spectrum, [1.0, 2.0]),
         lambda: _refused_as(DimensionMismatch, design_spectrum, 3.0),
         lambda: design_spectrum([[math.nan]]),
+        lambda: _refused_as(DimensionMismatch, RidgeModel, [1.0, 2.0], 1.0, 1.0),
+        lambda: _refused_as(DimensionMismatch, RidgeModel, np.ones((2, 2, 2)), 1.0, 1.0),
+        lambda: _refused_as(DimensionMismatch, RidgeModel, 3.0, 1.0, 1.0),
     ])
     def test_input_checks_raise_input_error(self, call):
         with pytest.raises(InputError):

@@ -140,6 +140,7 @@ ARRAYS = [
     ("GaussianChannel", "forward map",
      lambda v: GaussianChannel(a=v, prior_cov=[[1.0]], noise_cov=[[1.0]])),
     ("ridge_df", "squared singular values", lambda v: ridge_df(v, 1.0)),
+    ("RidgeModel", "design", lambda v: _ridge(design=v)),
 ]
 
 REFUSALS = [

@@ -27,7 +27,7 @@ from effdim import (
     random_deff_distribution,
     regression_mi,
 )
-from effdim.errors import InsufficientSamples, NumericalError, SampleSizeTooSmall
+from effdim.errors import InputError, InsufficientSamples, NumericalError, SampleSizeTooSmall
 from effdim.oracle import seeded_blocks
 from effdim.sampling import FLAT_BLOCK, STREAM_DEFF_DIST, MomentAccumulator
 from effdim.shrinkage import NESTED_BIAS_ALLOWANCE, QUANTILE_LEVELS
@@ -331,6 +331,60 @@ class TestRegressionGivenScales:
                                       noise_cov=noise_var * np.eye(n))
             np.testing.assert_allclose(regression_mi(model),
                                        mutual_information(channel, mode), rtol=1e-10)
+
+    def test_constant_scales_reduce_exactly(self):
+        # dividing the scales by their largest makes X diag(lam / lam_max) = X
+        # bit for bit, so the ridge model is (X, sigma^2, lam_max^2) itself
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((5, 4))
+        lam = np.full(4, 0.85)
+        via_scales = regression_mi(RidgeModel(design=x * (lam / lam.max()), noise_var=1.3,
+                                              prior_var=lam.max() ** 2))
+        assert via_scales == regression_mi(RidgeModel(design=x, noise_var=1.3, prior_var=0.85**2))
+
+    def test_zero_scales(self):
+        x = np.ones((3, 2))
+        lam = np.zeros(2)
+        assert regression_mi(RidgeModel(design=x * lam, noise_var=1.0, prior_var=1.0)) == 0.0
+        channel = GaussianChannel(a=x, prior_cov=np.diag(lam * lam), noise_cov=np.eye(3))
+        assert mutual_information(channel) == 0.0
+
+    def test_zero_scale_drops_its_column(self):
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((7, 5))
+        lam = np.array([0.7, 0.0, 2.5, 0.0, 1.1])
+        kept = lam > 0
+        full = regression_mi(RidgeModel(design=x * lam, noise_var=0.6, prior_var=1.0))
+        narrow = regression_mi(RidgeModel(design=x[:, kept] * lam[kept], noise_var=0.6,
+                                          prior_var=1.0))
+        np.testing.assert_allclose(full, narrow, rtol=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-3, 3.0, 1e3])
+    def test_design_prior_and_noise_scales_trade_off(self, c):
+        # the information depends on (tau^2 / sigma^2) s_j^2 only
+        x = np.random.default_rng(23).standard_normal((6, 4))
+        scaled_design = regression_mi(RidgeModel(design=c * x, noise_var=1.5, prior_var=0.4))
+        scaled_prior = regression_mi(RidgeModel(design=x, noise_var=1.5, prior_var=0.4 * c * c))
+        scaled_noise = regression_mi(RidgeModel(design=x, noise_var=1.5 / (c * c), prior_var=0.4))
+        np.testing.assert_allclose(scaled_design, scaled_prior, rtol=1e-12)
+        np.testing.assert_allclose(scaled_design, scaled_noise, rtol=1e-12)
+
+    @pytest.mark.parametrize("lam", [[1e200, 1.0], [1e200, 1e200]])
+    def test_scale_without_a_finite_square_is_input_error(self, lam):
+        with pytest.raises(InputError, match=r"^snr_trace must be finite, got inf$"):
+            RidgeModel(design=np.eye(2) * lam, noise_var=1.0, prior_var=1.0)
+
+    def test_memory_stays_near_the_design_size(self):
+        x = np.random.default_rng(5).standard_normal((2000, 200))
+        lam = np.abs(np.random.default_rng(6).standard_cauchy(200))
+        scaled = x * (lam / lam.max())
+        tracemalloc.start()
+        try:
+            regression_mi(RidgeModel(design=scaled, noise_var=1.0, prior_var=lam.max() ** 2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * x.nbytes
 
 
 class TestRandomDeffDistribution:
