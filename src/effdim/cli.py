@@ -437,7 +437,7 @@ def _run(args) -> tuple[str, int]:
         # read by OpenBLAS when the command first loads numpy
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         return COMMANDS[args.command](args)
-    from .sampling import _one_blas_thread
+    from .linalg import _one_blas_thread
     with _one_blas_thread():
         return COMMANDS[args.command](args)
 

@@ -36,7 +36,6 @@ from .errors import (
     require_positive,
 )
 from .location import LocationModel, deff, location_mi  # noqa: F401 (bench/workloads.py)
-from .sampling import _one_blas_thread
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def design_spectrum(design: np.ndarray) -> ChannelSpectrum:
     SVD runs with OpenBLAS held at one thread, whose summation order does not
     depend on the machine's core count.
     """
-    with _one_blas_thread():
+    with linalg._one_blas_thread():
         s = linalg.svd(linalg.as_array(design, "design"), compute_uv=False)
     s[s <= max(np.shape(design)) * np.finfo(float).eps * s.max(initial=0.0)] = 0.0
     return ChannelSpectrum(eigenvalues=s * s)

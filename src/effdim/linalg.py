@@ -16,10 +16,17 @@ NumericalError with numpy's message where numpy raises ``LinAlgError``. No
 The module also owns the library's two float-range rules, each written once:
 every symmetric average (M + M^T)/2 is ``average_transpose``, which halves
 before it adds, and every log1p of a product that may overflow is
-``log1p_product``.
+``log1p_product``. And it owns the BLAS thread rule that governs these
+LAPACK calls, ``_one_blas_thread``, whose docstring lists its holders; it
+lives here, not in ``sampling``, so that a command that samples nothing does
+not load the Monte Carlo module to take the hold.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
+import threading
 
 import numpy as np
 
@@ -124,6 +131,68 @@ def _lapack(name: str):
 
 cholesky, eigh, eigvalsh, slogdet, solve, svd = map(
     _lapack, ("cholesky", "eigh", "eigvalsh", "slogdet", "solve", "svd"))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    Looked up once, on first use, among the OpenBLAS libraries mapped into
+    this process (numpy's wheels bundle ``scipy_openblas``).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower() and ".so" in line})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_pools = 0
+_blas_saved = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the loaded OpenBLAS at one thread while any holder runs.
+
+    Holders are every CLI command that finds numpy loaded (``cli._run``; a
+    fresh CLI process starts OpenBLAS at one thread), so that no report's bits
+    depend on the BLAS thread count, and three library callers: the worker
+    pools (``sampling.map_blocks``), so that workers start no BLAS threads of
+    their own; the design SVD (``dimension.design_spectrum``), so that
+    ``ridge_report``'s bits do not depend on it either; and the nested
+    mixture pass (``oracle._nested_mixture_pass``), whose small kernel
+    products only lose time to BLAS threads. The count read when the first of
+    any concurrent or nested holders starts is restored when the last one
+    ends, also when one raises. Without an OpenBLAS setter this does nothing.
+    """
+    global _blas_pools, _blas_saved
+    with _blas_lock:
+        hooks = _openblas_threads()
+        if hooks is not None and _blas_pools == 0:
+            _blas_saved = hooks[0]()
+            hooks[1](1)
+        _blas_pools += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_pools -= 1
+            if hooks is not None and _blas_pools == 0:
+                hooks[1](_blas_saved)
 
 
 def cholesky_lower(m: np.ndarray, name: str = "matrix") -> np.ndarray:

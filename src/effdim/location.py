@@ -1,29 +1,35 @@
 """The Gaussian location model and d_eff = 2 * I / log(n), with ``math`` alone.
 
-No numpy here, so the CLI's ``location`` and location ``curve`` never load it.
+No numpy here, so the CLI's ``location`` and location ``curve`` never load it;
+nor ``dataclasses``, whose import (with ``inspect`` and ``ast``) would be most
+of the CLI's own start-up.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (require_count, require_finite, require_nonnegative, require_positive,
                      require_sample_size)
 
 
-@dataclass(frozen=True)
-class LocationModel:
-    """d-dimensional Gaussian mean estimation with isotropic prior and noise."""
+class LocationModel(namedtuple("LocationModel", ("dim", "prior_var", "noise_var", "n"))):
+    """d-dimensional Gaussian mean estimation with isotropic prior and noise.
 
-    dim: int
-    prior_var: float
-    noise_var: float
-    n: int
+    An immutable record whose fields are checked when it is made.
+    """
 
-    def __post_init__(self):
-        require_count(1, dim=self.dim, n=self.n)
-        require_positive(noise_var=self.noise_var)
-        require_nonnegative(prior_var=self.prior_var)
-        require_finite(snr=self.n * self.prior_var / self.noise_var)
+    __slots__ = ()
+
+    def __new__(cls, dim: int, prior_var: float, noise_var: float, n: int):
+        require_count(1, dim=dim, n=n)
+        require_positive(noise_var=noise_var)
+        require_nonnegative(prior_var=prior_var)
+        require_finite(snr=n * prior_var / noise_var)
+        return super().__new__(cls, dim, prior_var, noise_var, n)
+
+    @classmethod
+    def _make(cls, iterable):  # and so ``_replace``: both check the fields too
+        return cls(*iterable)
 
 
 def deff(mi_nats: float, n: int) -> float:

@@ -44,7 +44,6 @@ from .sampling import (
     STREAM_MIXTURE_INNER,
     STREAM_MIXTURE_OUTER,
     MomentAccumulator,
-    _one_blas_thread,
     block_rng,
     block_sizes,
     map_blocks,
@@ -309,7 +308,7 @@ def _nested_mixture_pass(
             MomentAccumulator.from_block(0.5 * linalg.log1p_product(m.c_snr, lam, lam)),
         )
 
-    with _one_blas_thread():
+    with linalg._one_blas_thread():
         parts = seeded_blocks(worker, outer_samples, NESTED_OUTER_BLOCK, seed,
                               STREAM_MIXTURE_OUTER, n_threads)
     estimates = []

@@ -83,7 +83,7 @@ class InverseGammaMixture(ShrinkagePrior):
         return math.inf
 
     def sample(self, rng, size):
-        g = rng.gamma(shape=0.5 * self.dof, scale=1.0, size=size)
+        g = rng.standard_gamma(0.5 * self.dof, size)
         with np.errstate(over="ignore"):
             lam = np.divide(0.5 * self.dof * self.scale_sq, g)
             np.sqrt(lam, out=lam)

@@ -23,20 +23,22 @@ O(MOMENT_CHUNK * log2(n / MOMENT_CHUNK)) floats of scratch, never a share of
 n. Blocks combine with the standard parallel-variance merge, again in block
 order, so the single-threaded and multi-threaded paths execute the identical
 float sequence on every thread count and platform.
+
+The BLAS thread rule is ``linalg``'s (``linalg._one_blas_thread``), next to
+the LAPACK calls it governs; ``map_blocks`` is one of its holders, with the
+CLI's commands, the design SVD and the nested mixture pass, so that code
+which samples nothing takes the hold without loading this module.
 """
 
-import contextlib
-import ctypes
-import functools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
+from .linalg import _one_blas_thread
 
 # One stream id per sampling role; never reuse across roles.
 STREAM_CHANNEL_MI = 1
@@ -207,75 +209,15 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
-
-    Looked up once, on first use, among the OpenBLAS libraries mapped into
-    this process (numpy's wheels bundle ``scipy_openblas``).
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = sorted({line.split()[-1] for line in fh
-                           if "openblas" in line.lower() and ".so" in line})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
-    return None
-
-
-_blas_lock = threading.Lock()
-_blas_pools = 0
-_blas_saved = None
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold the loaded OpenBLAS at one thread while any holder runs.
-
-    Holders are every CLI command that finds numpy loaded (``cli.main``; a
-    fresh CLI process starts OpenBLAS at one thread), so that no report's bits
-    depend on the BLAS thread count, and three library callers: the worker
-    pools, so that workers start no BLAS threads of their own; the design
-    SVD, so that ``ridge_report``'s bits do not depend on it either; and the
-    nested mixture pass, whose small kernel products only lose time to BLAS
-    threads. The count read when the first of any concurrent or nested
-    holders starts is restored when the last one ends, also when one raises.
-    Without an OpenBLAS setter this does nothing.
-    """
-    global _blas_pools, _blas_saved
-    with _blas_lock:
-        hooks = _openblas_threads()
-        if hooks is not None and _blas_pools == 0:
-            _blas_saved = hooks[0]()
-            hooks[1](1)
-        _blas_pools += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_pools -= 1
-            if hooks is not None and _blas_pools == 0:
-                hooks[1](_blas_saved)
-
-
 def map_blocks(worker, n_blocks: int, n_threads: int = 1) -> list:
     """Run ``worker(block_index)`` for every block, results in block order.
 
     Thread count is an execution hint only: the block structure and merge
     order are fixed, so results do not depend on it. The pool has at most one
     worker per usable CPU, and while it runs the loaded OpenBLAS is set to one
-    thread for the whole process (``_one_blas_thread``), so the workers' matrix
-    products do not start BLAS threads of their own on top of the pool.
+    thread for the whole process (``linalg._one_blas_thread``), so the
+    workers' matrix products do not start BLAS threads of their own on top of
+    the pool.
     """
     workers = min(n_threads, n_blocks, _usable_cpus())
     if workers <= 1:

@@ -558,8 +558,8 @@ class TestDeterminism:
     AFTER_NUMPY = """
 import sys
 import numpy
-from effdim import cli, sampling
-hooks = sampling._openblas_threads()
+from effdim import cli, linalg
+hooks = linalg._openblas_threads()
 count = (lambda: hooks[0]()) if hooks else (lambda: None)
 before = count()
 code = cli.main(sys.argv[1:])

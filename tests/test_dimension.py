@@ -86,6 +86,26 @@ class TestLocationModel:
         with pytest.raises(ValueError):
             LocationModel(dim=1, prior_var=1.0, noise_var=0.0, n=1)
 
+    def test_record_contract(self):
+        m = LocationModel(dim=3, prior_var=1.0, noise_var=1.0, n=1000)
+        assert m == LocationModel(3, 1.0, 1.0, 1000)
+        assert hash(m) == hash(LocationModel(3, 1.0, 1.0, 1000))
+        assert m != LocationModel(dim=3, prior_var=1.0, noise_var=1.0, n=999)
+        assert (m.dim, m.prior_var, m.noise_var, m.n) == (3, 1.0, 1.0, 1000)
+        assert repr(m) == "LocationModel(dim=3, prior_var=1.0, noise_var=1.0, n=1000)"
+        for name in ("dim", "prior_var", "noise_var", "n", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, 2)
+        assert m.n == 1000
+
+    def test_copies_are_checked_too(self):
+        m = LocationModel(dim=3, prior_var=1.0, noise_var=1.0, n=1000)
+        assert m._replace(n=10) == LocationModel(dim=3, prior_var=1.0, noise_var=1.0, n=10)
+        with pytest.raises(InputError, match="^n must be >= 1"):
+            m._replace(n=0)
+        with pytest.raises(InputError, match="^noise_var "):
+            LocationModel._make((3, 1.0, 0.0, 1000))
+
 
 class TestNonFiniteParameters:
     @pytest.mark.parametrize("prior_var, noise_var", [

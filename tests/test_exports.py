@@ -1,8 +1,9 @@
 """The export table of ``effdim``: each public name is imported on first use.
 
-Also: the CLI's closed-form location commands run without numpy, the
-modules that need no regression model do not load ``dimension``, and no
-module of the package imports a name it never reads.
+Also: the CLI's closed-form location commands run without numpy or
+``dataclasses``, its closed-form regression commands without the Monte Carlo
+module, the modules that need no regression model do not load ``dimension``,
+and no module of the package imports a name it never reads.
 """
 
 import ast
@@ -97,17 +98,23 @@ class TestExportTable:
         assert run_fresh(CLI_WITHOUT_RANDOM) == expected + "\n"
 
 
-# runs the CLI with ``argv`` (none: only imports it), then prints every numpy
-# and effdim module loaded
-NUMPY_FREE_RUN = """
+# runs the CLI with ``argv`` (none: only imports it), then prints every loaded
+# module whose top-level package is one of ``roots``
+CLI_RUN = """
 import contextlib, io, sys
 import effdim.cli
 if {argv!r}:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert effdim.cli.main({argv!r}) == 0
     assert out.getvalue()
-print(sorted(name for name in sys.modules if name.partition(".")[0] in ("numpy", "effdim")))
+print(sorted(name for name in sys.modules if name.partition(".")[0] in {roots!r}))
 """
+
+
+def _loaded(argv, *roots) -> list[str]:
+    """The modules under ``roots`` that a fresh process holds after running the CLI."""
+    return ast.literal_eval(run_fresh(CLI_RUN.format(argv=argv, roots=roots)))
+
 
 # the modules that ``location`` and the location ``curve`` load
 NUMPY_FREE = ["effdim", "effdim.cli", "effdim.errors", "effdim.location", "effdim.reportio"]
@@ -120,16 +127,24 @@ STAND_INS = {"ridge_report": "dimension", "estimate_channel_mi": "oracle",
              "chain_decomposition": "shrinkage"}
 
 
+NUMPY_FREE_RUNS = pytest.mark.parametrize("argv", [
+    [],
+    ["location", "--d", "3", "--tau2", "1", "--sigma2", "2", "--n", "1000"],
+    [*CURVE, "--format", "csv"],
+    [*CURVE, "--format", "json"],
+    [*CURVE, "--tau2-schedule", "inverse-n"],
+], ids=["import", "location", "curve-csv", "curve-json", "curve-inverse-n"])
+
+
 class TestNumpyFreeCli:
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["location", "--d", "3", "--tau2", "1", "--sigma2", "2", "--n", "1000"],
-        [*CURVE, "--format", "csv"],
-        [*CURVE, "--format", "json"],
-        [*CURVE, "--tau2-schedule", "inverse-n"],
-    ], ids=["import", "location", "curve-csv", "curve-json", "curve-inverse-n"])
+    @NUMPY_FREE_RUNS
     def test_loads_no_numpy(self, argv):
-        assert run_fresh(NUMPY_FREE_RUN.format(argv=argv)) == f"{NUMPY_FREE}\n"
+        assert _loaded(argv, "numpy", "effdim") == NUMPY_FREE
+
+    @NUMPY_FREE_RUNS
+    def test_loads_no_dataclasses(self, argv):
+        # ``dataclasses`` would bring ``inspect``, ``ast``, ``dis`` and ``tokenize``
+        assert _loaded(argv, "dataclasses", "inspect") == []
 
     @pytest.mark.parametrize("name", STAND_INS)
     def test_stand_in_has_its_targets_signature(self, name):
@@ -155,10 +170,25 @@ class TestNoDimensionImport:
         assert run_fresh(code) == "False\n"
 
     def test_approx_command_loads_only_its_modules(self):
-        loaded = ast.literal_eval(run_fresh(NUMPY_FREE_RUN.format(argv=APPROX)))
-        assert [name for name in loaded if name.partition(".")[0] == "effdim"] == [
+        assert _loaded(APPROX, "effdim") == [
             "effdim", "effdim.approx", "effdim.cli", "effdim.errors", "effdim.linalg",
             "effdim.location", "effdim.reportio"]
+
+
+DESIGN = str(FIXTURES / "design_6x4_seed13.csv")
+
+
+class TestNoSamplingImport:
+    # the closed-form regression commands take the BLAS hold from linalg, so
+    # they load neither the Monte Carlo module nor its thread pool
+    @pytest.mark.parametrize("argv", [
+        ["regression", "--design", DESIGN, "--tau2", "1", "--sigma2", "1"],
+        [*CURVE[:3], "--tau2", "1", "--design", DESIGN],
+    ], ids=["regression", "curve-design"])
+    def test_regression_command_loads_no_sampling(self, argv):
+        assert _loaded(argv, "effdim", "concurrent") == [
+            "effdim", "effdim.channel", "effdim.cli", "effdim.dimension", "effdim.errors",
+            "effdim.linalg", "effdim.location", "effdim.reportio"]
 
 
 def _unread_imports(path: Path) -> list[str]:

@@ -64,6 +64,20 @@ class TestInverseGammaMixture:
         se = (theta**2).std(ddof=1) / math.sqrt(theta.size)
         assert abs((theta**2).mean() - prior.second_moment) < 4 * se
 
+    @pytest.mark.parametrize("shape", [0.05, 0.5, 1.0, 1.5, 50.0])
+    def test_draws_are_numpys_unit_scale_gamma(self, shape):
+        # numpy's gamma is scale * standard_gamma on the same stream, so the
+        # sampler's standard_gamma keeps the bits of gamma(scale=1.0)
+        gamma = np.random.default_rng(7).gamma(shape=shape, scale=1.0, size=10_000)
+        standard = np.random.default_rng(7).standard_gamma(shape, 10_000)
+        assert standard.tobytes() == gamma.tobytes()
+        lam = InverseGammaMixture(dof=2.0 * shape, scale_sq=3.0).sample(
+            np.random.default_rng(7), 10_000)
+        with np.errstate(over="ignore", divide="ignore"):
+            expected = np.sqrt(np.divide(3.0 * shape, gamma))
+        finite = np.isfinite(expected)
+        assert lam[finite].tobytes() == expected[finite].tobytes()
+
 
 class TestHalfCauchy:
     def test_infinite_second_moment(self):

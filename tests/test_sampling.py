@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from effdim import sampling
+from effdim import linalg, sampling
 from effdim.errors import NumericalError
 from effdim.sampling import (
     FLAT_BLOCK,
@@ -87,7 +87,7 @@ class TestPool:
     @pytest.fixture()
     def blas(self, monkeypatch):
         """OpenBLAS (get, set) hooks, with its count at 2 so that 1 is a change."""
-        hooks = sampling._openblas_threads()
+        hooks = linalg._openblas_threads()
         if hooks is None:
             pytest.skip("no OpenBLAS thread-count setter in this process")
         get, put = hooks
