@@ -354,11 +354,7 @@ def _cmd_shrinkage(args) -> tuple[str, int]:
         },
         "expected_conditional_mi": tagged_mc(cond),
         "jensen_bound": tagged(jensen_bound(model), "bound"),
-        "heavy_tail_bound": (
-            tagged(heavy_tail_bound(prior.tail_certificate, model.c_snr), "bound")
-            if prior.tail_certificate is not None
-            else None
-        ),
+        "heavy_tail_bound": tagged(heavy_tail_bound(prior.tail_certificate, model.c_snr), "bound"),
     }
     config = {**_prior_config(args), **_given(args, "sigma2", "n", "samples"), "seed": seed}
     if args.decompose:

@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .approx import GaussianDistribution, _factor_prior
 from .channel import GaussianChannel
-from .errors import NumericalError, require_samples, require_seed
+from .errors import NumericalError, require_count, require_samples, require_seed
 from .priors import ScalarShrinkageModel
 from .sampling import (
     FLAT_BLOCK,
@@ -86,6 +86,7 @@ def seeded_blocks(work, n_samples: int, block: int, seed: int, stream: int,
     sample is held once, never also as a list of blocks.
     """
     require_seed(seed)
+    require_count(1, n_threads=n_threads)
     sizes = block_sizes(n_samples, block)
 
     def run(b):
@@ -283,7 +284,7 @@ def _nested_mixture_pass(
         dest[:] = m.prior.sample(rng, dest.size)
 
     seeded_blocks(draw_scales, inner_samples, FLAT_BLOCK, seed, STREAM_MIXTURE_INNER,
-                  out=inner_lam)
+                  n_threads, out=inner_lam)
     inner_lam.sort()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mix_var = inner_lam * inner_lam + obs_var

@@ -134,7 +134,8 @@ class TabulatedPrior(ShrinkagePrior):
 
     @property
     def second_moment(self) -> float:
-        return float(np.mean(self.table**2))
+        with np.errstate(over="ignore"):  # a square past the float range makes the mean inf
+            return float(np.mean(self.table**2))
 
     def sample(self, rng, size):
         return self.table[rng.integers(0, self.table.size, size=size)]

@@ -140,30 +140,29 @@ def write_matrix_csv(path, matrix: "np.ndarray") -> None:
 
 
 def _render(node, indent: int, parts: list[str]) -> None:
+    """Append the JSON text of ``node``, nested ``indent`` levels deep, to ``parts``.
+
+    A dict, list or tuple is one container rule: ``{}`` or ``[]`` when empty,
+    else one item per line at ``indent + 1`` (a dict item led by its JSON key),
+    ``,`` between items, and the closing bracket at this node's indent.
+    """
     pad = "  " * indent
     np = sys.modules.get("numpy")  # no numpy scalar exists before numpy is loaded
     bools, ints, floats = (np.bool_, np.integer, np.floating) if np else ((), (), ())
-    if isinstance(node, dict):
-        if not node:
-            parts.append("{}")
+    if isinstance(node, (dict, list, tuple)):
+        keyed = isinstance(node, dict)
+        opening, closing = "{}" if keyed else "[]"
+        items = ([(f"{json.dumps(str(key))}: ", value) for key, value in node.items()]
+                 if keyed else [("", value) for value in node])
+        if not items:
+            parts.append(opening + closing)
             return
-        parts.append("{\n")
-        for i, (key, value) in enumerate(node.items()):
-            parts.append(f'{pad}  {json.dumps(str(key))}: ')
+        parts.append(opening + "\n")
+        for i, (prefix, value) in enumerate(items):
+            parts.append(f"{pad}  {prefix}")
             _render(value, indent + 1, parts)
-            parts.append(",\n" if i < len(node) - 1 else "\n")
-        parts.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
-        seq = list(node)
-        if not seq:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, value in enumerate(seq):
-            parts.append(pad + "  ")
-            _render(value, indent + 1, parts)
-            parts.append(",\n" if i < len(seq) - 1 else "\n")
-        parts.append(pad + "]")
+            parts.append(",\n" if i < len(items) - 1 else "\n")
+        parts.append(pad + closing)
     elif isinstance(node, (bool, bools)):
         parts.append("true" if node else "false")
     elif node is None:
@@ -202,14 +201,13 @@ def tagged(value, path: str):
 
 
 def tagged_mc(est) -> dict:
-    """Tagged rendering of a Monte Carlo estimate with its uncertainty."""
-    out = {
-        "value": est.estimate,
-        "path": "mc",
-        "std_error": est.std_error,
-        "n_samples": est.n_samples,
-        "seed": est.seed,
-    }
+    """``tagged(est.estimate, "mc")`` followed by the estimate's uncertainty.
+
+    The keys after ``value`` and ``path`` are ``std_error``, ``n_samples``,
+    ``seed`` and, for a nested estimate, ``inner_samples``.
+    """
+    out = {**tagged(est.estimate, "mc"), "std_error": est.std_error,
+           "n_samples": est.n_samples, "seed": est.seed}
     if est.inner_samples is not None:
         out["inner_samples"] = est.inner_samples
     return out

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import require_nonnegative, require_sample_size, require_samples, require_seed
+from .errors import (
+    require_count,
+    require_nonnegative,
+    require_sample_size,
+    require_samples,
+    require_seed,
+)
 from .oracle import McEstimate, _nested_mixture_pass, block_mean, seeded_blocks
 from .priors import FixedScale, ScalarShrinkageModel, TailCertificate
 from .sampling import FLAT_BLOCK, STREAM_COND_MI, STREAM_DEFF_DIST, MomentAccumulator
@@ -101,6 +107,7 @@ def expected_conditional_mi(
     """
     require_samples("expected conditional MI", MIN_EXPECTED_MI_SAMPLES, samples=samples)
     require_seed(seed)
+    require_count(1, n_threads=n_threads)
     if isinstance(m.prior, FixedScale):
         exact = conditional_mi(m, m.prior.tau)
         return McEstimate(estimate=exact, std_error=0.0, n_samples=samples, seed=seed)
@@ -125,18 +132,22 @@ def jensen_bound(m: ScalarShrinkageModel) -> float | None:
     return 0.5 * _log1p_product(m.c_snr, second)
 
 
-def heavy_tail_bound(cert: TailCertificate, c_snr: float) -> float:
-    """log(1+c) + log(1+t0^2) + (2C/alpha) t0^-alpha.
+def heavy_tail_bound(cert: TailCertificate | None, c_snr: float) -> float | None:
+    """log(1+c) + log(1+t0^2) + (2C/alpha) t0^-alpha, or None without a certificate.
 
     Upper-bounds E[log(1 + c lam^2)] for any scale law satisfying the tail
-    certificate; finite even when the second moment is not.
+    certificate; finite even when the second moment is not. ``c_snr`` is
+    checked first; a law without a certificate has no bound, a value as in
+    ``jensen_bound``. Where t0^2 or 2C/alpha overflows, its term is formed
+    another way, so every bound a float can hold is returned.
     """
     require_nonnegative(c_snr=c_snr)
-    return (
-        math.log1p(c_snr)
-        + math.log1p(cert.t0 * cert.t0)
-        + (2.0 * cert.c_const / cert.alpha_exp) * cert.t0 ** (-cert.alpha_exp)
-    )
+    if cert is None:
+        return None
+    tail = (2.0 * cert.c_const / cert.alpha_exp) * cert.t0 ** (-cert.alpha_exp)
+    if not math.isfinite(tail):  # 2C/alpha overflowed; t0^-alpha <= 1 scales C down first
+        tail = 2.0 * (cert.c_const * cert.t0 ** (-cert.alpha_exp) / cert.alpha_exp)
+    return math.log1p(c_snr) + _log1p_product(cert.t0, cert.t0) + tail
 
 
 def chain_decomposition(
@@ -184,6 +195,7 @@ def random_deff_distribution(
     require_samples("distribution summary", MIN_DISTRIBUTION_SAMPLES, samples=samples)
     require_sample_size(m.n)
     require_seed(seed)
+    require_count(1, n_threads=n_threads)
     if isinstance(m.prior, FixedScale):
         point = random_deff(m, m.prior.tau)
         return DeffDistributionSummary(

@@ -414,6 +414,15 @@ class TestShrinkage:
         assert (code, err) == (0, "")
         assert json.loads(out)["results"]["estimate"] == chain["i_theta_y"]
 
+    def test_tabulated_scale_whose_square_overflows_prints_no_warning(self, tmp_path, capsys):
+        # the suite's warning filter would raise numpy's overflow warning out of main
+        table = tmp_path / "t.csv"
+        write_matrix_csv(table, np.array([[1e200], [1.0]]))
+        code, out, err = run_cli(["shrinkage", "--prior", "tabulated", "--table", str(table),
+                                  "--n", "10", "--samples", "10000", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["expected_conditional_mi"]["path"] == "mc"
+
     def test_missing_prior_parameter_exits_two(self, capsys):
         code, _, _ = run_cli(
             ["shrinkage", "--prior", "fixed", "--sigma2", "1", "--n", "100",

@@ -132,6 +132,21 @@ COUNTED = [
      lambda v: estimate_mixture_marginal_mi(HEAVY, 10_000, v, seed=1)),
 ]
 
+# Monte Carlo thread counts, each an integer >= 1 whatever the prior: a fixed
+# scale draws nothing, and its count is refused all the same
+THREADED = [
+    ("estimate_channel_mi", lambda v: estimate_channel_mi(CHANNEL, 10_000, 1, n_threads=v)),
+    ("random_deff_distribution",
+     lambda v: random_deff_distribution(HEAVY, 10_000, 1, n_threads=v)),
+    ("random_deff_distribution-FixedScale",
+     lambda v: random_deff_distribution(MODEL, 10_000, 1, n_threads=v)),
+    ("expected_conditional_mi", lambda v: expected_conditional_mi(HEAVY, 10_000, 1, n_threads=v)),
+    ("expected_conditional_mi-FixedScale",
+     lambda v: expected_conditional_mi(MODEL, 10_000, 1, n_threads=v)),
+    ("estimate_mixture_marginal_mi",
+     lambda v: estimate_mixture_marginal_mi(HEAVY, 10_000, 10_000, 1, n_threads=v)),
+]
+
 # arrays numpy cannot read as real numbers, each refused naming the array
 UNREADABLE = {"ragged": [[1.0, 2.0], [3.0]], "string": ["x"], "dict": {"a": 1.0},
               "complex": 1j, "object": object(), "numeric-string": ["3.5"],
@@ -153,6 +168,10 @@ REFUSALS = [
     pytest.param(build, "seed", value, id=f"{site}-seed-{value!r}")
     for site, build in SEEDED
     for value in (-1, 1.5)
+] + [
+    pytest.param(build, "n_threads", value, id=f"{site}-n_threads-{value!r}")
+    for site, build in THREADED
+    for value in (0, -1, 2.5, "2", None)
 ] + [
     pytest.param(build, name, value, id=f"{site}-{kind}")
     for site, name, build in ARRAYS

@@ -2,6 +2,7 @@
 one module that calls numpy's linear algebra."""
 
 import ast
+import io
 import math
 import warnings
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effdim import linalg
+from effdim import GaussianChannel, estimate_channel_mi, linalg, sampling
 from effdim.errors import NumericalError
 
 from conftest import random_covariance, random_orthogonal
@@ -303,3 +304,49 @@ class TestOneExceptionFamily:
                  if path.name != "linalg.py"
                  for line in _linalg_escapes(path.read_text())]
         assert found == []
+
+
+class TestNoBlasSetter:
+    """``_one_blas_thread`` where ``_openblas_threads`` finds no OpenBLAS setter."""
+
+    @pytest.fixture(params=["maps-unreadable", "library-not-loadable"])
+    def no_setter(self, request, monkeypatch):
+        """The loaded OpenBLAS's count getter, or None; the count is 2 so that 1 is a change."""
+        hooks = linalg._openblas_threads()
+        if request.param == "maps-unreadable":
+            def fake_open(*args, **kwargs):
+                raise OSError("maps cannot be read")
+        else:
+            def fake_open(*args, **kwargs):
+                return io.StringIO("7f0000000000-7f0000001000 r-xp 00000000 00:00 0 "
+                                   "/nonexistent/libscipy_openblas64_.so\n")
+        monkeypatch.setattr(linalg, "open", fake_open, raising=False)
+        linalg._openblas_threads.cache_clear()
+        original = hooks[0]() if hooks else None
+        if hooks:
+            hooks[1](2)
+        try:
+            yield hooks[0] if hooks else lambda: None
+        finally:
+            if hooks:
+                hooks[1](original)
+            linalg._openblas_threads.cache_clear()
+
+    def test_no_setter_is_found(self, no_setter):
+        assert linalg._openblas_threads() is None
+
+    def test_hold_nests_and_does_nothing(self, no_setter):
+        count, pools = no_setter(), linalg._blas_pools
+        with linalg._one_blas_thread():
+            with linalg._one_blas_thread():
+                assert linalg._blas_pools == pools + 2
+                assert no_setter() == count
+            assert no_setter() == count
+        assert (linalg._blas_pools, no_setter()) == (pools, count)
+
+    def test_thread_count_leaves_the_oracle_unchanged(self, no_setter, monkeypatch):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        channel = GaussianChannel(a=[[1.0, 0.5]], prior_cov=np.eye(2), noise_cov=[[1.0]])
+        one, two = (estimate_channel_mi(channel, 200_000, 1, n_threads=k) for k in (1, 2))
+        assert (two.estimate.hex(), two.std_error.hex()) == (one.estimate.hex(),
+                                                             one.std_error.hex())

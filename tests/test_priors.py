@@ -134,6 +134,10 @@ class TestTabulatedPrior:
         assert set(np.unique(lam)) <= {0.0, 1.0, 2.0}
         assert prior.second_moment == pytest.approx(5.0 / 3.0)
 
+    def test_square_past_the_float_range_gives_an_infinite_moment_silently(self):
+        # the suite's warning filter turns numpy's overflow warning into an error
+        assert TabulatedPrior(table=[1e200, 1.0]).second_moment == math.inf
+
     def test_rejects_bad_tables(self):
         with pytest.raises(InputError):
             TabulatedPrior(table=[])

@@ -234,7 +234,7 @@ def two_pass_from_block(values) -> MomentAccumulator:
     """The earlier body of ``from_block``, kept verbatim as its reference.
 
     It squares all n deviations into one array before M2's tree; the current
-    one builds that tree's first level in the mean's half-length buffer.
+    one builds both trees from strips of the block (``_strip_tree_sum``).
     """
     values = np.asarray(values, dtype=float).ravel()
     n = int(values.size)
@@ -261,7 +261,7 @@ def outcome(reduce, values) -> tuple:
     return (acc.count, acc.mean.hex(), acc.m2.hex())
 
 
-class TestHalfBufferM2:
+class TestTwoPassReference:
     """``from_block`` equals the two-pass reference bit for bit, in strip-sized scratch."""
 
     @pytest.mark.parametrize("n", [
@@ -295,7 +295,7 @@ class TestHalfBufferM2:
             got = outcome(MomentAccumulator.from_block, values)
         assert got == outcome(two_pass_from_block, values)
 
-    def test_scratch_is_half_the_block(self):
+    def test_scratch_stays_under_two_thirds_of_the_block(self):
         values = np.random.default_rng(8).standard_normal(2_000_000)
         tracemalloc.start()
         try:
@@ -308,7 +308,7 @@ class TestHalfBufferM2:
 
 
 def value_families(n: int):
-    """``TestHalfBufferM2``'s three families of n values, made one at a time."""
+    """The three families of n values of ``test_sizes_around_the_chunk``, made one at a time."""
     rng = np.random.default_rng(n)
     wide = rng.standard_normal(n) * 10.0 ** rng.uniform(-60.0, 60.0, n)
     yield rng.standard_normal(n) + 1e3

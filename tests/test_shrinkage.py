@@ -248,6 +248,37 @@ class TestHeavyTailBound:
         expected = math.log(10.0) + math.log(2.0) + 4.0 / math.pi
         assert heavy_tail_bound(cert, 9.0) == pytest.approx(expected, abs=1e-12)
 
+    def test_no_certificate_is_no_bound(self):
+        assert heavy_tail_bound(None, 1.0) is None
+        with pytest.raises(InputError, match="^c_snr "):
+            heavy_tail_bound(None, -1.0)
+
+    @pytest.mark.parametrize("cert", [
+        HalfCauchy(1.0).tail_certificate,
+        TailCertificate(c_const=3.0, alpha_exp=0.5, t0=7.0),
+        TailCertificate(c_const=1e300, alpha_exp=2.0, t0=1e100),
+    ])
+    def test_finite_factors_keep_the_direct_expression(self, cert):
+        direct = (math.log1p(2.0) + math.log1p(cert.t0 * cert.t0)
+                  + (2.0 * cert.c_const / cert.alpha_exp) * cert.t0 ** (-cert.alpha_exp))
+        assert heavy_tail_bound(cert, 2.0) == direct
+
+    @pytest.mark.parametrize("cert, bound", [
+        # t0^2 overflows; log1p(t0^2) is 2 log t0
+        (TailCertificate(c_const=1.0, alpha_exp=1.0, t0=1e200), 921.7271843781782),
+        # 2C overflows; the tail term 2C / t0 is 2e298
+        (TailCertificate(c_const=1e308, alpha_exp=1.0, t0=1e10), 2e298),
+        # 2C/alpha overflows and t0^-alpha underflows to 0: the tail term of
+        # 1e-92 vanishes beside 2 log t0, where inf * 0 gave nan
+        (TailCertificate(c_const=1e308, alpha_exp=2.0, t0=1e200), 921.7271843781782),
+    ], ids=["t0-squared", "two-c", "two-c-times-zero"])
+    def test_bound_a_float_can_hold_past_an_overflowing_factor(self, cert, bound):
+        assert heavy_tail_bound(cert, 1.0) == pytest.approx(bound, rel=1e-15)
+
+    def test_bound_past_the_float_range_is_inf(self):
+        cert = TailCertificate(c_const=1e308, alpha_exp=1e-10, t0=1.0)
+        assert heavy_tail_bound(cert, 1.0) == math.inf
+
     def test_subadditivity_pointwise(self):
         rng = np.random.default_rng(44)
         c = 10.0 ** rng.uniform(-3, 3, size=10_000)
