@@ -138,15 +138,14 @@ def heavy_tail_bound(cert: TailCertificate | None, c_snr: float) -> float | None
     Upper-bounds E[log(1 + c lam^2)] for any scale law satisfying the tail
     certificate; finite even when the second moment is not. ``c_snr`` is
     checked first; a law without a certificate has no bound, a value as in
-    ``jensen_bound``. Where t0^2 or 2C/alpha overflows, its term is formed
-    another way, so every bound a float can hold is returned.
+    ``jensen_bound``. log(1+t0^2) is taken without forming t0^2, and the
+    tail term scales C by t0^-alpha <= 1 before dividing by alpha and
+    doubling, so every bound a float can hold is returned.
     """
     require_nonnegative(c_snr=c_snr)
     if cert is None:
         return None
-    tail = (2.0 * cert.c_const / cert.alpha_exp) * cert.t0 ** (-cert.alpha_exp)
-    if not math.isfinite(tail):  # 2C/alpha overflowed; t0^-alpha <= 1 scales C down first
-        tail = 2.0 * (cert.c_const * cert.t0 ** (-cert.alpha_exp) / cert.alpha_exp)
+    tail = 2.0 * (cert.c_const * cert.t0 ** (-cert.alpha_exp) / cert.alpha_exp)
     return math.log1p(c_snr) + _log1p_product(cert.t0, cert.t0) + tail
 
 
