@@ -371,12 +371,9 @@ def _cmd_shrinkage(args) -> tuple[str, int]:
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
-    from .approx import GaussianDistribution
-    from .channel import GaussianChannel
-    from .oracle import estimate_gaussian_kl, estimate_mixture_marginal_mi
-    from .priors import ScalarShrinkageModel
     seed = _resolve_seed(args)
     if args.kind == "channel-mi":
+        from .channel import GaussianChannel
         _require(args, "--kind channel-mi", ("a", "prior_cov", "noise_cov"))
         channel = GaussianChannel(
             a=read_matrix_csv(args.a),
@@ -386,6 +383,8 @@ def _cmd_oracle(args) -> tuple[str, int]:
         est = estimate_channel_mi(channel, args.samples, seed, n_threads=args.threads)
         config = _given(args, "kind", "a", "prior_cov", "noise_cov", "samples")
     elif args.kind == "gaussian-kl":
+        from .approx import GaussianDistribution
+        from .oracle import estimate_gaussian_kl
         _require(args, "--kind gaussian-kl", ("mean", "cov", "prior_cov"))
         q = GaussianDistribution(mean=read_vector_csv(args.mean), cov=read_matrix_csv(args.cov))
         est = estimate_gaussian_kl(
@@ -393,6 +392,8 @@ def _cmd_oracle(args) -> tuple[str, int]:
         )
         config = _given(args, "kind", "mean", "cov", "prior_cov", "samples")
     else:
+        from .oracle import estimate_mixture_marginal_mi
+        from .priors import ScalarShrinkageModel
         _require(args, "--kind mixture-mi", ("prior",))
         model = ScalarShrinkageModel(
             prior=_build_prior(args), noise_var=args.sigma2, n=args.n

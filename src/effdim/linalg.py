@@ -170,14 +170,13 @@ def _one_blas_thread():
 
     Holders are every CLI command that finds numpy loaded (``cli._run``; a
     fresh CLI process starts OpenBLAS at one thread), so that no report's bits
-    depend on the BLAS thread count, and three library callers: the worker
+    depend on the BLAS thread count, and two library callers: the worker
     pools (``sampling.map_blocks``), so that workers start no BLAS threads of
-    their own; the design SVD (``dimension.design_spectrum``), so that
-    ``ridge_report``'s bits do not depend on it either; and the nested
-    mixture pass (``oracle._nested_mixture_pass``), whose small kernel
-    products only lose time to BLAS threads. The count read when the first of
-    any concurrent or nested holders starts is restored when the last one
-    ends, also when one raises. Without an OpenBLAS setter this does nothing.
+    their own; and the design SVD (``dimension.design_spectrum``), so that
+    ``ridge_report``'s bits do not depend on it either. The count read when
+    the first of any concurrent or nested holders starts is restored when the
+    last one ends, also when one raises. Without an OpenBLAS setter this does
+    nothing.
     """
     global _blas_pools, _blas_saved
     with _blas_lock:

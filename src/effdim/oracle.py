@@ -30,15 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .approx import GaussianDistribution, _factor_prior
-from .channel import GaussianChannel
 from .errors import NumericalError, require_count, require_samples, require_seed
 from .priors import ScalarShrinkageModel
 from .sampling import (
     FLAT_BLOCK,
-    NESTED_INNER_CHUNK,
     NESTED_OUTER_BLOCK,
-    NESTED_TILE_ROWS,
     STREAM_CHANNEL_MI,
     STREAM_GAUSSIAN_KL,
     STREAM_MIXTURE_INNER,
@@ -51,6 +47,15 @@ from .sampling import (
 )
 
 MIN_ORACLE_SAMPLES = 10_000
+
+# The nested kernel's binned Taylor expansion (``_log_mixture_marginal``):
+# each row's bin width h keeps h y^2 <= TAYLOR_RADIUS, a power of two, each
+# bin's series has TAYLOR_TERMS terms, and the components a level leaves out
+# weigh at most exp(-TAYLOR_CUT) of the row sum. Both bounds are below 2^-60.
+TAYLOR_RADIUS_LOG2 = 2
+TAYLOR_RADIUS = 2.0 ** TAYLOR_RADIUS_LOG2
+TAYLOR_TERMS = 36
+TAYLOR_CUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -152,7 +157,7 @@ def _gaussian_log_ratio(q_lower: np.ndarray, offset: np.ndarray, factors: list,
 
 
 def estimate_channel_mi(
-    ch: GaussianChannel, n_samples: int, seed: int, n_threads: int = 1
+    ch: "GaussianChannel", n_samples: int, seed: int, n_threads: int = 1
 ) -> McEstimate:
     """Unbiased MC estimate of the channel mutual information.
 
@@ -170,82 +175,174 @@ def estimate_channel_mi(
 
 
 def estimate_gaussian_kl(
-    q: GaussianDistribution, prior_cov, n_samples: int, seed: int, n_threads: int = 1
+    q: "GaussianDistribution", prior_cov, n_samples: int, seed: int, n_threads: int = 1
 ) -> McEstimate:
     """Unbiased MC estimate of KL(q || N(0, prior_cov)).
 
     Samples x = q.mean + q.lower z and averages log q(x) - log prior(x).
     """
+    from .approx import _factor_prior
     require_samples("Gaussian KL oracle", MIN_ORACLE_SAMPLES, samples=n_samples)
     _, prior_lower = _factor_prior(prior_cov, q.dim)
     return _gaussian_log_ratio(prior_lower, q.mean, [q.lower], n_samples, seed,
                                STREAM_GAUSSIAN_KL, n_threads)
 
 
-def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray,
-                          log_norm: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _MixtureTables:
+    """Binned Taylor tables of one inner sample (see ``_log_mixture_marginal``).
+
+    Level l has bin width h = 2^-l. Its bins are numbered ``first[l - level_min]``
+    onwards, ``bins[l - level_min]`` of them, in ascending s. Bin B has centre
+    c_B, the largest s in it, and its centre's log weight, and column B of
+    ``moments`` holds M_B,m = sum over its components of w_k x_k^m / m!, with
+    w_k the weight relative to the centre's and x_k = (c_B - s_k) / h in [0, 1).
+    Built once per inner sample, read-only after that.
+    """
+
+    components: int  # K, zero-weight components included
+    level_min: int
+    level_max: int
+    first: np.ndarray
+    bins: np.ndarray
+    neg_centre: np.ndarray  # -c_B, the centre's own neg_half_prec
+    log_weight: np.ndarray  # the centre's own log_norm
+    moments: np.ndarray  # TAYLOR_TERMS x bins
+
+
+def _mixture_tables(neg_half_prec: np.ndarray, log_norm: np.ndarray) -> _MixtureTables:
+    """The tables of ``_log_mixture_marginal`` for components in any order.
+
+    The components are sorted by (s, log_norm), so any order of the same
+    components gives the same tables. Level ``level_min`` is the coarsest
+    whose bin width exceeds every s (at most 2^1023), and holds all bins.
+    Every finer level holds the bins of the components with
+    s <= s_0 + (2 span / delta + 1) h, where s_0 is the smallest s,
+    span = TAYLOR_CUT + log(W / w_0), W the total weight and w_0 that of
+    s_0's component; the one extra h absorbs rounding. ``level_max`` is the
+    first level whose bins each hold one distinct s.
+    """
+    s = -np.asarray(neg_half_prec, dtype=float)
+    log_w = np.asarray(log_norm, dtype=float)
+    components = s.size
+    # v = inf has zero weight and s = inf zero width: neither adds anything at y^2 > 0
+    keep = (log_w > -np.inf) & (s < np.inf)
+    order = np.lexsort((log_w[keep], s[keep]))
+    s, log_w = s[keep][order], log_w[keep][order]
+    if s.size == 0:
+        none = np.zeros(1, dtype=int)
+        return _MixtureTables(components, 0, 0, none, none, np.zeros(0), np.zeros(0),
+                              np.zeros((TAYLOR_TERMS, 0)))
+    top = log_w.max()
+    span = TAYLOR_CUT + top + math.log(float(np.exp(log_w - top).sum())) - log_w[0]
+    reach = (2.0 * span) / TAYLOR_RADIUS + 1.0
+    level_min = max(-int(np.frexp(s[-1])[1]), -1023)
+    first, bins, centres, weights, moments = [], [], [], [], []
+    level = level_min
+    while True:
+        n = s.size if level == level_min else int(
+            np.searchsorted(s, s[0] + np.ldexp(reach, -level), side="right"))
+        cells = np.floor(np.ldexp(s[:n], level))
+        starts = np.flatnonzero(np.concatenate(([True], cells[1:] != cells[:-1])))
+        ends = np.append(starts[1:], n)
+        last = ends - 1
+        sizes = ends - starts
+        x = np.ldexp(np.repeat(s[last], sizes) - s[:n], level)
+        term = np.exp(log_w[:n] - np.repeat(log_w[last], sizes))
+        table = np.empty((TAYLOR_TERMS, starts.size))
+        table[0] = np.add.reduceat(term, starts)
+        for m in range(1, TAYLOR_TERMS):
+            term *= x
+            table[m] = np.add.reduceat(term, starts) / math.factorial(m)
+        first.append(sum(bins))
+        bins.append(starts.size)
+        centres.append(s[last])
+        weights.append(log_w[last])
+        moments.append(table)
+        if np.array_equal(s[starts], s[last]):
+            break
+        level += 1
+    return _MixtureTables(components, level_min, level, np.array(first), np.array(bins),
+                          -np.concatenate(centres), np.concatenate(weights),
+                          np.concatenate(moments, axis=1))
+
+
+def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray, log_norm: np.ndarray,
+                          tables: _MixtureTables | None = None) -> np.ndarray:
     """log of the inner mixture average of scalar normal densities at y.
 
-    Component k has log density f_k(y) = y^2 * neg_half_prec[k] + log_norm[k]
-    with neg_half_prec = -1/(2 v_k) and log_norm = -1/2 log(2 pi v_k). Each row
-    is shifted by a bound on its maximum found in closed form: as a function
-    of v, f is unimodal with its peak -1/2 - 1/2 log(2 pi y^2) at v = y^2. If
-    y^2 lies strictly inside [v_min, v_max] that peak is the shift; otherwise
-    the shift is the nearest endpoint component's own log density. The shift
-    is never below the row maximum, so no exp overflows, and at most about
-    1/2 log(v_max / y^2) above it, so the leading term cannot underflow.
+    Component k has log density f_k(y) = -s_k y^2 + log w_k with
+    s_k = -neg_half_prec[k] = 1/(2 v_k) and log w_k = log_norm[k]
+    = -1/2 log(2 pi v_k), so the average is a one-dimensional Gauss transform,
+    (1/K) sum_k w_k exp(-s_k u) at u = y^2. It is evaluated by binned Taylor
+    expansions (Greengard and Strain 1991, "The fast Gauss transform"), in
+    O(bins) per row instead of K exps, from ``tables``
+    (``_mixture_tables(neg_half_prec, log_norm)`` when not given).
 
-    The arguments come from one matrix product per NESTED_TILE_ROWS x
-    NESTED_INNER_CHUNK tile: rows [y^2, 1, -shift] times columns
-    [neg_half_prec; log_norm; 1]. BLAS forms each entry as a chain of fused
-    multiply-adds from zero, and in each step after the first one factor is
-    an exact 1, so the entry rounds exactly like the multiply, add and
-    subtract it stands for. Then exp and the row sum run over the tile; the
-    chunk sums of a row add up in column order. For a given numpy and BLAS
-    build the result is fixed by the inputs and the tile constants, whatever
-    thread runs it and however many threads BLAS uses.
+    A row with u > 0 takes the level l = ceil(log2(u / delta)) with
+    delta = TAYLOR_RADIUS, clamped to the tables' levels, so h u <= delta
+    unless l is ``level_max``. A bin B with centre c_B adds
+    exp(-c_B u) sum_m (h u)^m M_B,m with m < TAYLOR_TERMS: each component's
+    exp(x h u) is cut to its Taylor polynomial. Every term is nonnegative, so
+    nothing cancels. The row sum is shifted by its largest bin exponent,
+    -c_B u + log w_B, so no exp overflows and the sum is at least 1.
 
-    Components may come in any order. Sorted by variance, which is how the
-    nested pass hands them over, each row's underflowing exponentials sit in
-    one contiguous run, and exp runs fastest; the order changes only how the
-    chunk sums group, never what is summed.
+    Two error bounds, both below 2^-60 of the row sum with the constants
+    delta = 4, P = TAYLOR_TERMS = 36 and TAYLOR_CUT = 60:
+
+    - truncation: with x h u <= delta, the cut Taylor series falls short of
+      exp(x h u) by at most delta^P / P! of it (1.3e-20). At ``level_max``
+      each bin holds one distinct s, so x = 0 and the expansion is exact for
+      any u;
+    - dropped components: a level holds only the components with
+      s <= s_0 + (2 span / delta + 1) h, and u > delta / (2 h) on every row
+      that takes it, so a left-out component has s_k > s_0 + span / u. Together
+      they weigh at most W exp(-s_0 u - span) = w_0 exp(-s_0 u) exp(-TAYLOR_CUT),
+      which is e^-60 (8.8e-27) of s_0's own term.
+
+    Rounding adds a few units in the last place. A row's value depends only on
+    its y and the tables: each row sums its own bins in ascending order, so
+    neither the rows beside it nor the component order changes a bit. A
+    degenerate mixture (v_min == v_max) is one exact bin of K components, so
+    the result is y^2 * neg_half_prec + log_norm of its component bit for
+    bit. A non-finite y^2 gives NaN, and a mixture with no weight (every
+    v = inf) gives -inf; zero-weight components still count in K.
     """
-    y_sq = y * y
-    lo, hi = int(np.argmin(neg_half_prec)), int(np.argmax(neg_half_prec))
-    v_min, v_max = -0.5 / neg_half_prec[lo], -0.5 / neg_half_prec[hi]
-    peak = -0.5 - 0.5 * np.log(2.0 * math.pi * np.clip(y_sq, v_min, v_max))
-    # a degenerate mixture (v_min == v_max) always takes an endpoint, so its
-    # shift equals every component's log density bit for bit
-    shift = np.where(y_sq <= v_min, y_sq * neg_half_prec[lo] + log_norm[lo],
-                     np.where(y_sq >= v_max, y_sq * neg_half_prec[hi] + log_norm[hi], peak))
-    k_total = neg_half_prec.size
-    # numpy hands a product with one row or one column to gemv, which groups
-    # the three terms otherwise; so a last strip or chunk of width 1 is
-    # computed 2 wide, from a copy of its row or column, and cut back
-    lhs = np.stack((y_sq, np.ones_like(y_sq), -shift), axis=1)
-    lhs = np.vstack((lhs, lhs[-1:]))
-    rhs = np.empty((3, max(2, min(NESTED_INNER_CHUNK, k_total))))
-    rhs[2] = 1.0
-    total = np.zeros(y.size)
-    scratch = np.empty(max(2, min(NESTED_TILE_ROWS, y.size)) * rhs.shape[1])
-    # chunks outside, strips inside: each row still adds its chunk sums in
-    # column order, and only one chunk of the columns is ever copied
-    for c0 in range(0, k_total, NESTED_INNER_CHUNK):
-        n_cols = min(NESTED_INNER_CHUNK, k_total - c0)
-        chunk = rhs[:, :max(n_cols, 2)]
-        chunk[0, :n_cols] = neg_half_prec[c0:c0 + n_cols]
-        chunk[1, :n_cols] = log_norm[c0:c0 + n_cols]
-        chunk[:2, n_cols:] = chunk[:2, n_cols - 1:n_cols]
-        for r0 in range(0, y.size, NESTED_TILE_ROWS):
-            n_rows = min(NESTED_TILE_ROWS, y.size - r0)
-            strip = lhs[r0:r0 + max(n_rows, 2)]
-            tile = scratch[:strip.shape[0] * chunk.shape[1]].reshape(strip.shape[0], -1)
-            np.matmul(strip, chunk, out=tile)
-            np.exp(tile, out=tile)
-            total[r0:r0 + n_rows] += tile[:n_rows, :n_cols].sum(axis=1)
-    # divide before the log: a degenerate mixture then hits log(1.0) == 0 and
-    # cancels against the conditional density bit for bit
-    return shift + np.log(total / float(k_total))
+    if tables is None:
+        tables = _mixture_tables(neg_half_prec, log_norm)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = y * y
+        finite = np.isfinite(u)
+        if tables.neg_centre.size == 0:
+            return np.where(finite, -np.inf, np.nan)
+        mant, expo = np.frexp(u)
+        level = np.where(u > 0, expo - (mant == 0.5) - TAYLOR_RADIUS_LOG2, tables.level_min)
+        level = np.clip(level, tables.level_min, tables.level_max)
+        t = np.minimum(np.ldexp(u, -level), TAYLOR_RADIUS)
+        index = level - tables.level_min
+        # (row, bin) pairs, row by row: row r takes the bins of its level,
+        # pairs[starts[r]:starts[r] + counts[r]], in ascending s
+        counts = tables.bins[index]
+        starts = np.cumsum(counts) - counts
+        pair_bin = np.arange(counts.sum()) + np.repeat(tables.first[index] - starts, counts)
+        expo = np.repeat(u, counts)
+        expo *= tables.neg_centre[pair_bin]
+        expo += tables.log_weight[pair_bin]
+        shift = np.maximum.reduceat(expo, starts) if y.size else np.zeros(0)
+        t = np.repeat(t, counts)
+        series = tables.moments[-1][pair_bin]
+        for m in range(TAYLOR_TERMS - 2, -1, -1):
+            series *= t
+            series += tables.moments[m][pair_bin]
+        expo -= np.repeat(shift, counts)
+        series *= np.exp(expo, out=expo)
+        # each row sums its own pairs, whatever rows sit beside it
+        total = np.add.reduceat(series, starts) if y.size else np.zeros(0)
+        # divide before the log: a degenerate mixture then hits log(1.0) == 0 and
+        # cancels against the conditional density bit for bit
+        out = shift + np.log(total / float(tables.components))
+        out[~finite] = np.nan
+    return out
 
 
 def _nested_mixture_pass(
@@ -271,9 +368,10 @@ def _nested_mixture_pass(
     the noise scale. t3 is ``linalg.log1p_product``, so c lam^2 may overflow.
     phat is the same inner mixture average in t1 and t2, so the estimators
     share its bias and the chain-rule comparison cancels it exactly. The
-    inner scales are sorted once after their draw, which only speeds up the
-    kernel (see ``_log_mixture_marginal``), and the pass holds BLAS at one
-    thread, since more BLAS threads only slow the kernel's small products.
+    kernel's tables (``_mixture_tables``) are built once, before the blocks,
+    and every block reads them. The outer blocks run on one thread whatever
+    ``n_threads`` is: each is about a millisecond of small numpy calls, and a
+    second thread only added its start-up and GIL hand-offs to them.
     """
     require_samples("nested estimator", MIN_ORACLE_SAMPLES,
                     samples=outer_samples, inner_samples=inner_samples)
@@ -285,11 +383,11 @@ def _nested_mixture_pass(
 
     seeded_blocks(draw_scales, inner_samples, FLAT_BLOCK, seed, STREAM_MIXTURE_INNER,
                   n_threads, out=inner_lam)
-    inner_lam.sort()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         mix_var = inner_lam * inner_lam + obs_var
         neg_half_prec = -0.5 / mix_var
         log_norm = -0.5 * np.log(2.0 * math.pi * mix_var)
+        tables = _mixture_tables(neg_half_prec, log_norm)
     obs_sd = math.sqrt(obs_var)
     log_norm_cond = -0.5 * math.log(2.0 * math.pi * obs_var)
 
@@ -302,16 +400,15 @@ def _nested_mixture_pass(
         # deterministic scale yields log_cond_lam == log_marginal bit for bit
         lam_var = lam * lam + obs_var
         log_cond_lam = y * y * (-0.5 / lam_var) + (-0.5 * np.log(2.0 * math.pi * lam_var))
-        log_marginal = _log_mixture_marginal(y, neg_half_prec, log_norm)
+        log_marginal = _log_mixture_marginal(y, neg_half_prec, log_norm, tables)
         return (
             MomentAccumulator.from_block(log_norm_cond - 0.5 * z * z - log_marginal),
             MomentAccumulator.from_block(log_cond_lam - log_marginal),
             MomentAccumulator.from_block(0.5 * linalg.log1p_product(m.c_snr, lam, lam)),
         )
 
-    with linalg._one_blas_thread():
-        parts = seeded_blocks(worker, outer_samples, NESTED_OUTER_BLOCK, seed,
-                              STREAM_MIXTURE_OUTER, n_threads)
+    parts = seeded_blocks(worker, outer_samples, NESTED_OUTER_BLOCK, seed,
+                          STREAM_MIXTURE_OUTER)
     estimates = []
     for k, inner in enumerate((inner_samples, inner_samples, None)):
         acc = reduce_moments([p[k] for p in parts])

@@ -135,7 +135,12 @@ class TabulatedPrior(ShrinkagePrior):
     @property
     def second_moment(self) -> float:
         with np.errstate(over="ignore"):  # a square past the float range makes the mean inf
-            return float(np.mean(self.table**2))
+            plain = float(np.mean(self.table**2))
+        if math.isfinite(plain):
+            return plain
+        # the squares overflowed; their mean scaled by the largest entry may not
+        top = float(self.table.max())
+        return top * float(np.mean((self.table / top) ** 2)) * top
 
     def sample(self, rng, size):
         return self.table[rng.integers(0, self.table.size, size=size)]

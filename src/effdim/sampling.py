@@ -26,13 +26,13 @@ float sequence on every thread count and platform.
 
 The BLAS thread rule is ``linalg``'s (``linalg._one_blas_thread``), next to
 the LAPACK calls it governs; ``map_blocks`` is one of its holders, with the
-CLI's commands, the design SVD and the nested mixture pass, so that code
-which samples nothing takes the hold without loading this module.
+CLI's commands and the design SVD, so that code which samples nothing takes
+the hold without loading this module. The thread pool's module is loaded only
+when a pool starts.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +55,10 @@ FLAT_BLOCK = 65536
 # outer draws into seeded blocks.
 NESTED_OUTER_BLOCK = 512
 
-# Tile of the nested mixture kernel: NESTED_TILE_ROWS outer observations by
-# NESTED_INNER_CHUNK inner components, 16 x 8192 x 8 bytes = 1 MiB of
-# float64, so the tile stays in a 2 MiB L2 cache across its three passes
-# (matrix product, exp, row sum). The chunk width fixes how each row sum is
-# grouped, so both are constants, never derived from the machine or the
-# thread count. Component order is not a constant of correctness: the nested
-# pass sorts its components only because exp then runs faster.
-NESTED_TILE_ROWS = 16
+# No longer read by the program: the nested kernel evaluates each row from
+# binned tables (``oracle._log_mixture_marginal``), not in chunks of inner
+# components. Kept because the benchmark's ``bench/envinfo.py``,
+# ``bench/tracing.py`` and ``bench/test_bench.py`` read it.
 NESTED_INNER_CHUNK = 8192
 
 # Widest strip of the depth-first moment tree (``_strip_tree_sum``); it bounds
@@ -222,6 +218,7 @@ def map_blocks(worker, n_blocks: int, n_threads: int = 1) -> list:
     workers = min(n_threads, n_blocks, _usable_cpus())
     if workers <= 1:
         return [worker(b) for b in range(n_blocks)]
+    from concurrent.futures import ThreadPoolExecutor
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(n_blocks)))
 

@@ -2,8 +2,9 @@
 
 Also: the CLI's closed-form location commands run without numpy or
 ``dataclasses``, its closed-form regression commands without the Monte Carlo
-module, the modules that need no regression model do not load ``dimension``,
-and no module of the package imports a name it never reads.
+module, its nested commands without the Gaussian modules or, at one thread,
+the thread pool, the modules that need no regression model do not load
+``dimension``, and no module of the package imports a name it never reads.
 """
 
 import ast
@@ -189,6 +190,24 @@ class TestNoSamplingImport:
         assert _loaded(argv, "effdim", "concurrent") == [
             "effdim", "effdim.channel", "effdim.cli", "effdim.dimension", "effdim.errors",
             "effdim.linalg", "effdim.location", "effdim.reportio"]
+
+
+NESTED = ["--n", "100", "--samples", "10000", "--inner-samples", "10000", "--seed", "1",
+          "--threads", "1"]
+
+
+class TestNestedCommandsLoadOnlyWhatTheyRun:
+    # the nested pass needs neither the Gaussian modules nor, at one thread,
+    # the thread pool
+    @pytest.mark.parametrize("argv", [
+        ["shrinkage", "--prior", "half-cauchy", "--decompose", *NESTED],
+        ["oracle", "--kind", "mixture-mi", "--prior", "student-t", "--nu", "3", *NESTED],
+    ], ids=["decompose", "mixture-mi"])
+    def test_nested_command_loads_no_gaussian_module_or_pool(self, argv):
+        assert _loaded(argv, "effdim", "concurrent") == [
+            "effdim", "effdim.cli", "effdim.errors", "effdim.linalg", "effdim.location",
+            "effdim.oracle", "effdim.priors", "effdim.reportio", "effdim.sampling",
+            *(["effdim.shrinkage"] if argv[0] == "shrinkage" else [])]
 
 
 def _unread_imports(path: Path) -> list[str]:

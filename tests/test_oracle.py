@@ -29,13 +29,7 @@ from effdim import (
 from effdim import linalg, oracle, sampling
 from effdim.errors import DimensionMismatch, InputError, InsufficientSamples
 from effdim.oracle import McEstimate, _log_mixture_marginal, block_mean, seeded_blocks
-from effdim.sampling import (
-    FLAT_BLOCK,
-    NESTED_INNER_CHUNK,
-    NESTED_OUTER_BLOCK,
-    NESTED_TILE_ROWS,
-    block_rng,
-)
+from effdim.sampling import FLAT_BLOCK, NESTED_OUTER_BLOCK, block_rng
 
 from conftest import random_channel, random_covariance
 
@@ -256,25 +250,14 @@ def _reference_marginal(y, neg_half_prec, log_norm):
     ]) - math.log(neg_half_prec.size)
 
 
-def _three_ufunc_marginal(y, neg_half_prec, log_norm):
-    """The kernel as multiply, add and subtract per tile, before the matrix product."""
-    y_sq = y * y
-    lo, hi = int(np.argmin(neg_half_prec)), int(np.argmax(neg_half_prec))
-    v_min, v_max = -0.5 / neg_half_prec[lo], -0.5 / neg_half_prec[hi]
-    peak = -0.5 - 0.5 * np.log(2.0 * math.pi * np.clip(y_sq, v_min, v_max))
-    shift = np.where(y_sq <= v_min, y_sq * neg_half_prec[lo] + log_norm[lo],
-                     np.where(y_sq >= v_max, y_sq * neg_half_prec[hi] + log_norm[hi], peak))
-    total = np.zeros(y.size)
-    for r0 in range(0, y.size, NESTED_TILE_ROWS):
-        rows = slice(r0, r0 + NESTED_TILE_ROWS)
-        for c0 in range(0, neg_half_prec.size, NESTED_INNER_CHUNK):
-            cols = slice(c0, c0 + NESTED_INNER_CHUNK)
-            tile = np.multiply(y_sq[rows, None], neg_half_prec[cols])
-            tile += log_norm[cols]
-            tile -= shift[rows, None]
-            np.exp(tile, out=tile)
-            total[rows] += tile.sum(axis=1)
-    return shift + np.log(total / float(neg_half_prec.size))
+def _fsum_marginal(y, neg_half_prec, log_norm):
+    """Row-by-row log-mean-exp with one exp per component and an exact sum."""
+    out = []
+    for yi in y:
+        f = yi * yi * neg_half_prec + log_norm
+        top = f.max()
+        out.append(top + math.log(math.fsum(np.exp(f - top)) / neg_half_prec.size))
+    return np.array(out)
 
 
 def _scale_mixture_inputs(prior, n_outer, n_inner, seed):
@@ -286,69 +269,103 @@ def _scale_mixture_inputs(prior, n_outer, n_inner, seed):
     return (y, *_mixture_args(lam * lam + 1.0))
 
 
+PRIORS = pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
+                                 ids=["student-t", "half-cauchy"])
+SHAPES = pytest.mark.parametrize("shape", [(NESTED_OUTER_BLOCK, 20_000), (37, 10_001)],
+                                 ids=["block", "ragged"])
+
+
 class TestMixtureKernel:
-    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
-                             ids=["student-t", "half-cauchy"])
-    @pytest.mark.parametrize("shape", [(NESTED_OUTER_BLOCK, 20_000), (37, 10_001)],
-                             ids=["block", "ragged"])
+    @PRIORS
+    @SHAPES
     def test_matches_logaddexp_over_whole_row(self, prior, shape):
         y, prec, log_norm = _scale_mixture_inputs(prior, *shape, seed=21)
         y[:3] = [0.0, 1e-160, 1e154]
         out = _log_mixture_marginal(y, prec, log_norm)
-        ref = _reference_marginal(y, prec, log_norm)
-        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
-        # each fused step of the matrix product multiplies by an exact 1 or
-        # adds to an exact 0, so it rounds like the three ufuncs
-        assert out.tobytes() == _three_ufunc_marginal(y, prec, log_norm).tobytes()
+        # logaddexp's own rounding grows along the row, hence the loose bound
+        np.testing.assert_allclose(out, _reference_marginal(y, prec, log_norm),
+                                   rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
-                             ids=["student-t", "half-cauchy"])
-    @pytest.mark.parametrize("shape", [
-        (NESTED_TILE_ROWS + 1, NESTED_INNER_CHUNK + 1), (NESTED_OUTER_BLOCK, 1),
-    ], ids=["one-wide-edges", "one-component"])
-    def test_one_wide_products_round_like_three_ufuncs(self, prior, shape):
-        # these end in a strip of one row or a chunk of one column
+    @PRIORS
+    @SHAPES
+    def test_within_a_few_ulps_of_an_exact_sum(self, prior, shape):
+        # truncation and dropped components stay below 2^-60 of the row sum,
+        # so what is left is the rounding of about a dozen operations
         y, prec, log_norm = _scale_mixture_inputs(prior, *shape, seed=21)
+        y[:3] = [0.0, 1e-160, 1e5]
+        exact = _fsum_marginal(y, prec, log_norm)
         out = _log_mixture_marginal(y, prec, log_norm)
-        assert out.tobytes() == _three_ufunc_marginal(y, prec, log_norm).tobytes()
+        assert np.all(np.abs(out - exact) <= 32 * np.spacing(np.maximum(np.abs(exact), 1.0)))
 
-    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
-                             ids=["student-t", "half-cauchy"])
-    def test_one_row_calls_round_like_three_ufuncs(self, prior):
-        y, prec, log_norm = _scale_mixture_inputs(prior, 64, 5, seed=21)
-        for row in np.split(y, y.size):
-            out = _log_mixture_marginal(row, prec, log_norm)
-            assert out.tobytes() == _three_ufunc_marginal(row, prec, log_norm).tobytes()
+    @PRIORS
+    def test_each_row_alone_equals_its_row_in_the_block(self, prior):
+        y, prec, log_norm = _scale_mixture_inputs(prior, NESTED_OUTER_BLOCK, 20_000, seed=21)
+        y[:3] = [0.0, 1e-160, 1e154]
+        tables = oracle._mixture_tables(prec, log_norm)
+        block = _log_mixture_marginal(y, prec, log_norm, tables)
+        alone = np.concatenate([_log_mixture_marginal(row, prec, log_norm, tables)
+                                for row in np.split(y, y.size)])
+        assert alone.tobytes() == block.tobytes()
+        halves = np.concatenate([_log_mixture_marginal(y[:100], prec, log_norm, tables),
+                                 _log_mixture_marginal(y[100:], prec, log_norm, tables)])
+        assert halves.tobytes() == block.tobytes()
 
-    @pytest.mark.parametrize("prior", [InverseGammaMixture(dof=3.0), HalfCauchy(1.0)],
-                             ids=["student-t", "half-cauchy"])
-    def test_component_order_changes_only_the_grouping(self, prior):
+    @PRIORS
+    def test_component_order_does_not_change_a_bit(self, prior):
         y, prec, log_norm = _scale_mixture_inputs(prior, NESTED_OUTER_BLOCK, 20_000, seed=23)
-        order = np.argsort(-0.5 / prec)  # ascending variance, as the nested pass sorts
+        order = np.argsort(-0.5 / prec)  # ascending variance
+        shuffle = np.random.default_rng(4).permutation(prec.size)
         shuffled = _log_mixture_marginal(y, prec, log_norm)
         ordered = _log_mixture_marginal(y, prec[order], log_norm[order])
-        np.testing.assert_allclose(ordered, shuffled, rtol=1e-14, atol=0.0)
+        reshuffled = _log_mixture_marginal(y, prec[shuffle], log_norm[shuffle])
+        assert ordered.tobytes() == shuffled.tobytes() == reshuffled.tobytes()
+
+    def test_prebuilt_tables_give_the_same_bits(self):
+        y, prec, log_norm = _scale_mixture_inputs(HalfCauchy(1.0), 64, 10_000, seed=24)
+        tables = oracle._mixture_tables(prec, log_norm)
+        assert (_log_mixture_marginal(y, prec, log_norm, tables).tobytes()
+                == _log_mixture_marginal(y, prec, log_norm).tobytes())
 
     def test_two_point_mixture_at_extreme_scales(self):
         prec, log_norm = _mixture_args([1e-150, 1e150])
         y = np.array([0.0, 1e-160, 1.0, 1e75, 1e150, 1e154])
         # y^2 / (2 v) overflows to inf for the narrow component at large y,
         # and its density to exactly 0, which is the correct limit
+        out = _log_mixture_marginal(y, prec, log_norm)
         with np.errstate(over="ignore", under="ignore"):
-            out = _log_mixture_marginal(y, prec, log_norm)
             ref = _reference_marginal(y, prec, log_norm)
-            three = _three_ufunc_marginal(y, prec, log_norm)
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, ref, rtol=1e-12, atol=0.0)
-        assert out.tobytes() == three.tobytes()
 
     def test_degenerate_mixture_is_its_component_bit_for_bit(self):
         v = 1.0 + 0.25**2
         prec, log_norm = _mixture_args(np.full(10_001, v))
-        y = np.array([0.0, 0.3, math.sqrt(v), 2.0, 1e3, -7.5])
+        y = np.array([0.0, 0.3, math.sqrt(v), 2.0, 1e3, -7.5, 1e154])
         out = _log_mixture_marginal(y, prec, log_norm)
-        assert np.array_equal(out, y * y * prec[0] + log_norm[0])
-        assert out.tobytes() == _three_ufunc_marginal(y, prec, log_norm).tobytes()
+        assert out.tobytes() == (y * y * prec[0] + log_norm[0]).tobytes()
+
+    def test_zero_weight_components_count_in_k_only(self):
+        y, prec, log_norm = _scale_mixture_inputs(InverseGammaMixture(dof=3.0), 64, 1_000, seed=25)
+        with np.errstate(divide="ignore"):
+            wide_prec, wide_norm = _mixture_args(np.full(3, np.inf))
+        out = _log_mixture_marginal(y, np.append(prec, wide_prec), np.append(log_norm, wide_norm))
+        np.testing.assert_allclose(
+            out, _log_mixture_marginal(y, prec, log_norm) + math.log(1_000 / 1_003),
+            rtol=1e-14, atol=1e-14)
+        assert np.array_equal(_log_mixture_marginal(y, wide_prec, wide_norm),
+                              np.full(y.size, -np.inf))
+
+    def test_non_finite_square_gives_nan(self):
+        y, prec, log_norm = _scale_mixture_inputs(HalfCauchy(1.0), 4, 1_000, seed=26)
+        y[:3] = [1e155, np.inf, np.nan]
+        out = _log_mixture_marginal(y, prec, log_norm)
+        assert np.isnan(out[:3]).all() and np.isfinite(out[3])
+
+    def test_constants_keep_both_bounds_below_two_to_the_minus_60(self):
+        radius, terms = oracle.TAYLOR_RADIUS, oracle.TAYLOR_TERMS
+        assert radius == 2.0 ** oracle.TAYLOR_RADIUS_LOG2
+        assert radius**terms / math.factorial(terms) <= 2.0**-60  # truncation
+        assert math.exp(-oracle.TAYLOR_CUT) <= 2.0**-60  # dropped components
 
     def test_scratch_stays_cache_sized(self):
         y, prec, log_norm = _scale_mixture_inputs(

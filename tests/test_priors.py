@@ -138,6 +138,16 @@ class TestTabulatedPrior:
         # the suite's warning filter turns numpy's overflow warning into an error
         assert TabulatedPrior(table=[1e200, 1.0]).second_moment == math.inf
 
+    @pytest.mark.parametrize("table, moment", [
+        (np.full(100, 1e154), 1e308), ([1e154, 1e153], 5.05e307), ([1.5e154, 0.0], 1.125e308),
+    ], ids=["constant", "two-scales", "with-zero"])
+    def test_mean_square_in_range_survives_overflowing_squares(self, table, moment):
+        assert TabulatedPrior(table=table).second_moment == pytest.approx(moment, rel=1e-15)
+
+    def test_finite_plain_mean_keeps_its_bits(self):
+        table = np.random.default_rng(3).lognormal(0.0, 20.0, 1_000)
+        assert TabulatedPrior(table=table).second_moment == float(np.mean(table**2))
+
     def test_rejects_bad_tables(self):
         with pytest.raises(InputError):
             TabulatedPrior(table=[])

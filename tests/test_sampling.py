@@ -1,5 +1,6 @@
 """Seed partitioning and streaming moments."""
 
+import concurrent.futures
 import math
 import tracemalloc
 from unittest import mock
@@ -72,14 +73,14 @@ class _RecordingPool:
 class TestPool:
     def test_workers_clamped_to_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(_RecordingPool, "requested", [])
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 3)
         assert map_blocks(lambda b: b, 64, n_threads=10**6) == list(range(64))
         assert _RecordingPool.requested == [3]
 
     def test_one_usable_cpu_runs_without_a_pool(self, monkeypatch):
         monkeypatch.setattr(_RecordingPool, "requested", [])
-        monkeypatch.setattr(sampling, "ThreadPoolExecutor", _RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _RecordingPool)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 1)
         assert map_blocks(lambda b: b, 4, n_threads=8) == [0, 1, 2, 3]
         assert _RecordingPool.requested == []

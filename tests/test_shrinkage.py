@@ -112,6 +112,12 @@ class TestOverflowingSnrTimesScale:
         bound = jensen_bound(self.STUDENT_T)
         assert bound == pytest.approx(0.5 * (math.log(100.0) + math.log(3e307)), rel=1e-15)
 
+    def test_jensen_bound_of_a_table_whose_squares_overflow(self):
+        # each square is 1e308, a float, but their sum is not
+        m = ScalarShrinkageModel(prior=TabulatedPrior(table=np.full(100, 1e154)), n=10)
+        assert jensen_bound(m) == pytest.approx(0.5 * (math.log(10.0) + math.log(1e308)),
+                                                rel=1e-15)
+
     def test_student_t_draws_whose_square_overflows_stay_finite(self):
         lam = self.STUDENT_T.prior.sample(np.random.default_rng(1), 100_000)
         g = np.random.default_rng(1).gamma(shape=1.5, scale=1.0, size=100_000)
