@@ -225,7 +225,8 @@ def _mixture_tables(neg_half_prec: np.ndarray, log_norm: np.ndarray) -> _Mixture
     s = -np.asarray(neg_half_prec, dtype=float)
     log_w = np.asarray(log_norm, dtype=float)
     components = s.size
-    # v = inf has zero weight and s = inf zero width: neither adds anything at y^2 > 0
+    # v = inf has zero weight and v = 0 (s = inf) is a point mass at 0: neither
+    # adds anything at y^2 > 0
     keep = (log_w > -np.inf) & (s < np.inf)
     order = np.lexsort((log_w[keep], s[keep]))
     s, log_w = s[keep][order], log_w[keep][order]
@@ -280,9 +281,10 @@ def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray, log_norm: np
     (``_mixture_tables(neg_half_prec, log_norm)`` when not given).
 
     A row with u > 0 takes the level l = ceil(log2(u / delta)) with
-    delta = TAYLOR_RADIUS, clamped to the tables' levels, so h u <= delta
-    unless l is ``level_max``. A bin B with centre c_B adds
-    exp(-c_B u) sum_m (h u)^m M_B,m with m < TAYLOR_TERMS: each component's
+    delta = TAYLOR_RADIUS, clamped to the tables' levels, and a row with
+    u = 0 takes ``level_min``; so h u <= delta except on a row clamped down
+    to ``level_max``. A bin B with centre c_B and centre weight w_B adds
+    w_B exp(-c_B u) sum_m (h u)^m M_B,m with m < TAYLOR_TERMS: each component's
     exp(x h u) is cut to its Taylor polynomial. Every term is nonnegative, so
     nothing cancels. The row sum is shifted by its largest bin exponent,
     -c_B u + log w_B, so no exp overflows and the sum is at least 1.
@@ -313,10 +315,10 @@ def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray, log_norm: np
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = y * y
         finite = np.isfinite(u)
-        if tables.neg_centre.size == 0:
+        if y.size == 0 or tables.neg_centre.size == 0:
             return np.where(finite, -np.inf, np.nan)
-        mant, expo = np.frexp(u)
-        level = np.where(u > 0, expo - (mant == 0.5) - TAYLOR_RADIUS_LOG2, tables.level_min)
+        mant, power = np.frexp(u)
+        level = np.where(u > 0, power - (mant == 0.5) - TAYLOR_RADIUS_LOG2, tables.level_min)
         level = np.clip(level, tables.level_min, tables.level_max)
         t = np.minimum(np.ldexp(u, -level), TAYLOR_RADIUS)
         index = level - tables.level_min
@@ -328,7 +330,7 @@ def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray, log_norm: np
         expo = np.repeat(u, counts)
         expo *= tables.neg_centre[pair_bin]
         expo += tables.log_weight[pair_bin]
-        shift = np.maximum.reduceat(expo, starts) if y.size else np.zeros(0)
+        shift = np.maximum.reduceat(expo, starts)
         t = np.repeat(t, counts)
         series = tables.moments[-1][pair_bin]
         for m in range(TAYLOR_TERMS - 2, -1, -1):
@@ -337,7 +339,7 @@ def _log_mixture_marginal(y: np.ndarray, neg_half_prec: np.ndarray, log_norm: np
         expo -= np.repeat(shift, counts)
         series *= np.exp(expo, out=expo)
         # each row sums its own pairs, whatever rows sit beside it
-        total = np.add.reduceat(series, starts) if y.size else np.zeros(0)
+        total = np.add.reduceat(series, starts)
         # divide before the log: a degenerate mixture then hits log(1.0) == 0 and
         # cancels against the conditional density bit for bit
         out = shift + np.log(total / float(tables.components))

@@ -55,10 +55,9 @@ FLAT_BLOCK = 65536
 # outer draws into seeded blocks.
 NESTED_OUTER_BLOCK = 512
 
-# No longer read by the program: the nested kernel evaluates each row from
-# binned tables (``oracle._log_mixture_marginal``), not in chunks of inner
-# components. Kept because the benchmark's ``bench/envinfo.py``,
-# ``bench/tracing.py`` and ``bench/test_bench.py`` read it.
+# Read only by the benchmark (``bench/envinfo.py``, ``bench/tracing.py`` and
+# ``bench/test_bench.py``), which is why it stays: the nested kernel works from
+# binned tables (``oracle._mixture_tables``), not in chunks of inner components.
 NESTED_INNER_CHUNK = 8192
 
 # Widest strip of the depth-first moment tree (``_strip_tree_sum``); it bounds
